@@ -9,7 +9,7 @@ always be certified by an exact row-sum bound instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -32,14 +32,13 @@ __all__ = [
     "AffineMap",
     "ContractionCertificate",
     "IteratedFunctionSystem",
-    "identity_map",
     "compose",
     "invert",
     "fixed_point",
-    "iterate",
     "operator_norm",
     "max_row_sum",
     "is_contractive",
+    "certify_admissible",
     "ifs_to_jsonable",
     "ifs_from_jsonable",
     "map_from_jsonable",
@@ -85,12 +84,6 @@ class AffineMap:
         return self.apply(point)
 
 
-def identity_map(dim: int) -> AffineMap:
-    if dim < 1:
-        raise ValueError("dimension must be positive")
-    return AffineMap(identity(dim), (Fraction(0),) * dim)
-
-
 def compose(f: AffineMap, g: AffineMap) -> AffineMap:
     """The map x ↦ f(g(x))."""
     if f.dim != g.dim:
@@ -119,15 +112,6 @@ def fixed_point(f: AffineMap) -> Vector:
         return solve(system, f.translation)
     except ValueError:
         raise ValueError("map has 1 as an eigenvalue; fixed point is not unique") from None
-
-
-def iterate(f: AffineMap, point: Sequence, count: int) -> Vector:
-    if count < 0:
-        raise ValueError("iteration count must be nonnegative")
-    x = as_vector(point)
-    for _ in range(count):
-        x = f.apply(x)
-    return x
 
 
 def max_row_sum(matrix: Matrix) -> Fraction:
@@ -169,7 +153,11 @@ def operator_norm(matrix: Sequence[Sequence]) -> float:
         raise ValueError("matrix is not square")
     if n == 0:
         return 0.0
-    rows = [[float(x) for x in row] for row in mat]
+    try:
+        rows = [[float(x) for x in row] for row in mat]
+    except OverflowError:
+        # the norm is at least the largest entry, which exceeds the float range
+        return math.inf
     gram = [
         [sum(rows[k][i] * rows[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
@@ -222,25 +210,43 @@ def is_contractive(f: AffineMap) -> ContractionCertificate:
     return ContractionCertificate(norm < 1.0 - NORM_TOLERANCE, "spectral-norm", norm)
 
 
+def certify_admissible(f: AffineMap, where: str = "map") -> ContractionCertificate:
+    """The contraction certificate of an invertible, strictly contractive map.
+
+    Raises ValueError, naming `where`, for a singular or a non-contractive map.
+    """
+    if determinant(f.matrix) == 0:
+        raise ValueError(f"{where} is not invertible")
+    certificate = is_contractive(f)
+    if not certificate:
+        raise ValueError(f"{where} is not strictly contractive")
+    return certificate
+
+
 @dataclass(frozen=True)
 class IteratedFunctionSystem:
-    """A nonempty family of invertible, strictly contractive affine maps."""
+    """A nonempty family of invertible, strictly contractive affine maps.
+
+    certificates holds the contraction certificate of each map, in order.
+    """
 
     maps: tuple[AffineMap, ...]
+    certificates: tuple[ContractionCertificate, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         maps = tuple(self.maps)
         if not maps:
             raise ValueError("an iterated function system needs at least one map")
         dim = maps[0].dim
+        certificates = []
         for index, current in enumerate(maps):
             if current.dim != dim:
                 raise ValueError(f"map {index} has dimension {current.dim}, expected {dim}")
-            if determinant(current.matrix) == 0:
-                raise ValueError(f"map {index} is not invertible")
-            if not is_contractive(current):
-                raise ValueError(f"map {index} is not strictly contractive")
+            certificates.append(certify_admissible(current, f"map {index}"))
         object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "certificates", tuple(certificates))
 
     @property
     def dim(self) -> int:
@@ -258,29 +264,14 @@ class IteratedFunctionSystem:
 
 def ifs_to_jsonable(ifs: IteratedFunctionSystem) -> dict:
     """Plain-dict form of an IFS, with every entry a rational string."""
-    return {
-        "dim": ifs.dim,
-        "maps": [
-            {
-                "matrix": [[format_rational(x) for x in row] for row in m.matrix],
-                "translation": [format_rational(x) for x in m.translation],
-            }
-            for m in ifs.maps
-        ],
-    }
+    return {"dim": ifs.dim, "maps": [map_to_jsonable(m) for m in ifs.maps]}
 
 
 def _parse_entry(value, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError(f"{where}: booleans are not rationals")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rational(value)
-        except ValueError as exc:
-            raise ValueError(f"{where}: {exc}") from None
-    raise ValueError(f"{where}: entries must be rational strings or integers")
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def matrix_from_jsonable(rows, where: str = "matrix") -> Matrix:

@@ -29,12 +29,15 @@ def chaos_game(
 
     Starts at the fixed point of the first map, applies `iterations`
     random maps, and discards the first `burn_in` images.  The same
-    seed always yields the same cloud.
+    seed always yields the same cloud.  More than 10⁷ iterations are
+    rejected before anything is allocated.
     """
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     if iterations <= burn_in:
         raise ValueError("iterations must exceed burn_in")
+    if iterations > _WORD_GUARD:
+        raise ValueError(f"{iterations} iterations exceed the guard {_WORD_GUARD}")
     rng = np.random.Generator(np.random.PCG64(seed))
     count = len(ifs.maps)
     matrices = [np.array([[float(x) for x in row] for row in m.matrix]) for m in ifs.maps]

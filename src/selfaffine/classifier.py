@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .exactlinalg import Matrix, as_matrix, as_vector, express_in_span, mat_inverse, mat_vec
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational
 from .series import TruncatedSeries, _compose, series_reverse
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "check_conjugation",
     "solve_recenter",
     "classify_curve",
-    "germ_to_jsonable",
     "germ_from_jsonable",
 ]
 
@@ -419,20 +418,12 @@ def classify_curve(
     return ClassificationResult(verdict, lam, profile, report, recenter, tuple(stages))
 
 
-def germ_to_jsonable(curve: TruncatedSeries, t0: Fraction) -> dict:
-    return {
-        "t0": format_rational(Fraction(t0)),
-        "order": curve.order,
-        "coords": [[format_rational(c) for c in row] for row in curve.coords],
-    }
-
-
 def germ_from_jsonable(data) -> tuple[TruncatedSeries, Fraction]:
     """Parse {"t0": "p/q", "order": N, "coords": [[…], …]}."""
     if not isinstance(data, dict):
         raise ValueError("germ document must be a JSON object")
     try:
-        t0 = parse_rational(str(data["t0"]))
+        t0 = parse_rational(data["t0"])
     except KeyError:
         raise ValueError('germ document needs a "t0" field') from None
     order = data.get("order")
@@ -445,13 +436,8 @@ def germ_from_jsonable(data) -> tuple[TruncatedSeries, Fraction]:
     for index, row in enumerate(coords):
         if not isinstance(row, list) or len(row) != order + 1:
             raise ValueError(f"coordinate {index + 1} needs exactly order + 1 coefficients")
-        parsed = []
-        for j, entry in enumerate(row):
-            if isinstance(entry, bool) or isinstance(entry, float):
-                raise ValueError(f"coordinate {index + 1}, entry {j}: rationals only")
-            if isinstance(entry, int):
-                parsed.append(Fraction(entry))
-            else:
-                parsed.append(parse_rational(str(entry)))
-        rows.append(tuple(parsed))
+        try:
+            rows.append(tuple(parse_rational(entry) for entry in row))
+        except ValueError as exc:
+            raise ValueError(f"coordinate {index + 1}: {exc}") from None
     return TruncatedSeries(order, tuple(rows)), t0

@@ -15,33 +15,21 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .affine import (
-    ifs_from_jsonable,
-    ifs_to_jsonable,
-    is_contractive,
-    map_from_jsonable,
-    matrix_from_jsonable,
-)
+from .affine import ifs_from_jsonable, ifs_to_jsonable, map_from_jsonable, matrix_from_jsonable
 from .attractor import chaos_game
 from .classifier import classify_curve, germ_from_jsonable
 from .cloud import write_csv, write_svg
 from .exactlinalg import identity
 from .moment import (
     MomentCurveSpec,
-    MomentIfsRecipe,
     build_moment_ifs,
     choose_anchors,
     lambda_bound,
+    read_recipe,
     recipe_to_jsonable,
     verify_moment_invariance,
 )
-from .paraboloid import (
-    ParaboloidSpec,
-    build_paraboloid_ifs,
-    paraboloid_polynomial,
-    surface_residual,
-    verify_paraboloid_conjugation,
-)
+from .paraboloid import ParaboloidSpec, build_paraboloid_ifs
 from .cloud import PointCloud
 from .polynomials import (
     format_polynomial,
@@ -86,14 +74,22 @@ def _parse_anchor_list(text: str) -> list[Fraction]:
         raise ValueError(f"--anchors: {exc}") from None
 
 
-def _load_single_map(path: str):
-    data = _load_json(path)
+def _single_map_entry(data, path: str):
+    """The map object of a single-map file, and the "dim" of its {"maps": [map]} form."""
     if isinstance(data, dict) and "maps" in data:
         entries = data["maps"]
         if not isinstance(entries, list) or len(entries) != 1:
             raise ValueError(f"{path}: expected exactly one map")
-        return map_from_jsonable(entries[0], data.get("dim"))
-    return map_from_jsonable(data)
+        entry, dim = entries[0], data.get("dim")
+    else:
+        entry, dim = data, None
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: the map must be a JSON object")
+    return entry, dim
+
+
+def _load_single_map(path: str):
+    return map_from_jsonable(*_single_map_entry(_load_json(path), path))
 
 
 def _check_format(value: str, allowed: Sequence[str], subcommand: str) -> str:
@@ -114,7 +110,7 @@ def _cmd_build_moment(args) -> int:
     payload = _json_text(recipe_to_jsonable(recipe))
     report = sys.stdout if args.output else sys.stderr
     _emit(payload, args.output)
-    certificates = [is_contractive(f) for f in recipe.ifs.maps]
+    certificates = recipe.ifs.certificates
     worst = max(c.norm_bound for c in certificates)
     exact = sum(1 for c in certificates if c.route == "row-sum-bound")
     print(f"[lambda-bound] admissible ceiling {format_rational(ceiling)}, "
@@ -163,8 +159,7 @@ def _cmd_paraboloid(args) -> int:
           f"{len(ifs)} maps", file=report)
     print(f"[interval-tiling] base images tile [{format_rational(spec.a)}, "
           f"{format_rational(spec.b)}] exactly", file=report)
-    certificates = [is_contractive(f) for f in ifs.maps]
-    worst = max(c.norm_bound for c in certificates)
+    worst = max(c.norm_bound for c in ifs.certificates)
     print(f"[row-sum-bound] all {len(ifs)} maps contractive (worst bound {worst:.6g})",
           file=report)
     return 0
@@ -192,26 +187,12 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    data = _load_json(args.ifs)
-    ifs = ifs_from_jsonable(data)
-    meta = data.get("meta") if isinstance(data, dict) else None
-    if not isinstance(meta, dict):
-        raise ValueError('verify needs the recipe "meta" object (n, c, d, lambda, anchors)')
-    try:
-        n = meta["n"]
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError('meta "n" must be an integer')
-        spec = MomentCurveSpec(
-            n, parse_rational(str(meta["c"])), parse_rational(str(meta["d"]))
-        )
-        ratio = parse_rational(str(meta["lambda"]))
-        anchors = [parse_rational(str(t)) for t in meta["anchors"]]
-    except KeyError as exc:
-        raise ValueError(f"meta is missing {exc.args[0]!r}") from None
-    recipe = MomentIfsRecipe(spec, ratio, anchors, ifs)
-    count = max(args.points, 2)
-    step = (spec.d - spec.c) / (count - 1)
-    samples = [spec.c + k * step for k in range(count)]
+    if args.points < 2:
+        raise ValueError("--points must be at least 2")
+    recipe = read_recipe(_load_json(args.ifs))
+    spec = recipe.spec
+    step = (spec.d - spec.c) / (args.points - 1)
+    samples = [spec.c + k * step for k in range(args.points)]
     result = verify_moment_invariance(recipe, samples)
     print(f"[moment-invariance] f_i(η(t)) = η(λ(t−c)+t_i): {result.checks} exact checks, "
           f"{len(result.counterexamples)} violations")
@@ -246,17 +227,9 @@ def _cmd_classify(args) -> int:
     if args.order is not None:
         germ = germ.truncate(args.order)
     map_data = _load_json(args.map)
-    if isinstance(map_data, dict) and "maps" in map_data:
-        entries = map_data["maps"]
-        if not isinstance(entries, list) or len(entries) != 1:
-            raise ValueError(f"{args.map}: expected exactly one map")
-        m_matrix = matrix_from_jsonable(entries[0].get("matrix"), "matrix")
-        j_field = map_data.get("J")
-    elif isinstance(map_data, dict):
-        m_matrix = matrix_from_jsonable(map_data.get("matrix"), "matrix")
-        j_field = map_data.get("J")
-    else:
-        raise ValueError("map file must be a JSON object")
+    entry, _dim = _single_map_entry(map_data, args.map)
+    m_matrix = matrix_from_jsonable(entry.get("matrix"), "matrix")
+    j_field = map_data.get("J")
     j_matrix = matrix_from_jsonable(j_field, "J") if j_field is not None else identity(germ.dim)
     result = classify_curve(germ, m_matrix, j_matrix, parse_rational(args.t1))
     _check_format(args.format, ("text", "json"), "classify")

@@ -21,7 +21,6 @@ __all__ = [
     "identity",
     "mat_vec",
     "mat_mul",
-    "mat_sub",
     "mat_inverse",
     "determinant",
     "solve",
@@ -60,10 +59,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(cols))
         for arow in a
     )
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def _eliminate(aug: list[list[Fraction]], cols: int) -> list[int]:

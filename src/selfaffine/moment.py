@@ -33,8 +33,8 @@ __all__ = [
     "choose_anchors",
     "build_moment_ifs",
     "verify_moment_invariance",
-    "moment_homothety",
     "recipe_to_jsonable",
+    "read_recipe",
     "recipe_from_jsonable",
 ]
 
@@ -297,19 +297,6 @@ def verify_moment_invariance(
     return InvarianceReport(len(sample_values) * len(every_map), tuple(found))
 
 
-def moment_homothety(n: int, s: Fraction, a: Fraction) -> AffineMap:
-    """The affine map carrying η(t) to η(s·(t−a)) for every t.
-
-    Row k and translation entry k are the coefficients of (s(t−a))ᵏ.
-    """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    s = Fraction(s)
-    if s == 0:
-        raise ValueError("homothety scale must be nonzero")
-    return AffineMap(*_moment_entries(n, _parameter_line(s, Fraction(a), Fraction(0))))
-
-
 def recipe_to_jsonable(recipe: MomentIfsRecipe) -> dict:
     """IFS interchange dict extended with a construction-describing meta."""
     data = ifs_to_jsonable(recipe.ifs)
@@ -323,23 +310,36 @@ def recipe_to_jsonable(recipe: MomentIfsRecipe) -> dict:
     return data
 
 
-def recipe_from_jsonable(data) -> MomentIfsRecipe:
-    """Parse a recipe and re-derive the maps to confirm the stored ones."""
+def read_recipe(data) -> MomentIfsRecipe:
+    """A recipe document as stored: its maps, and the construction its meta records.
+
+    The maps are parsed and certified but not compared with the
+    construction, so that verify_moment_invariance can name the maps
+    that differ from it.
+    """
     ifs = ifs_from_jsonable(data)
     meta = data.get("meta")
     if not isinstance(meta, dict):
-        raise ValueError('recipe document needs a "meta" object')
-    n = meta.get("n")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError('meta "n" must be an integer')
+        raise ValueError('recipe document needs a "meta" object (n, c, d, lambda, anchors)')
     try:
-        c = parse_rational(str(meta["c"]))
-        d = parse_rational(str(meta["d"]))
-        ratio = parse_rational(str(meta["lambda"]))
-        anchors = [parse_rational(str(t)) for t in meta["anchors"]]
+        n = meta["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError('meta "n" must be an integer')
+        if not isinstance(meta["anchors"], list):
+            raise ValueError('meta "anchors" must be an array')
+        spec = MomentCurveSpec(n, parse_rational(meta["c"]), parse_rational(meta["d"]))
+        ratio = parse_rational(meta["lambda"])
+        anchors = [parse_rational(t) for t in meta["anchors"]]
     except KeyError as exc:
         raise ValueError(f"meta is missing {exc.args[0]!r}") from None
-    rebuilt = build_moment_ifs(MomentCurveSpec(n, c, d), ratio, anchors)
-    if rebuilt.ifs != ifs:
+    return MomentIfsRecipe(spec, ratio, anchors, ifs)
+
+
+def recipe_from_jsonable(data) -> MomentIfsRecipe:
+    """Parse a recipe and confirm that its stored maps are the recorded construction."""
+    recipe = read_recipe(data)
+    if recipe.ratio > lambda_bound(recipe.spec):
+        raise ValueError("ratio must lie in (0, lambda_bound]")
+    if _coefficient_mismatches(recipe):
         raise ValueError("stored maps do not match the recorded construction")
-    return rebuilt
+    return recipe

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .polynomials import MultiPoly
 __all__ = [
     "ParaboloidSpec",
     "paraboloid_polynomial",
-    "eval_paraboloid_embedding",
     "build_paraboloid_ifs",
     "verify_paraboloid_conjugation",
     "surface_residual",
@@ -74,14 +72,6 @@ def paraboloid_polynomial(n: int) -> MultiPoly:
         terms[exponent] = Fraction(1)
     terms[tuple(0 if k < n - 1 else 1 for k in range(n))] = Fraction(-1)
     return MultiPoly(n, terms)
-
-
-def eval_paraboloid_embedding(x: Sequence) -> tuple[Fraction, ...]:
-    """η(x) = (x₁, …, x_{n−1}, Σx_j²); the result satisfies P = 0 exactly."""
-    base = tuple(Fraction(v) for v in x)
-    if not base:
-        raise ValueError("base point must have at least one coordinate")
-    return base + (sum(v * v for v in base),)
 
 
 def _embedding_polynomials(n: int) -> list[MultiPoly]:

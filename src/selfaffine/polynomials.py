@@ -14,8 +14,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .affine import AffineMap, compose, fixed_point, is_contractive
-from .exactlinalg import determinant
+from .affine import AffineMap, certify_admissible, compose, fixed_point, is_contractive
 from .rationals import format_rational, parse_rational
 
 __all__ = [
@@ -222,10 +221,7 @@ def scaling_certificate(poly: MultiPoly, f: AffineMap) -> Optional[ScalingCertif
     """
     if poly.degree < 1:
         raise ValueError("polynomial must be non-constant")
-    if determinant(f.matrix) == 0:
-        raise ValueError("map must be invertible")
-    if not is_contractive(f):
-        raise ValueError("map must be strictly contractive")
+    certify_admissible(f)
     constant = scaling_constant(poly, f)
     if constant is None:
         return None
@@ -237,11 +233,8 @@ def scaling_certificate(poly: MultiPoly, f: AffineMap) -> Optional[ScalingCertif
 
 def is_self_affine_pair(poly: MultiPoly, f: AffineMap, g: AffineMap) -> bool:
     """True when f and g are scaling factors for poly with distinct fixed points."""
-    for candidate in (f, g):
-        if determinant(candidate.matrix) == 0:
-            raise ValueError("maps must be invertible")
-        if not is_contractive(candidate):
-            raise ValueError("maps must be strictly contractive")
+    certify_admissible(f, "first map")
+    certify_admissible(g, "second map")
     if scaling_constant(poly, f) is None or scaling_constant(poly, g) is None:
         return False
     return fixed_point(f) != fixed_point(g)

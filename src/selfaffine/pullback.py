@@ -19,10 +19,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .affine import AffineMap, invert, is_contractive, operator_norm
+from .affine import AffineMap, certify_admissible, invert, operator_norm
 from .attractor import diameter
 from .cloud import PointCloud
-from .exactlinalg import determinant, express_in_span, greedy_independent
+from .exactlinalg import express_in_span, greedy_independent
 from .polynomials import MultiPoly, compose_affine
 from .paraboloid import surface_residual
 
@@ -72,10 +72,7 @@ def pullback_sequence(poly: MultiPoly, f: AffineMap, count: int) -> PullbackSequ
         raise ValueError("polynomial must be non-constant")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if determinant(f.matrix) == 0:
-        raise ValueError("map must be invertible")
-    if not is_contractive(f):
-        raise ValueError("map must be strictly contractive")
+    certify_admissible(f)
     inverse = invert(f)
     polys = [poly]
     for _ in range(count):

@@ -22,9 +22,11 @@ _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
 def parse_rational(text: str | int | Fraction) -> Fraction:
     """Parse a rational string "p/q" or "p" into a Fraction.
 
-    Rejects decimal notation, zero denominators, and anything else that
-    is not an exact integer ratio.
+    Rejects decimal notation, zero denominators, booleans, and anything
+    else that is not an exact integer ratio.
     """
+    if isinstance(text, bool):
+        raise ValueError(f"booleans are not rationals: {text!r}")
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):

@@ -15,7 +15,6 @@ from selfaffine.classifier import (
     check_conjugation,
     classify_curve,
     germ_from_jsonable,
-    germ_to_jsonable,
     graph_form,
     normalize_at_fixed_point,
     solve_recenter,
@@ -317,10 +316,15 @@ def _push_curve(germ, a, b):
     return TruncatedSeries.from_rows(rows, germ.order)
 
 
+def _germ_document(germ, t0):
+    return {"t0": t0, "order": germ.order,
+            "coords": [[str(c) for c in row] for row in germ.coords]}
+
+
 class TestGermJson:
     def test_round_trip(self):
         germ = moment_germ(3, 8)
-        data = germ_to_jsonable(germ, Fraction(2, 3))
+        data = _germ_document(germ, "2/3")
         back, t0 = germ_from_jsonable(data)
         assert back.coords == germ.coords
         assert t0 == Fraction(2, 3)
@@ -333,7 +337,7 @@ class TestGermJson:
         lambda d: d.pop("t0"),
     ])
     def test_malformed_rejected(self, mutate):
-        data = germ_to_jsonable(moment_germ(2, 4), Fraction(0))
+        data = _germ_document(moment_germ(2, 4), "0")
         mutate(data)
         with pytest.raises((ValueError, KeyError)):
             germ_from_jsonable(data)

@@ -1,10 +1,12 @@
 """Command-line interface: subcommand behaviors, exit codes, determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from selfaffine import affine
 from selfaffine.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -14,6 +16,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def contraction_calls(monkeypatch):
+    """The maps passed to is_contractive, wherever the package has it bound."""
+    calls = []
+    original = affine.is_contractive
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("selfaffine") and getattr(module, "is_contractive", None) is original:
+            monkeypatch.setattr(module, "is_contractive", counted)
+    return calls
 
 
 @pytest.fixture
@@ -99,6 +117,13 @@ class TestBuildMoment:
         capsys.readouterr()
         assert path.read_bytes() == (DATA / "build_moment_dim3.json").read_bytes()
 
+    def test_certifies_each_map_once(self, contraction_calls, capsys):
+        code, out, _ = run(capsys, "build-moment", "--dim", "2", "--c", "0",
+                           "--d", "1", "--lambda", "1/25")
+        assert code == 0
+        assert len(json.loads(out)["maps"]) == 25
+        assert len(contraction_calls) == 25
+
 
 class TestParaboloid:
     def test_build_and_report(self, tmp_path, capsys):
@@ -111,6 +136,12 @@ class TestParaboloid:
         assert data["dim"] == 3
         assert data["meta"]["surface"] == "paraboloid"
         assert "[paraboloid-conjugation]" in out
+
+    def test_certifies_each_map_once(self, contraction_calls, capsys):
+        code, _, _ = run(capsys, "paraboloid", "--dim", "3", "--c", "0",
+                         "--d", "1", "--base", "1/2:0,1/2:1/2")
+        assert code == 0
+        assert len(contraction_calls) == 2
 
     def test_bad_base_tiling_is_input_error(self, capsys):
         code, _, err = run(capsys, "paraboloid", "--dim", "3", "--c", "0",
@@ -161,6 +192,13 @@ class TestChaosAndRender:
                            "--project", "0", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["chaos", "render"])
+    def test_points_above_cap_rejected_before_sampling(self, moment_file, command, capsys):
+        code, out, err = run(capsys, command, str(moment_file), "--points", "1000000000000")
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err.strip().splitlines()[-1])
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "chaos", "no-such-file.json")
         assert code == 2
@@ -191,6 +229,21 @@ class TestVerify:
         assert code == 1
         assert "0 violations" not in out
         assert "map 6" in out
+
+    @pytest.mark.parametrize("points", ["-5", "0", "1"])
+    def test_too_few_points_is_input_error(self, moment_file, points, capsys):
+        code, out, err = run(capsys, "verify", str(moment_file), "--points", points)
+        assert code == 2
+        assert out == ""
+        assert "error" in json.loads(err.strip().splitlines()[-1])
+
+    def test_non_array_anchors_is_input_error(self, moment_file, capsys):
+        data = json.loads(moment_file.read_text())
+        data["meta"]["anchors"] = 5
+        moment_file.write_text(json.dumps(data))
+        code, _, err = run(capsys, "verify", str(moment_file))
+        assert code == 2
+        assert "error" in json.loads(err.strip().splitlines()[-1])
 
     def test_missing_meta_is_input_error(self, moment_file, capsys):
         data = json.loads(moment_file.read_text())
@@ -265,6 +318,14 @@ class TestClassify:
         map_file.write_text(json.dumps({"matrix": [["1/2", "0"], ["0", "1/4"]]}))
         code, _, err = run(capsys, "classify", str(germ), str(map_file), "--t1", "1")
         assert code == 2
+
+    def test_non_object_map_entry_is_input_error(self, tmp_path, capsys):
+        germ = self._germ_file(tmp_path, [["0", "1"], ["0", "0", "1"]])
+        map_file = tmp_path / "m.json"
+        map_file.write_text(json.dumps({"maps": [5]}))
+        code, _, err = run(capsys, "classify", str(germ), str(map_file), "--t1", "1")
+        assert code == 2
+        assert "error" in json.loads(err.strip().splitlines()[-1])
 
     def test_explicit_j_matrix(self, tmp_path, capsys):
         germ = self._germ_file(tmp_path, [["0", "1"], ["0", "0", "1"]])

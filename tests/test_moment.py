@@ -14,12 +14,16 @@ from selfaffine.moment import (
     choose_anchors,
     eval_moment,
     lambda_bound,
-    moment_homothety,
     recipe_from_jsonable,
     recipe_to_jsonable,
     verify_moment_invariance,
 )
-from selfaffine.moment import _coefficient_mismatches, _sampled_counterexamples
+from selfaffine.moment import (
+    _coefficient_mismatches,
+    _moment_entries,
+    _parameter_line,
+    _sampled_counterexamples,
+)
 
 
 def unit_spec(n=2):
@@ -235,24 +239,6 @@ class TestInvariance:
             verify_moment_invariance(recipe, [Fraction(2)])
 
 
-class TestMomentHomothety:
-    def test_defining_identity(self):
-        rng = random.Random(23)
-        for n in (2, 3, 4):
-            for _ in range(10):
-                s = Fraction(rng.randint(1, 5), rng.randint(1, 5))
-                if rng.random() < 0.5:
-                    s = -s
-                a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                t = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                h = moment_homothety(n, s, a)
-                assert h(eval_moment(n, t)) == eval_moment(n, s * (t - a))
-
-    def test_rejects_zero_scale(self):
-        with pytest.raises(ValueError):
-            moment_homothety(2, Fraction(0), Fraction(1))
-
-
 class TestRecipeJson:
     def _recipe(self):
         spec = unit_spec(2)
@@ -279,3 +265,17 @@ class TestRecipeJson:
         data["maps"][0]["translation"][1] = "9/7"
         with pytest.raises(ValueError, match="do not match"):
             recipe_from_jsonable(data)
+
+    def test_ratio_above_bound_rejected(self):
+        # λ = 1/2 tiles [0, 1] with two certified maps but exceeds lambda_bound
+        spec = unit_spec(2)
+        ratio = Fraction(1, 2)
+        assert ratio > lambda_bound(spec)
+        anchors = (Fraction(0), Fraction(1, 2))
+        maps = tuple(
+            AffineMap(*_moment_entries(2, _parameter_line(ratio, spec.c, t))) for t in anchors
+        )
+        recipe = MomentIfsRecipe(spec, ratio, anchors, IteratedFunctionSystem(maps))
+        assert not _coefficient_mismatches(recipe)
+        with pytest.raises(ValueError, match="lambda_bound"):
+            recipe_from_jsonable(recipe_to_jsonable(recipe))

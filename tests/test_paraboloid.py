@@ -10,12 +10,11 @@ from selfaffine.cloud import PointCloud
 from selfaffine.paraboloid import (
     ParaboloidSpec,
     build_paraboloid_ifs,
-    eval_paraboloid_embedding,
     paraboloid_polynomial,
     surface_residual,
     verify_paraboloid_conjugation,
 )
-from selfaffine.polynomials import evaluate, parse_polynomial
+from selfaffine.polynomials import parse_polynomial
 
 
 def halves_spec(n=3):
@@ -57,11 +56,6 @@ class TestSpecValidation:
 class TestPolynomialAndEmbedding:
     def test_polynomial_n3(self):
         assert paraboloid_polynomial(3) == parse_polynomial("x1^2 + x2^2 - x3")
-
-    def test_embedding(self):
-        point = eval_paraboloid_embedding((Fraction(1, 2), Fraction(-1, 3)))
-        assert point == (Fraction(1, 2), Fraction(-1, 3), Fraction(13, 36))
-        assert evaluate(paraboloid_polynomial(3), point) == 0
 
 
 class TestBuildAndConjugation:
@@ -106,15 +100,15 @@ class TestBuildAndConjugation:
         ifs = build_paraboloid_ifs(halves_spec())
         # embedded endpoints of the base square stay consistent:
         # f_2(η(1,1)) = η(1,1) because c=1/2, d=1/2 fixes t=1
-        eta_11 = tuple(map(Fraction, eval_paraboloid_embedding((Fraction(1), Fraction(1)))))
+        eta_11 = (Fraction(1), Fraction(1), Fraction(2))
         assert ifs.maps[1](eta_11) == eta_11
 
 
 class TestSurfaceResidual:
     def test_zero_on_exact_points(self):
         poly = paraboloid_polynomial(3)
-        pts = [eval_paraboloid_embedding((Fraction(k, 7), Fraction(1 - k, 5)))
-               for k in range(6)]
+        pts = [(x, y, x * x + y * y)
+               for x, y in ((Fraction(k, 7), Fraction(1 - k, 5)) for k in range(6))]
         cloud = PointCloud(3, [[float(x) for x in p] for p in pts])
         assert surface_residual(poly, cloud) <= 1e-15
 

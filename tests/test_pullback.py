@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from selfaffine.affine import AffineMap, iterate
+from selfaffine.affine import AffineMap
 from selfaffine.cloud import PointCloud
 from selfaffine.polynomials import MultiPoly, evaluate, parse_polynomial
 from selfaffine.pullback import (
@@ -17,6 +17,13 @@ from selfaffine.pullback import (
     pullback_sequence,
     rational_circle_points,
 )
+
+
+def iterate(f, x, count):
+    """f applied count times to x."""
+    for _ in range(count):
+        x = f(x)
+    return x
 
 
 def half_map():

@@ -28,7 +28,7 @@ class TestParseRational:
     def test_reduces(self):
         assert parse_rational("6/4") == Fraction(3, 2)
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e3", "", "3/0", "3/-4", "a/b", "1/2/3"])
+    @pytest.mark.parametrize("bad", ["0.5", "1e3", "", "3/0", "3/-4", "a/b", "1/2/3", True, False])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)

@@ -1,0 +1,104 @@
+"""Fuzzed JSON documents: each reader returns or raises ValueError, nothing else.
+
+Fields of a valid IFS, recipe and germ document, the document itself
+included, are replaced by arbitrary JSON values.
+"""
+
+import copy
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from selfaffine.affine import ifs_from_jsonable
+from selfaffine.classifier import germ_from_jsonable
+from selfaffine.moment import (
+    MomentCurveSpec,
+    build_moment_ifs,
+    choose_anchors,
+    recipe_from_jsonable,
+    recipe_to_jsonable,
+)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def _recipe_document():
+    spec = MomentCurveSpec(2, Fraction(-1, 8), Fraction(1, 8))
+    ratio = Fraction(1, 9)
+    return recipe_to_jsonable(build_moment_ifs(spec, ratio, choose_anchors(spec, ratio)))
+
+
+IFS_DOCUMENT = {
+    "dim": 2,
+    "maps": [
+        {"matrix": [["1/2", "0"], ["1/4", "1/3"]], "translation": ["0", "-1"]},
+        {"matrix": [["1/3", "-1/5"], [0, "1/2"]], "translation": ["1/2", 3]},
+    ],
+}
+GERM_DOCUMENT = {
+    "t0": "1/3",
+    "order": 3,
+    "coords": [["1/3", "1", "0", "0"], ["1/9", "2/3", "1", "0"]],
+}
+
+READERS = [
+    (ifs_from_jsonable, IFS_DOCUMENT),
+    (recipe_from_jsonable, _recipe_document()),
+    (germ_from_jsonable, GERM_DOCUMENT),
+]
+READER_IDS = [reader.__name__ for reader, _ in READERS]
+
+
+def _paths(node, prefix=()):
+    """The paths of a JSON document's nodes, the root included.
+
+    Of each array only the first and the last element are entered, so that
+    the many maps and anchors of a recipe do not crowd out its other fields.
+    """
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = [(index, node[index]) for index in sorted({0, len(node) - 1}) if node]
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(document, path, value):
+    if not path:
+        return value
+    result = copy.deepcopy(document)
+    node = result
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return result
+
+
+@pytest.mark.parametrize("reader, document", READERS, ids=READER_IDS)
+def test_valid_document_is_read(reader, document):
+    reader(copy.deepcopy(document))
+
+
+@pytest.mark.parametrize("reader, document", READERS, ids=READER_IDS)
+def test_replaced_field_returns_or_raises_value_error(reader, document):
+    paths = list(_paths(document))
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(path=st.sampled_from(paths), value=JSON_VALUES)
+    def check(path, value):
+        try:
+            reader(_replaced(document, path, value))
+        except ValueError:
+            pass
+
+    check()
