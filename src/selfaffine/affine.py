@@ -1,9 +1,10 @@
 """Exact affine maps, their algebra, and contraction certificates.
 
 An affine map is f(x) = Mx + a with rational M and a.  Composition,
-inversion, fixed points, and iteration are all exact; floating point
-enters only through the spectral-norm estimate, and contraction can
-always be certified by an exact row-sum bound instead.
+inversion and fixed points are all exact.  Floating point enters through
+the spectral norm, which numpy's SVD computes when the exact row-sum
+bound cannot certify contraction, and through _float_array, the one
+exact-to-float conversion that the numeric samplers use.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from .exactlinalg import (
     Matrix,
@@ -47,8 +50,6 @@ __all__ = [
 ]
 
 NORM_TOLERANCE = 1e-12
-_POWER_TOLERANCE = 1e-14
-_POWER_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -119,33 +120,22 @@ def max_row_sum(matrix: Matrix) -> Fraction:
     return max(sum(abs(x) for x in row) for row in matrix)
 
 
-def _rayleigh_limit(gram: list[list[float]], start: list[float]) -> Optional[float]:
-    """Power iteration on a symmetric PSD matrix; None when it stalls."""
-    n = len(gram)
-    norm = math.sqrt(sum(x * x for x in start))
-    v = [x / norm for x in start]
-    previous: Optional[float] = None
-    for _ in range(_POWER_CAP):
-        w = [sum(gram[i][j] * v[j] for j in range(n)) for i in range(n)]
-        rayleigh = sum(v[i] * w[i] for i in range(n))
-        wnorm = math.sqrt(sum(x * x for x in w))
-        if wnorm == 0.0:
-            return 0.0
-        v = [x / wnorm for x in w]
-        if previous is not None and abs(rayleigh - previous) <= _POWER_TOLERANCE * max(
-            abs(rayleigh), 1.0
-        ):
-            return rayleigh
-        previous = rayleigh
-    return None
+def _float_array(entries) -> np.ndarray:
+    """A float array of an exact matrix or vector.
+
+    Raises ValueError when an entry lies beyond the float range.
+    """
+    try:
+        return np.array(entries, dtype=float)
+    except OverflowError:
+        raise ValueError("an entry lies beyond the float range") from None
 
 
 def operator_norm(matrix: Sequence[Sequence]) -> float:
-    """Spectral norm (largest singular value) of an exact matrix.
+    """Spectral norm (largest singular value) of an exact matrix, by numpy's SVD.
 
-    Power iteration on MᵀM from two deterministic start vectors; if both
-    runs stall, or land provably below the top eigenvalue, the exact
-    row-sum upper bound is returned instead.
+    An entry beyond the float range gives inf, since the norm is at least
+    the largest entry.
     """
     mat = as_matrix(matrix)
     n = len(mat)
@@ -154,30 +144,10 @@ def operator_norm(matrix: Sequence[Sequence]) -> float:
     if n == 0:
         return 0.0
     try:
-        rows = [[float(x) for x in row] for row in mat]
-    except OverflowError:
-        # the norm is at least the largest entry, which exceeds the float range
+        rows = _float_array(mat)
+    except ValueError:
         return math.inf
-    gram = [
-        [sum(rows[k][i] * rows[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    if all(x == 0.0 for row in gram for x in row):
-        return 0.0
-    starts = (
-        [1.0] * n,
-        [(-1.0) ** i * (i + 1.0) for i in range(n)],
-    )
-    best: Optional[float] = None
-    for start in starts:
-        value = _rayleigh_limit(gram, start)
-        if value is not None and (best is None or value > best):
-            best = value
-    # The top eigenvalue of a PSD matrix is at least the mean of the trace.
-    trace_floor = sum(gram[i][i] for i in range(n)) / n
-    if best is None or best < trace_floor * (1.0 - 1e-9):
-        return math.sqrt(n * float(max_row_sum(mat)) ** 2)
-    return math.sqrt(best)
+    return float(np.linalg.norm(rows, 2))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .affine import IteratedFunctionSystem, fixed_point
+from .affine import IteratedFunctionSystem, _float_array, fixed_point
 from .cloud import PointCloud
 
 __all__ = ["chaos_game", "hutchinson_iterate", "diameter", "one_sided_hausdorff"]
@@ -30,7 +30,8 @@ def chaos_game(
     Starts at the fixed point of the first map, applies `iterations`
     random maps, and discards the first `burn_in` images.  The same
     seed always yields the same cloud.  More than 10⁷ iterations are
-    rejected before anything is allocated.
+    rejected before anything is allocated, and an entry beyond the float
+    range with ValueError.
     """
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
@@ -40,10 +41,10 @@ def chaos_game(
         raise ValueError(f"{iterations} iterations exceed the guard {_WORD_GUARD}")
     rng = np.random.Generator(np.random.PCG64(seed))
     count = len(ifs.maps)
-    matrices = [np.array([[float(x) for x in row] for row in m.matrix]) for m in ifs.maps]
-    translations = [np.array([float(x) for x in m.translation]) for m in ifs.maps]
+    matrices = [_float_array(m.matrix) for m in ifs.maps]
+    translations = [_float_array(m.translation) for m in ifs.maps]
     choices = rng.integers(0, count, size=iterations)
-    x = np.array([float(v) for v in fixed_point(ifs.maps[0])])
+    x = _float_array(fixed_point(ifs.maps[0]))
     kept = np.empty((iterations - burn_in, ifs.dim))
     for step, index in enumerate(choices):
         x = matrices[index] @ x + translations[index]
@@ -56,7 +57,8 @@ def hutchinson_iterate(ifs: IteratedFunctionSystem, depth: int) -> PointCloud:
     """Enumerate f_w(x₀) over every word w of the given length.
 
     x₀ is the fixed point of the first map; the cloud has exactly
-    ℓ^depth points.  Depths with ℓ^depth above 10⁷ are rejected.
+    ℓ^depth points.  Depths with ℓ^depth above 10⁷ are rejected, and an
+    entry beyond the float range with ValueError.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -64,9 +66,9 @@ def hutchinson_iterate(ifs: IteratedFunctionSystem, depth: int) -> PointCloud:
     total = count**depth
     if total > _WORD_GUARD:
         raise ValueError(f"word count {total} exceeds the guard {_WORD_GUARD}")
-    points = np.array([[float(v) for v in fixed_point(ifs.maps[0])]])
-    matrices = [np.array([[float(x) for x in row] for row in m.matrix]) for m in ifs.maps]
-    translations = [np.array([float(x) for x in m.translation]) for m in ifs.maps]
+    points = _float_array([fixed_point(ifs.maps[0])])
+    matrices = [_float_array(m.matrix) for m in ifs.maps]
+    translations = [_float_array(m.translation) for m in ifs.maps]
     for _ in range(depth):
         points = np.vstack([points @ m.T + t for m, t in zip(matrices, translations)])
     return PointCloud(ifs.dim, points)

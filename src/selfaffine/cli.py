@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .affine import ifs_from_jsonable, ifs_to_jsonable, map_from_jsonable, matrix_from_jsonable
-from .attractor import chaos_game
+from .attractor import _WORD_GUARD, chaos_game
 from .classifier import classify_curve, germ_from_jsonable
 from .cloud import write_csv, write_svg
 from .exactlinalg import identity
@@ -190,6 +190,10 @@ def _cmd_verify(args) -> int:
     if args.points < 2:
         raise ValueError("--points must be at least 2")
     recipe = read_recipe(_load_json(args.ifs))
+    checks = args.points * len(recipe.ifs)
+    if checks > _WORD_GUARD:
+        raise ValueError(f"--points {args.points} on {len(recipe.ifs)} maps gives "
+                         f"{checks} checks, above the guard {_WORD_GUARD}")
     spec = recipe.spec
     step = (spec.d - spec.c) / (args.points - 1)
     samples = [spec.c + k * step for k in range(args.points)]

@@ -156,23 +156,12 @@ def express_in_span(
 def greedy_independent(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, tuple[int, ...]]:
     """Rank and the earliest index set of linearly independent vectors.
 
-    Scans in order, keeping each vector that is independent of the ones
-    already kept; returns (rank, kept indices).
+    The pivot columns of the matrix whose columns are the vectors are the
+    indices kept by scanning in order and keeping each vector that is
+    independent of the ones already kept; returns (rank, kept indices).
     """
-    basis: list[list[Fraction]] = []  # reduced rows, each with a pivot position
-    pivots: list[int] = []
-    kept: list[int] = []
-    for idx, vec in enumerate(vectors):
-        work = [Fraction(x) for x in vec]
-        for row, piv in zip(basis, pivots):
-            if work[piv] != 0:
-                factor = work[piv]
-                work = [x - factor * y for x, y in zip(work, row)]
-        pivot = next((i for i, x in enumerate(work) if x != 0), None)
-        if pivot is None:
-            continue
-        inv = 1 / work[pivot]
-        basis.append([x * inv for x in work])
-        pivots.append(pivot)
-        kept.append(idx)
+    if not vectors:
+        return 0, ()
+    columns = [[Fraction(v[i]) for v in vectors] for i in range(len(vectors[0]))]
+    kept = _eliminate(columns, len(vectors))
     return len(kept), tuple(kept)

@@ -21,7 +21,7 @@ from .affine import (
     ifs_from_jsonable,
     ifs_to_jsonable,
 )
-from .rationals import format_rational, parse_rational, sqrt_upper_bound
+from .rationals import _check_tiling, format_rational, parse_rational, sqrt_upper_bound
 
 __all__ = [
     "MomentCurveSpec",
@@ -118,12 +118,8 @@ class MomentIfsRecipe:
         if self.ifs.dim != self.spec.dim:
             raise ValueError("system dimension must match the curve dimension")
         width = self.ratio * (d - c)
-        ordered = sorted(self.anchors)
-        if ordered[0] != c or ordered[-1] + width != d:
-            raise ValueError("interval images must reach both endpoints of [c, d]")
-        for left, right in zip(ordered, ordered[1:]):
-            if right > left + width:
-                raise ValueError("interval images leave a gap inside [c, d]")
+        intervals = [(t, t + width) for t in self.anchors]
+        _check_tiling(intervals, c, d, "interval images", "[c, d]")
 
 
 def _parameter_line(ratio: Fraction, c: Fraction, anchor: Fraction) -> tuple[int, int, int]:

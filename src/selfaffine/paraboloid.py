@@ -13,9 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .affine import AffineMap, IteratedFunctionSystem
+from .affine import AffineMap, IteratedFunctionSystem, _float_array
 from .cloud import PointCloud
 from .polynomials import MultiPoly
+from .rationals import _check_tiling
 
 __all__ = [
     "ParaboloidSpec",
@@ -52,14 +53,7 @@ class ParaboloidSpec:
                 raise ValueError("base contractions must satisfy 0 < |c| < 1")
             endpoints = (c * self.a + d, c * self.b + d)
             images.append((min(endpoints), max(endpoints)))
-        images.sort()
-        if images[0][0] != self.a or max(right for _, right in images) != self.b:
-            raise ValueError("base images must reach both endpoints of [a, b]")
-        reach = images[0][1]
-        for left, right in images[1:]:
-            if left > reach:
-                raise ValueError("base images leave a gap inside [a, b]")
-            reach = max(reach, right)
+        _check_tiling(images, self.a, self.b, "base images", "[a, b]")
 
 
 def paraboloid_polynomial(n: int) -> MultiPoly:
@@ -74,39 +68,6 @@ def paraboloid_polynomial(n: int) -> MultiPoly:
     return MultiPoly(n, terms)
 
 
-def _embedding_polynomials(n: int) -> list[MultiPoly]:
-    """η expressed as polynomials in the n−1 base variables."""
-    base_dim = n - 1
-    coords = [MultiPoly.variable(base_dim, j) for j in range(base_dim)]
-    last = MultiPoly.zero(base_dim)
-    for var in coords:
-        last = last + var * var
-    return coords + [last]
-
-
-def _conjugation_sides(
-    n: int, c: Fraction, d: Fraction, f: AffineMap
-) -> tuple[list[MultiPoly], list[MultiPoly]]:
-    base_dim = n - 1
-    eta = _embedding_polynomials(n)
-    lhs = []
-    for i in range(n):
-        acc = MultiPoly.constant(base_dim, f.translation[i])
-        for j in range(n):
-            if f.matrix[i][j] != 0:
-                acc = acc + f.matrix[i][j] * eta[j]
-        lhs.append(acc)
-    moved = [
-        c * MultiPoly.variable(base_dim, j) + MultiPoly.constant(base_dim, d)
-        for j in range(base_dim)
-    ]
-    last = MultiPoly.zero(base_dim)
-    for poly in moved:
-        last = last + poly * poly
-    rhs = moved + [last]
-    return lhs, rhs
-
-
 def _build_map(n: int, c: Fraction, d: Fraction) -> AffineMap:
     rows = []
     for i in range(n - 1):
@@ -114,6 +75,26 @@ def _build_map(n: int, c: Fraction, d: Fraction) -> AffineMap:
     rows.append(tuple([2 * c * d] * (n - 1) + [c * c]))
     translation = tuple([d] * (n - 1) + [(n - 1) * d * d])
     return AffineMap(tuple(rows), translation)
+
+
+def _conjugates(spec: ParaboloidSpec, maps) -> bool:
+    """f_i∘η = η∘(c_i·x + d_i) for every base map, as exact polynomial identities.
+
+    Both sides are expanded in the n−1 base variables x, with η(x) = (x, Σx_j²).
+    """
+    base_dim = spec.dim - 1
+    zero = MultiPoly.zero(base_dim)
+    coords = [MultiPoly.variable(base_dim, j) for j in range(base_dim)]
+    eta = coords + [sum((x * x for x in coords), zero)]
+    for (c, d), f in zip(spec.base_maps, maps):
+        lhs = [
+            sum((a * e for a, e in zip(row, eta) if a != 0), MultiPoly.constant(base_dim, t))
+            for row, t in zip(f.matrix, f.translation)
+        ]
+        moved = [c * x + MultiPoly.constant(base_dim, d) for x in coords]
+        if lhs != moved + [sum((y * y for y in moved), zero)]:
+            return False
+    return True
 
 
 def build_paraboloid_ifs(spec: ParaboloidSpec) -> IteratedFunctionSystem:
@@ -125,36 +106,30 @@ def build_paraboloid_ifs(spec: ParaboloidSpec) -> IteratedFunctionSystem:
     checked as an exact polynomial identity before the system is
     returned.
     """
-    n = spec.dim
-    maps = []
-    for c, d in spec.base_maps:
-        f = _build_map(n, c, d)
-        lhs, rhs = _conjugation_sides(n, c, d, f)
-        if lhs != rhs:
-            raise ArithmeticError("conjugation identity failed for a built map")
-        maps.append(f)
-    return IteratedFunctionSystem(tuple(maps))
+    maps = tuple(_build_map(spec.dim, c, d) for c, d in spec.base_maps)
+    if not _conjugates(spec, maps):
+        raise ArithmeticError("conjugation identity failed for a built map")
+    return IteratedFunctionSystem(maps)
 
 
 def verify_paraboloid_conjugation(spec: ParaboloidSpec) -> bool:
     """Re-check f_i∘η = η∘(c_i·x + d_i) symbolically for every base map."""
-    n = spec.dim
-    for c, d in spec.base_maps:
-        lhs, rhs = _conjugation_sides(n, c, d, _build_map(n, c, d))
-        if lhs != rhs:
-            return False
-    return True
+    return _conjugates(spec, [_build_map(spec.dim, c, d) for c, d in spec.base_maps])
 
 
 def surface_residual(poly: MultiPoly, cloud: PointCloud) -> float:
-    """max |P(point)| over the cloud, in float arithmetic."""
+    """max |P(point)| over the cloud, in float arithmetic.
+
+    A coefficient beyond the float range raises ValueError.
+    """
     if poly.dim != cloud.dim:
         raise ValueError("polynomial and cloud dimensions differ")
     if len(cloud) == 0:
         return 0.0
     values = np.zeros(len(cloud))
-    for exponent, coefficient in poly.terms.items():
-        term = np.full(len(cloud), float(coefficient))
+    coefficients = _float_array(list(poly.terms.values()))
+    for exponent, coefficient in zip(poly.terms, coefficients):
+        term = np.full(len(cloud), coefficient)
         for k, power in enumerate(exponent):
             if power:
                 term *= cloud.points[:, k] ** power

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .affine import AffineMap, certify_admissible, invert, operator_norm
+from .affine import AffineMap, _float_array, certify_admissible, invert, operator_norm
 from .attractor import diameter
 from .cloud import PointCloud
 from .exactlinalg import express_in_span, greedy_independent
@@ -182,8 +180,8 @@ def diameter_decay_report(
     base_scale = _poly_scale(seq.base)
     if surface_residual(seq.base, zero_samples) > tolerance * base_scale:
         raise ValueError(f"zero samples must lie on S(P) within {tolerance}")
-    matrix = np.array([[float(x) for x in row] for row in seq.map.matrix])
-    translation = np.array([float(x) for x in seq.map.translation])
+    matrix = _float_array(seq.map.matrix)
+    translation = _float_array(seq.map.translation)
     norm = operator_norm(seq.map.matrix)
     vectors = _coefficient_vectors(seq)
     rows: list[DecayRow] = []

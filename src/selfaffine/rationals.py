@@ -46,6 +46,21 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def _check_tiling(intervals, a: Fraction, b: Fraction, images: str, interval: str) -> None:
+    """Raise ValueError unless the closed intervals cover [a, b] from end to end.
+
+    The messages name the intervals by `images` and [a, b] by `interval`.
+    """
+    ordered = sorted(intervals)
+    if ordered[0][0] != a or max(right for _, right in ordered) != b:
+        raise ValueError(f"{images} must reach both endpoints of {interval}")
+    reach = ordered[0][1]
+    for left, right in ordered[1:]:
+        if left > reach:
+            raise ValueError(f"{images} leave a gap inside {interval}")
+        reach = max(reach, right)
+
+
 def sqrt_upper_bound(x: Fraction | int, scale: int = 10**6) -> Fraction:
     """Smallest k/scale with (k/scale)^2 > x, for x >= 0.
 

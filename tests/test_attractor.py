@@ -102,6 +102,12 @@ class TestHutchinson:
         t = cloud.points[:, 0]
         assert np.abs(cloud.points[:, 1] - t**2).max() <= 1e-12
 
+    def test_translation_beyond_float_range_raises(self):
+        half = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 2)]]
+        ifs = IteratedFunctionSystem((AffineMap(half, [Fraction(10**400), Fraction(0)]),))
+        with pytest.raises(ValueError, match="float range"):
+            hutchinson_iterate(ifs, 2)
+
 
 class TestDiameter:
     def test_two_points(self):

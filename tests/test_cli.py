@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from selfaffine import affine
+from selfaffine import affine, cli
 from selfaffine.cli import main
+from selfaffine.moment import InvarianceReport
 
 DATA = Path(__file__).parent / "data"
 
@@ -41,6 +42,25 @@ def moment_file(tmp_path, capsys):
                  "--lambda", "1/25", "--output", str(path)])
     capsys.readouterr()
     assert code == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def thousand_map_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("verify") / "moment.json"
+    assert main(["build-moment", "--dim", "2", "--c", "0", "--d", "1",
+                 "--lambda", "1/1000", "--output", str(path)]) == 0
+    return path
+
+
+@pytest.fixture
+def far_map_file(tmp_path):
+    """A contractive one-map IFS whose translation 10^400 is beyond the float range."""
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"dim": 2, "maps": [{
+        "matrix": [["1/2", "0"], ["0", "1/2"]],
+        "translation": ["1" + "0" * 400, "0"],
+    }]}))
     return path
 
 
@@ -199,6 +219,16 @@ class TestChaosAndRender:
         assert out == ""
         assert "error" in json.loads(err.strip().splitlines()[-1])
 
+    @pytest.mark.parametrize("command", ["chaos", "render", "compactness-demo"])
+    def test_entry_beyond_float_range_is_input_error(
+        self, far_map_file, circle_file, command, capsys
+    ):
+        inputs = [str(circle_file)] if command == "compactness-demo" else []
+        code, out, err = run(capsys, command, *inputs, str(far_map_file))
+        assert code == 2
+        assert out == ""
+        assert "float range" in json.loads(err.strip().splitlines()[-1])["error"]
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "chaos", "no-such-file.json")
         assert code == 2
@@ -236,6 +266,27 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "error" in json.loads(err.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("points, reaches_verifier", [("10000", True), ("10001", False)])
+    def test_points_times_maps_capped_before_sampling(
+        self, thousand_map_file, points, reaches_verifier, monkeypatch, capsys
+    ):
+        calls = []
+
+        def verifier(recipe, samples):
+            assert reaches_verifier, "a run above the cap reached the verifier"
+            calls.append(len(samples))
+            return InvarianceReport(len(samples) * len(recipe.ifs), ())
+
+        monkeypatch.setattr(cli, "verify_moment_invariance", verifier)
+        code, out, err = run(capsys, "verify", str(thousand_map_file), "--points", points)
+        if reaches_verifier:
+            assert (code, calls) == (0, [10_000])
+            assert "10000000 exact checks" in out
+        else:
+            assert code == 2
+            assert out == ""
+            assert "guard" in json.loads(err.strip().splitlines()[-1])["error"]
 
     def test_non_array_anchors_is_input_error(self, moment_file, capsys):
         data = json.loads(moment_file.read_text())
@@ -356,6 +407,18 @@ class TestCompactnessDemo:
         lines = out.strip().splitlines()
         assert lines[0] == "j,rank_so_far,sampled_diameter,max_residual"
         assert len([l for l in lines if l and l[0].isdigit()]) == 5
+
+    def test_pullback_beyond_float_range_is_input_error(self, tmp_path, circle_file, capsys):
+        # the map's entries are floats, but P∘f⁻¹ has coefficients near 10⁴⁰⁰
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps({
+            "matrix": [["1/2", "0"], ["0", "1/2"]],
+            "translation": ["1" + "0" * 200, "0"],
+        }))
+        code, out, err = run(capsys, "compactness-demo", str(circle_file), str(far))
+        assert code == 2
+        assert out == ""
+        assert "float range" in json.loads(err.strip().splitlines()[-1])["error"]
 
     def test_non_circle_polynomial_rejected(self, tmp_path, half_map_file, capsys):
         poly = tmp_path / "sphere.txt"

@@ -153,6 +153,19 @@ class TestGreedyIndependent:
         assert rank == 0
         assert kept == ()
 
+    def test_kept_indices_are_those_that_raise_the_rank(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            vectors = [
+                tuple(Fraction(rng.randint(-1, 1)) for _ in range(3)) for _ in range(6)
+            ]
+            _, kept = greedy_independent(vectors)
+            ranks = [0] + [
+                np.linalg.matrix_rank(np.array(vectors[: i + 1], dtype=float))
+                for i in range(len(vectors))
+            ]
+            assert kept == tuple(i for i in range(len(vectors)) if ranks[i + 1] > ranks[i])
+
     def test_matches_numpy_rank(self):
         rng = random.Random(3)
         for _ in range(10):

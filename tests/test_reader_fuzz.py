@@ -1,7 +1,8 @@
-"""Fuzzed JSON documents: each reader returns or raises ValueError, nothing else.
+"""Fuzzed inputs: each reader returns or raises ValueError, nothing else.
 
 Fields of a valid IFS, recipe and germ document, the document itself
-included, are replaced by arbitrary JSON values.
+included, are replaced by arbitrary JSON values; polynomial text is
+built from the parser's token alphabet and arbitrary characters.
 """
 
 import copy
@@ -20,6 +21,7 @@ from selfaffine.moment import (
     recipe_from_jsonable,
     recipe_to_jsonable,
 )
+from selfaffine.polynomials import MultiPoly, parse_polynomial
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -102,3 +104,35 @@ def test_replaced_field_returns_or_raises_value_error(reader, document):
             pass
 
     check()
+
+
+POLYNOMIAL_FACTORS = st.sampled_from(
+    ["x1", "x2", "x3", "x1^2", "x2^3", "2", "7", "1/2", "3/4",
+     "x0", "x", "3/0", "x1^-1", "x1^1/2", "^", "/", ""]
+)
+POLYNOMIAL_TERMS = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["+", "-", " + ", " - ", "", "*"]),
+        st.lists(POLYNOMIAL_FACTORS, max_size=3).map("*".join),
+    ),
+)
+
+
+def _spliced(terms, noise, position):
+    text = "".join(terms)
+    return text[:position] + noise + text[position:]
+
+
+POLYNOMIAL_TEXT = st.builds(
+    _spliced, st.lists(POLYNOMIAL_TERMS, max_size=4), st.text(max_size=2), st.integers(0, 40)
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(text=POLYNOMIAL_TEXT)
+def test_polynomial_text_returns_or_raises_value_error(text):
+    try:
+        assert isinstance(parse_polynomial(text), MultiPoly)
+    except ValueError:
+        pass
