@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 NORM_TOLERANCE = 1e-12
+# Most steps, words or checks one call enumerates: chaos iterations,
+# composition words, and verify's sampled checks.
+_WORD_GUARD = 10_000_000
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .affine import IteratedFunctionSystem, _float_array, fixed_point
+from .affine import _WORD_GUARD, IteratedFunctionSystem, _float_array, fixed_point
 from .cloud import PointCloud
 
 __all__ = ["chaos_game", "hutchinson_iterate", "diameter", "one_sided_hausdorff"]
 
 _EXACT_DIAMETER_LIMIT = 10_000
-_WORD_GUARD = 10_000_000
 
 
 def chaos_game(

@@ -76,9 +76,7 @@ def normalize_at_fixed_point(
     for i in range(n):
         if curve.coords[i][0] != value[i]:
             raise ValueError("constant coefficients must equal the value at the base point")
-    shifted = [list(row) for row in curve.coords]
-    for i in range(n):
-        shifted[i][0] = Fraction(0)
+    shifted = [(Fraction(0),) + row[1:] for row in curve.coords]
     rows = tuple(
         tuple(
             sum(inverse[i][j] * shifted[j][k] for j in range(n))
@@ -209,9 +207,7 @@ def _check_diagonal(gf: GraphForm, diagonal: Sequence[Fraction]) -> ConjugationR
     mismatches: list[str] = []
     eigen_ok = True
     monomial_ok = True
-    lam_powers = [Fraction(1)]
-    for _ in range(gf.order):
-        lam_powers.append(lam_powers[-1] * lam)
+    lam_powers = [lam**k for k in range(gf.order + 1)]
     for position, (p, c, row) in enumerate(zip(gf.exponents, gf.leading, gf.series)):
         k = position + 2
         scale = values[position + 1]
@@ -237,9 +233,8 @@ def _check_diagonal(gf: GraphForm, diagonal: Sequence[Fraction]) -> ConjugationR
                     f"coordinate {k}: not monomial, extra term at degree {degree}"
                 )
                 break
-    identity_ok = not any("identity fails" in note for note in mismatches)
-    passed = identity_ok and eigen_ok and monomial_ok
-    return ConjugationReport(passed, "diagonal", tuple(mismatches), eigen_ok, monomial_ok)
+    # every failed identity, eigenvalue or monomial check leaves a mismatch
+    return ConjugationReport(not mismatches, "diagonal", tuple(mismatches), eigen_ok, monomial_ok)
 
 
 def _check_matrix(gf: GraphForm, matrix: Matrix) -> ConjugationReport:
@@ -248,10 +243,7 @@ def _check_matrix(gf: GraphForm, matrix: Matrix) -> ConjugationReport:
     if len(m) != n:
         raise ValueError(f"expected a {n}×{n} matrix")
     order = gf.order
-    xi: list[tuple[Fraction, ...]] = [
-        tuple(Fraction(1) if i == 1 else Fraction(0) for i in range(order + 1))
-    ]
-    xi.extend(gf.series)
+    xi = [TruncatedSeries.identity(order).coefficients(), *gf.series]
     images = [
         tuple(
             sum(m[i][j] * xi[j][k] for j in range(n)) for k in range(order + 1)

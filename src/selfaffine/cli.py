@@ -15,8 +15,10 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .affine import ifs_from_jsonable, ifs_to_jsonable, map_from_jsonable, matrix_from_jsonable
-from .attractor import _WORD_GUARD, chaos_game
+from .affine import (
+    _WORD_GUARD, ifs_from_jsonable, ifs_to_jsonable, map_from_jsonable, matrix_from_jsonable
+)
+from .attractor import chaos_game
 from .classifier import classify_curve, germ_from_jsonable
 from .cloud import write_csv, write_svg
 from .exactlinalg import identity
@@ -165,24 +167,23 @@ def _cmd_paraboloid(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
+def _chaos_cloud(args, allowed: str):
+    """The chaos-game cloud that chaos and render write, in the format `allowed`."""
     ifs = ifs_from_jsonable(_load_json(args.ifs))
-    _check_format(args.format, ("csv",), "chaos")
+    _check_format(args.format, (allowed,), args.subcommand)
     if args.points <= 0:
         raise ValueError("--points must be positive")
-    cloud = chaos_game(ifs, args.points + args.burn_in, args.burn_in, args.seed)
-    write_csv(cloud, args.output if args.output else sys.stdout)
+    return chaos_game(ifs, args.points + args.burn_in, args.burn_in, args.seed)
+
+
+def _cmd_chaos(args) -> int:
+    write_csv(_chaos_cloud(args, "csv"), args.output if args.output else sys.stdout)
     return 0
 
 
 def _cmd_render(args) -> int:
-    ifs = ifs_from_jsonable(_load_json(args.ifs))
-    _check_format(args.format, ("svg",), "render")
-    if args.points <= 0:
-        raise ValueError("--points must be positive")
-    i, j = args.project
-    cloud = chaos_game(ifs, args.points + args.burn_in, args.burn_in, args.seed)
-    write_svg(cloud, args.output if args.output else sys.stdout, projection=(i, j))
+    cloud = _chaos_cloud(args, "svg")
+    write_svg(cloud, args.output if args.output else sys.stdout, projection=tuple(args.project))
     return 0
 
 

@@ -7,6 +7,7 @@ clouds round-trip bit-for-bit through text.
 
 from __future__ import annotations
 
+import contextlib
 import io
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO, Union
@@ -46,20 +47,17 @@ class PointCloud:
 
 
 def _open_for_write(target: PathOrFile):
+    """A context manager for writing: a path is opened and closed, a file is left open."""
     if isinstance(target, str):
-        return open(target, "w", encoding="utf-8"), True
-    return target, False
+        return open(target, "w", encoding="utf-8")
+    return contextlib.nullcontext(target)
 
 
 def write_csv(cloud: PointCloud, target: PathOrFile) -> None:
     """One point per line, comma-separated, 17 significant digits, no header."""
-    handle, owned = _open_for_write(target)
-    try:
+    with _open_for_write(target) as handle:
         for row in cloud.points:
             handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
-    finally:
-        if owned:
-            handle.close()
 
 
 def read_csv(source: PathOrFile, dim: Optional[int] = None) -> PointCloud:
@@ -117,8 +115,7 @@ def write_svg(
     x_extent = x_max - x_min or 1.0
     y_extent = y_max - y_min or 1.0
     scale = span / max(x_extent, y_extent)
-    handle, owned = _open_for_write(target)
-    try:
+    with _open_for_write(target) as handle:
         handle.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
             f'viewBox="0 0 {size} {size}">\n'
@@ -129,6 +126,3 @@ def write_svg(
             py = size - margin - (y - y_min) * scale
             handle.write(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{radius}" fill="black"/>\n')
         handle.write("</svg>\n")
-    finally:
-        if owned:
-            handle.close()

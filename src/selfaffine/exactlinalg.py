@@ -1,14 +1,24 @@
 """Dense exact linear algebra over Fraction.
 
 Matrices are tuples of row tuples, vectors are flat tuples.  Everything
-here targets the small dimensions of this package (n rarely above 8),
-so plain Gaussian elimination is the right tool.
+here targets the small dimensions of this package (n rarely above 8).
+One elimination loop, `_eliminate`, serves every routine.  It clears
+each row's denominators to Python ints and runs fraction-free
+Gauss–Jordan elimination (Bareiss, Math. Comp. 22, 1968): at each pivot
+p, every other row becomes (p·row − factor·pivot row) / previous pivot.
+That division is exact, because after k pivots every entry is a k×k or
+(k+1)×(k+1) minor of the cleared matrix (Sylvester's identity).  So no
+rational is normalised inside the loop; the pivot rows end as the last
+pivot times the reduced row echelon form, and the callers divide once.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
+
+from .rationals import _clear_denominators
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -61,59 +71,59 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def _eliminate(aug: list[list[Fraction]], cols: int) -> list[int]:
-    """In-place row echelon on an augmented matrix; returns pivot columns."""
+def _eliminate(rows: Sequence[Sequence[Fraction]], cols: int):
+    """Fraction-free Gauss–Jordan elimination on the first `cols` columns.
+
+    Returns (pivots, sign, ints, scales, last): the earliest pivot columns,
+    in order; the sign of the row permutation; the integer rows, whose
+    pivot rows are `last` times the reduced row echelon form; the scale
+    each input row was cleared over, in input order; and the last pivot,
+    the minor of the cleared rows on the pivot rows and columns (1 if none).
+    """
+    cleared = [_clear_denominators(row) for row in rows]
+    ints = [numerators for numerators, _ in cleared]
     pivots: list[int] = []
-    row = 0
+    sign = last = 1
     for col in range(cols):
-        pivot_row = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
+        row = len(pivots)
+        if row == len(ints):
+            break
+        pivot_row = next((r for r in range(row, len(ints)) if ints[r][col]), None)
         if pivot_row is None:
             continue
-        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[row])]
+        if pivot_row != row:
+            ints[row], ints[pivot_row] = ints[pivot_row], ints[row]
+            sign = -sign
+        top = ints[row]
+        pivot = top[col]
+        for r, current in enumerate(ints):
+            if r != row:
+                factor = current[col]
+                ints[r] = [(pivot * x - factor * y) // last for x, y in zip(current, top)]
         pivots.append(col)
-        row += 1
-        if row == len(aug):
-            break
-    return pivots
+        last = pivot
+    return pivots, sign, ints, [scale for _, scale in cleared], last
 
 
 def mat_inverse(matrix: Matrix) -> Matrix:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    aug = [list(matrix[i]) + list(identity(n)[i]) for i in range(n)]
-    pivots = _eliminate(aug, n)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    pivots, _, ints, _, last = _eliminate(aug, n)
     if len(pivots) != n:
         raise ValueError("singular matrix")
-    return tuple(tuple(aug[i][n:]) for i in range(n))
+    return tuple(tuple(Fraction(x, last) for x in row[n:]) for row in ints)
 
 
 def determinant(matrix: Matrix) -> Fraction:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    rows = [list(row) for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col] != 0:
-                factor = rows[r][col] * inv
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+    pivots, sign, _, scales, last = _eliminate(matrix, n)
+    if len(pivots) != n:
+        return Fraction(0)
+    return Fraction(sign * last, math.prod(scales))
 
 
 def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector:
@@ -122,10 +132,10 @@ def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector:
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve expects a square system")
     aug = [list(matrix[i]) + [Fraction(rhs[i])] for i in range(n)]
-    pivots = _eliminate(aug, n)
+    pivots, _, ints, _, last = _eliminate(aug, n)
     if len(pivots) != n:
         raise ValueError("singular matrix")
-    return tuple(aug[i][n] for i in range(n))
+    return tuple(Fraction(row[n], last) for row in ints)
 
 
 def express_in_span(
@@ -142,14 +152,12 @@ def express_in_span(
         raise ValueError("span vectors and target must share length")
     k = len(vectors)
     aug = [[Fraction(vectors[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
-    pivots = _eliminate(aug, k)
-    rank = len(pivots)
-    for r in range(rank, m):
-        if aug[r][k] != 0:
-            return None
+    pivots, _, ints, _, last = _eliminate(aug, k)
+    if any(row[k] for row in ints[len(pivots):]):
+        return None
     coeffs = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        coeffs[col] = aug[r][k]
+    for row, col in zip(ints, pivots):
+        coeffs[col] = Fraction(row[k], last)
     return tuple(coeffs)
 
 
@@ -163,5 +171,5 @@ def greedy_independent(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, tupl
     if not vectors:
         return 0, ()
     columns = [[Fraction(v[i]) for v in vectors] for i in range(len(vectors[0]))]
-    kept = _eliminate(columns, len(vectors))
+    kept = _eliminate(columns, len(vectors))[0]
     return len(kept), tuple(kept)

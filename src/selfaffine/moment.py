@@ -21,7 +21,9 @@ from .affine import (
     ifs_from_jsonable,
     ifs_to_jsonable,
 )
-from .rationals import _check_tiling, format_rational, parse_rational, sqrt_upper_bound
+from .rationals import (
+    _check_tiling, _clear_denominators, format_rational, parse_rational, sqrt_upper_bound
+)
 
 __all__ = [
     "MomentCurveSpec",
@@ -37,6 +39,10 @@ __all__ = [
     "read_recipe",
     "recipe_from_jsonable",
 ]
+
+# Most maps choose_anchors builds: the n = 5 system on [0, 1] has 4,580,
+# n = 7 already 86,700, and n = 10 at the default ratio about 6.6 million.
+_MAP_GUARD = 50_000
 
 
 @dataclass(frozen=True)
@@ -61,12 +67,7 @@ def eval_moment(n: int, t) -> tuple[Fraction, ...]:
     if n < 1:
         raise ValueError("dimension must be at least 1")
     value = Fraction(t)
-    powers = []
-    current = Fraction(1)
-    for _ in range(n):
-        current *= value
-        powers.append(current)
-    return tuple(powers)
+    return tuple(value**k for k in range(1, n + 1))
 
 
 def lambda_bound(spec: MomentCurveSpec) -> Fraction:
@@ -86,12 +87,15 @@ def choose_anchors(spec: MomentCurveSpec, ratio: Fraction) -> list[Fraction]:
     """A uniform anchor grid whose interval images tile [c, d] exactly.
 
     Uses ℓ = ⌈1/λ⌉ anchors; consecutive images of [c, d] under
-    x ↦ λ(x−c) + t_i then overlap or abut, with no gaps.
+    x ↦ λ(x−c) + t_i then overlap or abut, with no gaps.  More than
+    _MAP_GUARD anchors are rejected before any is built.
     """
     ratio = Fraction(ratio)
     if not 0 < ratio <= lambda_bound(spec):
         raise ValueError("ratio must lie in (0, lambda_bound]")
     count = math.ceil(1 / ratio)
+    if count > _MAP_GUARD:
+        raise ValueError(f"lambda = {ratio} needs {count} maps, above the guard {_MAP_GUARD}")
     step = (spec.d - spec.c) * (1 - ratio) / (count - 1)
     return [spec.c + i * step for i in range(count)]
 
@@ -223,11 +227,11 @@ def _sampled_counterexamples(
     a violation has to be reported.
     """
     n = recipe.spec.dim
-    common = math.lcm(*(t.denominator for t in samples))
-    table = []
-    for t in samples:
-        p = t.numerator * (common // t.denominator)
-        table.append((t, p, [p**j * common ** (n - j) for j in range(n + 1)]))
+    numerators, common = _clear_denominators(samples)
+    table = [
+        (t, p, [p**j * common ** (n - j) for j in range(n + 1)])
+        for t, p in zip(samples, numerators)
+    ]
     found = []
     for index in indices:
         alpha, beta, gamma = _parameter_line(recipe.ratio, recipe.spec.c, recipe.anchors[index])
@@ -236,9 +240,7 @@ def _sampled_counterexamples(
         rows = []
         f = recipe.ifs.maps[index]
         for k, (offset, row) in enumerate(zip(f.translation, f.matrix), start=1):
-            entries = (offset,) + row
-            scale = math.lcm(*(x.denominator for x in entries))
-            numerators = [x.numerator * (scale // x.denominator) for x in entries]
+            numerators, scale = _clear_denominators((offset,) + row)
             rows.append((numerators, scale * common**n, gamma**k))
         for t, p, powers in table:
             u = alpha * p + beta * common

@@ -60,18 +60,13 @@ def paraboloid_polynomial(n: int) -> MultiPoly:
     """P = x₁² + ⋯ + x_{n−1}² − x_n, whose zero set is the paraboloid."""
     if n < 2:
         raise ValueError("dimension must be at least 2")
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for j in range(n - 1):
-        exponent = tuple(2 if k == j else 0 for k in range(n))
-        terms[exponent] = Fraction(1)
+    terms = {tuple(2 if k == j else 0 for k in range(n)): Fraction(1) for j in range(n - 1)}
     terms[tuple(0 if k < n - 1 else 1 for k in range(n))] = Fraction(-1)
     return MultiPoly(n, terms)
 
 
 def _build_map(n: int, c: Fraction, d: Fraction) -> AffineMap:
-    rows = []
-    for i in range(n - 1):
-        rows.append(tuple(c if j == i else Fraction(0) for j in range(n)))
+    rows = [tuple(c if j == i else Fraction(0) for j in range(n)) for i in range(n - 1)]
     rows.append(tuple([2 * c * d] * (n - 1) + [c * c]))
     translation = tuple([d] * (n - 1) + [(n - 1) * d * d])
     return AffineMap(tuple(rows), translation)

@@ -14,7 +14,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .affine import AffineMap, certify_admissible, compose, fixed_point, is_contractive
+from .affine import (
+    _WORD_GUARD, AffineMap, certify_admissible, compose, fixed_point, is_contractive
+)
 from .rationals import format_rational, parse_rational
 
 __all__ = [
@@ -31,8 +33,6 @@ __all__ = [
     "parse_polynomial",
     "format_polynomial",
 ]
-
-_WORD_CAP = 10_000_000
 
 
 class MultiPoly:
@@ -164,10 +164,7 @@ def compose_affine(poly: MultiPoly, f: AffineMap) -> MultiPoly:
         if f.translation[i] != 0:
             terms[(0,) * n] = f.translation[i]
         forms.append(MultiPoly(n, terms))
-    needed = [0] * n
-    for exponent in poly.terms:
-        for i, e in enumerate(exponent):
-            needed[i] = max(needed[i], e)
+    needed = [max((exponent[i] for exponent in poly.terms), default=0) for i in range(n)]
     powers = []
     for i in range(n):
         ladder = [MultiPoly.constant(n, 1)]
@@ -278,8 +275,8 @@ def verify_fixed_points_on_surface(
         if not is_contractive(f):
             raise ValueError(f"map {index} is not strictly contractive")
     total = sum(len(maps) ** k for k in range(1, depth + 1))
-    if total > _WORD_CAP:
-        raise ValueError(f"word tree has {total} nodes, above the cap {_WORD_CAP}")
+    if total > _WORD_GUARD:
+        raise ValueError(f"word tree has {total} nodes, above the cap {_WORD_GUARD}")
     checks: list[WordCheck] = []
     violations: list[str] = []
     frontier = [((i,), f) for i, f in enumerate(maps)]
@@ -304,6 +301,12 @@ def verify_fixed_points_on_surface(
     return FixedPointReport(len(checks), tuple(checks), tuple(violations))
 
 
+# Largest variable index and exponent parse_polynomial accepts, checked before any
+# key is built: every exponent key has one slot per variable, and compose_affine
+# keeps each power of a variable's image up to that variable's exponent.
+_MAX_VARIABLES = 64
+_MAX_EXPONENT = 64
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\s*/\s*\d+|\d+)|(?P<variable>x\d+)|(?P<op>[-+*^]))\s*"
 )
@@ -326,7 +329,8 @@ def parse_polynomial(text: str, dim: Optional[int] = None) -> MultiPoly:
     """Parse "coef * x1^a1 * ... + ..." with rational coefficients.
 
     Whitespace is ignored, '*' between factors is optional, and terms
-    may carry leading signs.  Negative exponents are rejected.
+    may carry leading signs.  Negative exponents are rejected, and so are
+    variable indices and exponents above 64 (_MAX_VARIABLES, _MAX_EXPONENT).
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -351,6 +355,8 @@ def parse_polynomial(text: str, dim: Optional[int] = None) -> MultiPoly:
                 index = int(value[1:]) - 1
                 if index < 0:
                     raise ValueError("variable indices start at x1")
+                if index >= _MAX_VARIABLES:
+                    raise ValueError(f"variable x{index + 1} is above the cap x{_MAX_VARIABLES}")
                 pos += 1
                 power = 1
                 if pos < len(tokens) and tokens[pos] == ("op", "^"):
@@ -364,6 +370,9 @@ def parse_polynomial(text: str, dim: Optional[int] = None) -> MultiPoly:
                     power = int(tokens[pos][1])
                     pos += 1
                 exponents[index] = exponents.get(index, 0) + power
+                if exponents[index] > _MAX_EXPONENT:
+                    raise ValueError(f"exponent {exponents[index]} of x{index + 1} "
+                                     f"is above the cap {_MAX_EXPONENT}")
                 saw_factor = True
             elif kind == "op" and value == "*":
                 if not saw_factor:

@@ -79,13 +79,8 @@ def pullback_sequence(poly: MultiPoly, f: AffineMap, count: int) -> PullbackSequ
 
 
 def _monomial_basis(dim: int, degree: int) -> list[tuple[int, ...]]:
-    basis = [
-        exponent
-        for exponent in itertools.product(range(degree + 1), repeat=dim)
-        if sum(exponent) <= degree
-    ]
-    basis.sort()
-    return basis
+    # product yields the exponents in lexicographic order
+    return [e for e in itertools.product(range(degree + 1), repeat=dim) if sum(e) <= degree]
 
 
 def _coefficient_vectors(seq: PullbackSequence) -> list[list[Fraction]]:

@@ -2,14 +2,15 @@
 
 All externally visible quantities are `fractions.Fraction`; hot loops
 that need more speed clear denominators to Python integers instead of
-switching to another rational type.
+switching to another rational type, and `_clear_denominators` is the one
+place where they do.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 __all__ = ["Rational", "parse_rational", "format_rational", "sqrt_upper_bound"]
 
@@ -44,6 +45,12 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p/q" (or "p" when the denominator is 1)."""
     return str(value)
+
+
+def _clear_denominators(values) -> tuple[list[int], int]:
+    """Integers p and the least common denominator s with values[i] == p[i] / s."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def _check_tiling(intervals, a: Fraction, b: Fraction, images: str, interval: str) -> None:

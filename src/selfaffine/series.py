@@ -45,13 +45,7 @@ class TruncatedSeries:
     @classmethod
     def from_coefficients(cls, coefficients: Sequence, order: int | None = None) -> "TruncatedSeries":
         """One-dimensional series from a coefficient list (c₀, c₁, …)."""
-        row = [Fraction(c) for c in coefficients]
-        if order is None:
-            order = len(row) - 1
-        if len(row) > order + 1:
-            raise ValueError("more coefficients than the order admits")
-        row.extend([Fraction(0)] * (order + 1 - len(row)))
-        return cls(order, (tuple(row),))
+        return cls.from_rows([coefficients], order)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], order: int | None = None) -> "TruncatedSeries":

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_traced(capsys, *argv):
+    """run(), with the peak of the memory Python allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        result = run(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture
@@ -113,6 +125,18 @@ class TestBuildMoment:
                              "--d", "1", "--lambda", "1/2")
         assert code == 2
         assert "error" in json.loads(err.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("argv", [
+        ("--dim", "10", "--c", "0", "--d", "1"),
+        ("--dim", "2", "--c", "0", "--d", "1", "--lambda", "1/1000000000000"),
+    ])
+    def test_map_count_guard_before_building(self, argv, capsys):
+        (code, out, err), peak = run_traced(capsys, "build-moment", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "above the guard 50000" in json.loads(err)["error"]
+        assert peak < 1_000_000
 
     def test_float_ratio_rejected(self, capsys):
         code, _, err = run(capsys, "build-moment", "--dim", "2", "--c", "0",
@@ -317,6 +341,17 @@ class TestScaling:
         assert code == 0
         assert "C = 1/2" in out
         assert "[fixed-point-on-surface]" in out
+
+    @pytest.mark.parametrize("text", ["x1000000000", "x1^1000000 + x2^2 - 1"])
+    def test_polynomial_caps_are_input_errors(self, tmp_path, half_map_file, text, capsys):
+        poly = tmp_path / "big.txt"
+        poly.write_text(text)
+        (code, out, err), peak = run_traced(capsys, "scaling", str(poly), str(half_map_file))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "above the cap" in json.loads(err)["error"]
+        assert peak < 1_000_000
 
     def test_map_as_singleton_ifs(self, tmp_path, capsys):
         poly = tmp_path / "line.txt"

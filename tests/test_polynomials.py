@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials, scaling factors, fixed-point sweeps."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,27 @@ class TestParseFormat:
 
     def test_format_zero(self):
         assert format_polynomial(MultiPoly.zero(2)) == "0"
+
+    @pytest.mark.parametrize("text, cap", [
+        ("x1000000000", "variable x1000000000 is above the cap x64"),
+        ("x65 + 1", "variable x65 is above the cap x64"),
+        ("x1^1000000 + x2^2 - 1", "exponent 1000000 of x1 is above the cap 64"),
+        ("x2^40 * x1 * x2^40", "exponent 80 of x2 is above the cap 64"),
+    ])
+    def test_caps_reject_before_allocating(self, text, cap):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=cap):
+                parse_polynomial(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_caps_admit_their_limits(self):
+        p = parse_polynomial("x64^64 + x1")
+        assert p.dim == 64
+        assert p.degree == 64
 
 
 class TestComposeAffine:
