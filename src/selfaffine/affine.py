@@ -22,13 +22,12 @@ from .exactlinalg import (
     as_matrix,
     as_vector,
     determinant,
-    identity,
     mat_inverse,
     mat_mul,
     mat_vec,
     solve,
 )
-from .rationals import format_rational, parse_rational
+from .rationals import _clear_denominators, format_rational, parse_rational
 
 __all__ = [
     "NORM_TOLERANCE",
@@ -108,10 +107,7 @@ def invert(f: AffineMap) -> AffineMap:
 def fixed_point(f: AffineMap) -> Vector:
     """The unique x with f(x) = x, solved exactly from (I − M)x = a."""
     n = f.dim
-    eye = identity(n)
-    system = tuple(
-        tuple(eye[i][j] - f.matrix[i][j] for j in range(n)) for i in range(n)
-    )
+    system = tuple(tuple(int(i == j) - f.matrix[i][j] for j in range(n)) for i in range(n))
     try:
         return solve(system, f.translation)
     except ValueError:
@@ -119,8 +115,9 @@ def fixed_point(f: AffineMap) -> Vector:
 
 
 def max_row_sum(matrix: Matrix) -> Fraction:
-    """Largest row sum of absolute entries, an exact rational."""
-    return max(sum(abs(x) for x in row) for row in matrix)
+    """Largest row sum of absolute entries, an exact rational, summed on cleared ints."""
+    rows = map(_clear_denominators, matrix)
+    return max(Fraction(sum(map(abs, numerators)), scale) for numerators, scale in rows)
 
 
 def _float_array(entries) -> np.ndarray:
@@ -190,6 +187,10 @@ def certify_admissible(f: AffineMap, where: str = "map") -> ContractionCertifica
     """
     if determinant(f.matrix) == 0:
         raise ValueError(f"{where} is not invertible")
+    return _certify_contraction(f, where)
+
+
+def _certify_contraction(f: AffineMap, where: str) -> ContractionCertificate:
     certificate = is_contractive(f)
     if not certificate:
         raise ValueError(f"{where} is not strictly contractive")
@@ -209,17 +210,7 @@ class IteratedFunctionSystem:
     )
 
     def __post_init__(self) -> None:
-        maps = tuple(self.maps)
-        if not maps:
-            raise ValueError("an iterated function system needs at least one map")
-        dim = maps[0].dim
-        certificates = []
-        for index, current in enumerate(maps):
-            if current.dim != dim:
-                raise ValueError(f"map {index} has dimension {current.dim}, expected {dim}")
-            certificates.append(certify_admissible(current, f"map {index}"))
-        object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "certificates", tuple(certificates))
+        _certified_system(self.maps, (), self)
 
     @property
     def dim(self) -> int:
@@ -233,6 +224,28 @@ class IteratedFunctionSystem:
 
     def __getitem__(self, index: int) -> AffineMap:
         return self.maps[index]
+
+
+def _certified_system(maps, invertible, ifs=None) -> IteratedFunctionSystem:
+    """`maps` as a system, each map certified once, stored on `ifs` (by default a new one).
+
+    The maps at the indices in `invertible` skip the determinant, as the
+    moment construction's do: they are triangular with diagonal λᵏ, λ > 0.
+    """
+    ifs = object.__new__(IteratedFunctionSystem) if ifs is None else ifs
+    maps = tuple(maps)
+    if not maps:
+        raise ValueError("an iterated function system needs at least one map")
+    dim = maps[0].dim
+    certificates = []
+    for index, current in enumerate(maps):
+        if current.dim != dim:
+            raise ValueError(f"map {index} has dimension {current.dim}, expected {dim}")
+        certify = _certify_contraction if index in invertible else certify_admissible
+        certificates.append(certify(current, f"map {index}"))
+    object.__setattr__(ifs, "maps", maps)
+    object.__setattr__(ifs, "certificates", tuple(certificates))
+    return ifs
 
 
 def ifs_to_jsonable(ifs: IteratedFunctionSystem) -> dict:
@@ -288,6 +301,15 @@ def map_to_jsonable(f: AffineMap) -> dict:
 
 def ifs_from_jsonable(data) -> IteratedFunctionSystem:
     """Parse and validate the dict form produced by ifs_to_jsonable."""
+    return _read_system(data, lambda index, dim, entry: None)
+
+
+def _read_system(data, built) -> IteratedFunctionSystem:
+    """Read an IFS document, parsing and certifying every entry that `built` does not supply.
+
+    built(index, dim, entry) is map `index` when that is invertible and
+    equal to what `entry` stores, else None.
+    """
     if not isinstance(data, dict):
         raise ValueError("IFS document must be a JSON object")
     dim = data.get("dim")
@@ -296,8 +318,7 @@ def ifs_from_jsonable(data) -> IteratedFunctionSystem:
     entries = data.get("maps")
     if not isinstance(entries, list) or not entries:
         raise ValueError('"maps" must be a nonempty array')
-    maps = [
-        map_from_jsonable(entry, dim, where=f"map {index}")
-        for index, entry in enumerate(entries)
-    ]
-    return IteratedFunctionSystem(tuple(maps))
+    known = [built(index, dim, entry) for index, entry in enumerate(entries)]
+    maps = [f or map_from_jsonable(entry, dim, where=f"map {index}")
+            for index, (f, entry) in enumerate(zip(known, entries))]
+    return _certified_system(maps, {index for index, f in enumerate(known) if f})

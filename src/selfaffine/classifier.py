@@ -23,7 +23,6 @@ from .rationals import parse_rational
 from .series import TruncatedSeries, _compose, series_reverse
 
 __all__ = [
-    "DEFAULT_ORDER",
     "VERDICT_MOMENT",
     "VERDICT_GAP",
     "VERDICT_CONJUGATION",
@@ -42,8 +41,6 @@ __all__ = [
     "classify_curve",
     "germ_from_jsonable",
 ]
-
-DEFAULT_ORDER = 16
 
 VERDICT_MOMENT = "affine image of moment curve, p_k = k"
 VERDICT_GAP = "p-curve with exponent gap (not moment)"

@@ -94,12 +94,11 @@ def _load_single_map(path: str):
     return map_from_jsonable(*_single_map_entry(_load_json(path), path))
 
 
-def _check_format(value: str, allowed: Sequence[str], subcommand: str) -> str:
+def _check_format(value: str, allowed: Sequence[str], subcommand: str) -> None:
     if value not in allowed:
         raise ValueError(
             f"{subcommand} supports --format {{{','.join(allowed)}}}, got {value!r}"
         )
-    return value
 
 
 def _cmd_build_moment(args) -> int:
@@ -168,8 +167,15 @@ def _cmd_paraboloid(args) -> int:
 
 
 def _chaos_cloud(args, allowed: str):
-    """The chaos-game cloud that chaos and render write, in the format `allowed`."""
-    ifs = ifs_from_jsonable(_load_json(args.ifs))
+    """The chaos-game cloud that chaos and render write, in the format `allowed`.
+
+    A file that read_recipe rejects, moment meta or not, is read by ifs_from_jsonable.
+    """
+    data = _load_json(args.ifs)
+    try:
+        ifs = read_recipe(data).ifs
+    except ValueError:
+        ifs = ifs_from_jsonable(data)
     _check_format(args.format, (allowed,), args.subcommand)
     if args.points <= 0:
         raise ValueError("--points must be positive")
@@ -373,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("polynomial", help="polynomial text file")
     p.add_argument("map", help="single-map JSON file")
     p.add_argument("--depth", type=int, default=10, help="number of pullbacks m")
-    p.add_argument("--points", type=int, default=64, help="circle sample count")
+    p.add_argument("--points", type=int, default=64, help="circle sample count (at most 10000)")
     p.add_argument("--tolerance", type=float, default=1e-9,
                    help="relative residual tolerance")
     p.add_argument("--output", default=None)

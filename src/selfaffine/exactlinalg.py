@@ -40,7 +40,7 @@ __all__ = [
 
 
 def as_vector(entries: Iterable) -> Vector:
-    return tuple(Fraction(e) for e in entries)
+    return tuple(e if isinstance(e, Fraction) else Fraction(e) for e in entries)
 
 
 def as_matrix(rows: Iterable[Iterable]) -> Matrix:

@@ -13,12 +13,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .affine import (
     AffineMap,
     IteratedFunctionSystem,
-    ifs_from_jsonable,
+    _certified_system,
+    _read_system,
     ifs_to_jsonable,
 )
 from .rationals import (
@@ -136,31 +137,58 @@ def _parameter_line(ratio: Fraction, c: Fraction, anchor: Fraction) -> tuple[int
     )
 
 
-def _moment_entries(n: int, line: tuple[int, int, int]):
-    """Matrix and translation whose row k holds the coefficients of (λt + s)ᵏ.
+def _pascal_rows(n: int, line: tuple[int, int, int]):
+    """For k = 1..n, the integer coefficients of (αt + β)ᵏ (t⁰ first) and γᵏ.
 
-    Here s = t_i − λc.  With λt + s = (αt + β)/γ, the integer coefficients of (αt + β)ᵏ
-    follow Pascal's recurrence over the common denominator γᵏ; entry
-    (k, j) is the coefficient of tʲ (zero for j > k), and translation
-    entry k is the constant term.
+    Over γᵏ they are the coefficients of (λt + s)ᵏ, s = t_i − λc.
     """
     alpha, beta, gamma = line
-    zero = Fraction(0)
     coefficients = [1]
     scale = 1
-    rows = []
-    translation = []
-    for k in range(1, n + 1):
+    for _ in range(n):
         coefficients = [
             beta * lower + alpha * upper
             for lower, upper in zip(coefficients + [0], [0] + coefficients)
         ]
         scale *= gamma
-        translation.append(Fraction(coefficients[0], scale))
-        rows.append(
-            tuple(Fraction(x, scale) for x in coefficients[1:]) + (zero,) * (n - k)
-        )
-    return tuple(rows), tuple(translation)
+        yield coefficients, scale
+
+
+def _moment_rows(n: int, line: tuple[int, int, int]):
+    """Translation entry k and matrix row k of the construction's map, k = 1..n.
+
+    They are the constant term and the tʲ coefficients (zero for j > k) of (λt + s)ᵏ.
+    """
+    zero = Fraction(0)
+    for k, (coefficients, scale) in enumerate(_pascal_rows(n, line), start=1):
+        row = tuple(Fraction(x, scale) for x in coefficients[1:]) + (zero,) * (n - k)
+        yield Fraction(coefficients[0], scale), row
+
+
+def _moment_entries(n: int, line: tuple[int, int, int]):
+    """Matrix and translation of the construction's map (see _moment_rows)."""
+    translation, rows = zip(*_moment_rows(n, line))
+    return rows, translation
+
+
+def _built_map(entry, n: int, line: tuple[int, int, int]) -> Optional[AffineMap]:
+    """The construction's map when `entry` stores exactly its canonical strings, else None.
+
+    Rows are built only while the stored ones match, so a differing entry
+    costs no more than it stores; "2/4" for 1/2, or an integer 0, differs.
+    """
+    if not isinstance(entry, dict):
+        return None
+    offsets, rows = entry.get("translation"), entry.get("matrix")
+    if not all(isinstance(stored, list) and len(stored) == n for stored in (offsets, rows)):
+        return None
+    built = []
+    for (offset, row), stored_offset, stored_row in zip(_moment_rows(n, line), offsets, rows):
+        if stored_offset != format_rational(offset) or stored_row != [*map(format_rational, row)]:
+            return None
+        built.append((offset, row))
+    translation, matrix = zip(*built)
+    return AffineMap(matrix, translation)
 
 
 def build_moment_ifs(
@@ -171,7 +199,8 @@ def build_moment_ifs(
     Row k of T_i holds λᵏ·binom(k, j)·(t_i/λ − c)^(k−j) in column j;
     the translation is −T_i·η(c − t_i/λ).  Equivalently, row k and
     translation entry k are the coefficients of (λt + t_i − λc)ᵏ, so
-    each map satisfies f_i(η(t)) = η(λ(t−c) + t_i) identically.
+    each map satisfies f_i(η(t)) = η(λ(t−c) + t_i) identically.  Its
+    diagonal is λᵏ with λ > 0, so only its contraction is certified.
     """
     ratio = Fraction(ratio)
     if not 0 < ratio <= lambda_bound(spec):
@@ -179,11 +208,11 @@ def build_moment_ifs(
     anchors = tuple(Fraction(t) for t in anchors)
     if any(not spec.c <= t <= spec.d for t in anchors):
         raise ValueError("every anchor must lie in [c, d]")
-    maps = tuple(
+    maps = [
         AffineMap(*_moment_entries(spec.dim, _parameter_line(ratio, spec.c, anchor)))
         for anchor in anchors
-    )
-    return MomentIfsRecipe(spec, ratio, anchors, IteratedFunctionSystem(maps))
+    ]
+    return MomentIfsRecipe(spec, ratio, anchors, _certified_system(maps, range(len(maps))))
 
 
 @dataclass(frozen=True)
@@ -309,14 +338,13 @@ def recipe_to_jsonable(recipe: MomentIfsRecipe) -> dict:
 
 
 def read_recipe(data) -> MomentIfsRecipe:
-    """A recipe document as stored: its maps, and the construction its meta records.
+    """A recipe document: the construction its meta records, and its maps.
 
-    The maps are parsed and certified but not compared with the
-    construction, so that verify_moment_invariance can name the maps
-    that differ from it.
+    The meta is read first.  A stored map equal to the construction's is
+    taken as built; any other is parsed and certified as by ifs_from_jsonable
+    and kept as stored, so that verify_moment_invariance can name it.
     """
-    ifs = ifs_from_jsonable(data)
-    meta = data.get("meta")
+    meta = data.get("meta") if isinstance(data, dict) else None
     if not isinstance(meta, dict):
         raise ValueError('recipe document needs a "meta" object (n, c, d, lambda, anchors)')
     try:
@@ -330,7 +358,12 @@ def read_recipe(data) -> MomentIfsRecipe:
         anchors = [parse_rational(t) for t in meta["anchors"]]
     except KeyError as exc:
         raise ValueError(f"meta is missing {exc.args[0]!r}") from None
-    return MomentIfsRecipe(spec, ratio, anchors, ifs)
+
+    def built(index, dim, entry):
+        if dim == n and ratio > 0 and index < len(anchors):
+            return _built_map(entry, n, _parameter_line(ratio, spec.c, anchors[index]))
+
+    return MomentIfsRecipe(spec, ratio, anchors, _read_system(data, built))
 
 
 def recipe_from_jsonable(data) -> MomentIfsRecipe:

@@ -8,6 +8,7 @@ exact proportionality; there is no tolerance anywhere in this module.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,20 +151,23 @@ def evaluate(poly: MultiPoly, point: Sequence) -> Fraction:
 
 
 def compose_affine(poly: MultiPoly, f: AffineMap) -> MultiPoly:
-    """The exact expansion of x ↦ poly(f(x))."""
+    """The exact expansion of x ↦ poly(f(x)).
+
+    Under a dense map the powers and P∘f have up to M = C(n + deg P, n)
+    monomials, so a product of two takes up to M² term products; above
+    _WORD_GUARD the expansion is refused before it starts.
+    """
     if poly.dim != f.dim:
         raise ValueError("polynomial and map dimensions differ")
     n = poly.dim
-    forms = []
-    for i in range(n):
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for j in range(n):
-            if f.matrix[i][j] != 0:
-                key = tuple(1 if k == j else 0 for k in range(n))
-                terms[key] = f.matrix[i][j]
-        if f.translation[i] != 0:
-            terms[(0,) * n] = f.translation[i]
-        forms.append(MultiPoly(n, terms))
+    monomials = math.comb(n + max(poly.degree, 0), n)
+    if monomials * monomials > _WORD_GUARD:
+        raise ValueError(f"degree {poly.degree} in {n} variables allows {monomials} "
+                         f"monomials, whose products are above the guard {_WORD_GUARD}")
+    # MultiPoly drops the zero coefficients
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    forms = [MultiPoly(n, {**dict(zip(units, f.matrix[i])), (0,) * n: f.translation[i]})
+             for i in range(n)]
     needed = [max((exponent[i] for exponent in poly.terms), default=0) for i in range(n)]
     powers = []
     for i in range(n):

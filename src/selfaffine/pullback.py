@@ -44,6 +44,8 @@ CITED_CONCLUSION = (
 )
 
 _RESIDUAL_TOLERANCE = 1e-9
+# Most points rational_circle_points builds, checked first; 10⁴ points take about 2 s.
+_MAX_CIRCLE_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -225,6 +227,8 @@ def rational_circle_points(count: int) -> list[tuple[Fraction, Fraction]]:
     """
     if count < 4:
         raise ValueError("at least 4 points are required")
+    if count > _MAX_CIRCLE_POINTS:
+        raise ValueError(f"{count} circle points are above the cap {_MAX_CIRCLE_POINTS}")
     half = count // 2 + 1
     points: list[tuple[Fraction, Fraction]] = []
     seen = set()

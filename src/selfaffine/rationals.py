@@ -12,9 +12,7 @@ import re
 from fractions import Fraction
 from math import isqrt, lcm
 
-__all__ = ["Rational", "parse_rational", "format_rational", "sqrt_upper_bound"]
-
-Rational = Fraction
+__all__ = ["parse_rational", "format_rational", "sqrt_upper_bound"]
 
 # "p/q" with positive denominator, or a bare integer; no decimals, no floats
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")

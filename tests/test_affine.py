@@ -93,6 +93,29 @@ class TestNorms:
         m = ((Fraction(1, 2), Fraction(-1, 3)), (Fraction(0), Fraction(1, 4)))
         assert max_row_sum(m) == Fraction(5, 6)
 
+    def test_max_row_sum_matches_fraction_sum(self):
+        # the plain reference: each row's absolute entries added as Fractions
+        def reference(matrix):
+            return max(sum(abs(x) for x in row) for row in matrix)
+
+        rng = random.Random(23)
+        for n in (1, 2, 3, 5, 8):
+            for _ in range(10):
+                dense = tuple(
+                    tuple(Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
+                          for _ in range(n))
+                    for _ in range(n)
+                )
+                # rank at most 1: every row a multiple of the first, some rows zero
+                first = dense[0]
+                singular = tuple(
+                    tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 7)) * x for x in first)
+                    for _ in range(n)
+                )
+                for matrix in (dense, singular):
+                    assert max_row_sum(matrix) == reference(matrix)
+                    assert type(max_row_sum(matrix)) is Fraction
+
     def test_operator_norm_matches_numpy(self):
         rng = random.Random(9)
         for n in (1, 2, 3, 4):

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -44,6 +45,22 @@ def contraction_calls(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("selfaffine") and getattr(module, "is_contractive", None) is original:
             monkeypatch.setattr(module, "is_contractive", counted)
+    return calls
+
+
+@pytest.fixture
+def determinant_calls(monkeypatch):
+    """The matrices passed to determinant, wherever the package has it bound."""
+    calls = []
+    original = affine.determinant
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("selfaffine") and getattr(module, "determinant", None) is original:
+            monkeypatch.setattr(module, "determinant", counted)
     return calls
 
 
@@ -328,6 +345,82 @@ class TestVerify:
         assert code == 2
 
 
+def _tamper(entry, kind):
+    """Change one stored entry of a 2×2 moment map in the way `kind` names."""
+    if kind == "above-diagonal":
+        entry["matrix"][0][1] = "1/997"
+    elif kind == "below-diagonal":
+        entry["matrix"][1][0] = "1/997"
+    elif kind == "translation":
+        entry["translation"][1] = "1/997"
+    elif kind == "non-canonical":
+        numerator, denominator = entry["translation"][0].split("/")
+        entry["translation"][0] = f"{2 * int(numerator)}/{2 * int(denominator)}"
+    elif kind == "integer":
+        assert entry["matrix"][0][1] == "0"
+        entry["matrix"][0][1] = 0
+    else:
+        del entry["matrix"][1][-1]
+
+
+class TestRecipeReading:
+    @pytest.mark.parametrize("kind, code", [
+        ("above-diagonal", 1), ("below-diagonal", 1), ("translation", 1),
+        ("non-canonical", 0), ("integer", 0), ("short-row", 2),
+    ])
+    def test_tampered_map_is_parsed_and_named(
+        self, moment_file, determinant_calls, kind, code, capsys
+    ):
+        data = json.loads(moment_file.read_text())
+        _tamper(data["maps"][6], kind)
+        moment_file.write_text(json.dumps(data))
+        out_code, out, err = run(capsys, "verify", str(moment_file), "--points", "8")
+        assert out_code == code
+        # only the tampered map goes through the parser and determinant
+        assert len(determinant_calls) == (0 if code == 2 else 1)
+        if code == 2:
+            assert json.loads(err)["error"].startswith("map 6 matrix")
+        else:
+            named = {line.split(",")[0] for line in out.splitlines() if line.startswith("  map")}
+            assert named == ({"  map 6"} if code == 1 else set())
+
+    def test_intact_file_skips_the_determinant(self, moment_file, determinant_calls, capsys):
+        for argv in (["verify", str(moment_file)], ["chaos", str(moment_file), "--points", "20"],
+                     ["render", str(moment_file), "--points", "20"]):
+            assert run(capsys, *argv)[0] == 0
+        assert determinant_calls == []
+
+    # determinant calls: a meta that cannot be read leaves every map to
+    # ifs_from_jsonable; a recipe rejected after its maps were read is read again
+    @pytest.mark.parametrize("meta, determinants", [
+        ("missing", 25), ("decimal-lambda", 25), ("non-array-anchors", 25),
+        ("broken-tiling", 1 + 25), ("other-dimension", 25 + 25),
+    ])
+    @pytest.mark.parametrize("command", ["chaos", "render"])
+    def test_rejected_meta_keeps_the_output(
+        self, moment_file, tmp_path, determinant_calls, meta, determinants, command, capsys
+    ):
+        expected, actual = tmp_path / "expected", tmp_path / "actual"
+        argv = ["--points", "300", "--seed", "5", "--output"]
+        assert main([command, str(moment_file), *argv, str(expected)]) == 0
+        data = json.loads(moment_file.read_text())
+        if meta == "missing":
+            del data["meta"]
+        elif meta == "decimal-lambda":
+            data["meta"]["lambda"] = "0.04"
+        elif meta == "non-array-anchors":
+            data["meta"]["anchors"] = 5
+        elif meta == "broken-tiling":
+            data["meta"]["anchors"][3] = "1/1000"
+        else:
+            data["meta"]["n"] = 3
+        moment_file.write_text(json.dumps(data))
+        code, out, err = run(capsys, command, str(moment_file), *argv, str(actual))
+        assert (code, out, err) == (0, "", "")
+        assert actual.read_bytes() == expected.read_bytes()
+        assert len(determinant_calls) == determinants
+
+
 class TestScaling:
     def test_absent_constant_exits_one(self, circle_file, half_map_file, capsys):
         code, out, _ = run(capsys, "scaling", str(circle_file), str(half_map_file))
@@ -454,6 +547,30 @@ class TestCompactnessDemo:
         assert code == 2
         assert out == ""
         assert "float range" in json.loads(err.strip().splitlines()[-1])["error"]
+
+    def test_points_above_cap_is_input_error(self, circle_file, half_map_file, capsys):
+        (code, out, err), peak = run_traced(capsys, "compactness-demo", str(circle_file),
+                                            str(half_map_file), "--points", "1000000000")
+        assert code == 2
+        assert out == ""
+        assert "above the cap 10000" in json.loads(err)["error"]
+        assert peak < 1_000_000
+
+    def test_dense_map_above_work_guard_is_input_error(self, tmp_path, capsys):
+        poly = tmp_path / "high.txt"
+        poly.write_text("x1^64 + x2^64 + x3^64 - 1")
+        dense = tmp_path / "dense.json"
+        dense.write_text(json.dumps({
+            "matrix": [["1/3", "1/5", "-1/7"], ["1/7", "-1/4", "1/6"], ["-1/5", "1/8", "1/3"]],
+            "translation": ["1/2", "-1/3", "1/5"],
+        }))
+        start = time.perf_counter()
+        (code, out, err), peak = run_traced(capsys, "scaling", str(poly), str(dense))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "above the guard" in json.loads(err)["error"]
+        assert peak < 1_000_000
 
     def test_non_circle_polynomial_rejected(self, tmp_path, half_map_file, capsys):
         poly = tmp_path / "sphere.txt"

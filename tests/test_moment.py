@@ -1,12 +1,15 @@
 """Moment-curve IFS construction and the exact invariance identity."""
 
+import copy
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from selfaffine.affine import AffineMap, IteratedFunctionSystem
+from selfaffine import affine, moment
+from selfaffine.affine import AffineMap, IteratedFunctionSystem, ifs_from_jsonable, is_contractive
+from selfaffine.exactlinalg import determinant
 from selfaffine.moment import (
     MomentCurveSpec,
     MomentIfsRecipe,
@@ -14,6 +17,7 @@ from selfaffine.moment import (
     choose_anchors,
     eval_moment,
     lambda_bound,
+    read_recipe,
     recipe_from_jsonable,
     recipe_to_jsonable,
     verify_moment_invariance,
@@ -279,3 +283,160 @@ class TestRecipeJson:
         assert not _coefficient_mismatches(recipe)
         with pytest.raises(ValueError, match="lambda_bound"):
             recipe_from_jsonable(recipe_to_jsonable(recipe))
+
+
+def _tiling_recipe(n, c, d, ratio):
+    """The construction on [c, d] at ratio λ, on choose_anchors' uniform grid.
+
+    λ need not lie below lambda_bound: MomentIfsRecipe asks only for a
+    tiling and for invertible, contractive maps, so that n = 5 with c < 0
+    stays at a handful of maps.
+    """
+    spec = MomentCurveSpec(n, Fraction(c), Fraction(d))
+    count = math.ceil(1 / ratio)
+    step = (spec.d - spec.c) * (1 - ratio) / (count - 1)
+    anchors = [spec.c + i * step for i in range(count)]
+    maps = tuple(
+        AffineMap(*_moment_entries(n, _parameter_line(ratio, spec.c, t))) for t in anchors
+    )
+    return MomentIfsRecipe(spec, ratio, anchors, IteratedFunctionSystem(maps))
+
+
+def _seeded_recipes():
+    rng = random.Random(71)
+    for n in (2, 3, 4, 5):
+        for c in (Fraction(0), Fraction(-1), Fraction(-1, 2)):
+            ratio = Fraction(1, rng.randint(10, 14))
+            width = Fraction(rng.randint(1, 4), 4)
+            yield _tiling_recipe(n, c, c + width, ratio)
+
+
+@pytest.fixture
+def determinant_calls(monkeypatch):
+    """The matrices the IFS readers pass to determinant."""
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return determinant(matrix)
+
+    monkeypatch.setattr(affine, "determinant", counted)
+    return calls
+
+
+class TestRecipeReader:
+    def test_matches_the_parsing_reader(self, determinant_calls):
+        for recipe in _seeded_recipes():
+            determinant_calls.clear()
+            data = recipe_to_jsonable(recipe)
+            read = read_recipe(copy.deepcopy(data))
+            assert determinant_calls == []
+            parsed = ifs_from_jsonable(data)
+            assert len(determinant_calls) == len(parsed)
+            assert (read.spec, read.ratio, read.anchors) == (
+                recipe.spec, recipe.ratio, recipe.anchors)
+            assert len(read.ifs) == len(parsed) == len(recipe.ifs)
+            for mine, theirs, built in zip(read.ifs.maps, parsed.maps, recipe.ifs.maps):
+                assert mine == theirs == built
+            for mine, theirs, f in zip(read.ifs.certificates, parsed.certificates, parsed.maps):
+                assert mine == theirs == is_contractive(f)
+
+    def test_determinant_of_every_constructed_map(self):
+        # the argument that replaces the determinant call on a map taken as built
+        spec = MomentCurveSpec(3, Fraction(0), Fraction(1))
+        ratio = lambda_bound(spec) / 2
+        built = build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))
+        for recipe in [*_seeded_recipes(), built]:
+            n = recipe.spec.dim
+            for f in recipe.ifs.maps:
+                assert determinant(f.matrix) == recipe.ratio ** (n * (n + 1) // 2)
+                assert all(f.matrix[k][k] == recipe.ratio ** (k + 1) for k in range(n))
+                assert not any(f.matrix[i][j] for i in range(n) for j in range(i + 1, n))
+
+    def test_build_skips_the_determinant(self, determinant_calls):
+        spec = MomentCurveSpec(2, Fraction(0), Fraction(1))
+        recipe = build_moment_ifs(spec, Fraction(1, 25), choose_anchors(spec, Fraction(1, 25)))
+        assert determinant_calls == []
+        assert recipe.ifs.certificates == tuple(map(is_contractive, recipe.ifs.maps))
+
+    @staticmethod
+    def _half_recipe():
+        # c = 0, λ = 1/10: map 5 has anchor 1/2, so its translation[0] is "1/2"
+        return _tiling_recipe(3, 0, 1, Fraction(1, 10))
+
+    @pytest.mark.parametrize("kind, changes_value", [
+        ("above-diagonal", True),
+        ("below-diagonal", True),
+        ("translation", True),
+        ("non-canonical", False),
+        ("integer", False),
+    ])
+    def test_tampered_entry_is_parsed_and_named(self, kind, changes_value, determinant_calls):
+        recipe = self._half_recipe()
+        determinant_calls.clear()
+        data = recipe_to_jsonable(recipe)
+        entry = data["maps"][5]
+        if kind == "above-diagonal":
+            entry["matrix"][0][2] = "1/997"
+        elif kind == "below-diagonal":
+            entry["matrix"][2][0] = "1/997"
+        elif kind == "translation":
+            entry["translation"][1] = "1/997"
+        elif kind == "non-canonical":
+            assert entry["translation"][0] == "1/2"
+            entry["translation"][0] = "2/4"
+        else:
+            assert entry["matrix"][0][1] == "0"
+            entry["matrix"][0][1] = 0
+        read = read_recipe(data)
+        assert len(determinant_calls) == 1
+        assert determinant_calls[0] == read.ifs.maps[5].matrix
+        assert (read.ifs.maps[5] != recipe.ifs.maps[5]) == changes_value
+        report = verify_moment_invariance(read, [Fraction(k, 4) for k in range(5)])
+        named = {bad.map_index for bad in report.counterexamples}
+        assert named == ({5} if changes_value else set())
+
+    def test_short_row_is_parsed_and_named(self, determinant_calls):
+        data = recipe_to_jsonable(self._half_recipe())
+        determinant_calls.clear()
+        del data["maps"][5]["matrix"][1][-1]
+        with pytest.raises(ValueError, match="map 5 matrix must be square"):
+            read_recipe(data)
+        assert determinant_calls == []
+
+    def test_zero_ratio_maps_are_parsed_and_certified(self):
+        # at λ = 0 the construction's maps are singular, so none may be taken as built
+        spec, zero = MomentCurveSpec(2, Fraction(0), Fraction(1)), Fraction(0)
+        anchors = [Fraction(0), Fraction(1)]
+        maps = [AffineMap(*_moment_entries(2, _parameter_line(zero, spec.c, t))) for t in anchors]
+        data = {"dim": 2, "maps": [affine.map_to_jsonable(f) for f in maps],
+                "meta": {"n": 2, "c": "0", "d": "1", "lambda": "0", "anchors": ["0", "1"]}}
+        with pytest.raises(ValueError, match="map 0 is not invertible"):
+            read_recipe(data)
+
+    def test_malformed_meta_is_reported_before_any_map_is_read(self, determinant_calls):
+        data = recipe_to_jsonable(self._half_recipe())
+        determinant_calls.clear()
+        data["meta"]["lambda"] = "0.1"
+        data["maps"][2]["translation"] = ["0"]
+        with pytest.raises(ValueError, match="not a rational"):
+            read_recipe(data)
+        assert determinant_calls == []
+
+    def test_differing_entry_costs_no_more_than_it_stores(self, monkeypatch):
+        # a matrix of n empty rows stops the construction at its first row
+        data = recipe_to_jsonable(self._half_recipe())
+        data["maps"][0]["matrix"] = [[] for _ in range(3)]
+        rows = []
+        original = moment._pascal_rows
+
+        def counted(n, line):
+            for row in original(n, line):
+                rows.append(row)
+                yield row
+
+        monkeypatch.setattr(moment, "_pascal_rows", counted)
+        with pytest.raises(ValueError, match="map 0 matrix must be square"):
+            read_recipe(data)
+        # one row for map 0, all n = 3 rows for each of the maps that match
+        assert len(rows) == 1 + 3 * (len(data["maps"]) - 1)

@@ -132,6 +132,38 @@ class TestComposeAffine:
                           for _ in range(dim))
                 assert evaluate(composed, x) == evaluate(p, f(x))
 
+    def test_work_guard_rejects_before_expanding(self):
+        # dense 3×3 map: degree 64 allows C(67, 3) = 47,905 monomials
+        p = parse_polynomial("x1^64 + x2^64 + x3^64 - 1")
+        f = AffineMap(
+            [[Fraction(1, 3), Fraction(1, 5), Fraction(-1, 7)],
+             [Fraction(1, 7), Fraction(-1, 4), Fraction(1, 6)],
+             [Fraction(-1, 5), Fraction(1, 8), Fraction(1, 3)]],
+            [Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)],
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="47905 monomials.*above the guard 10000000"):
+                compose_affine(p, f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_work_guard_admits_its_limit(self):
+        # two variables: C(80, 2)² = 3,160² is below 10⁷, C(81, 2)² = 3,240² above it
+        assert compose_affine(MultiPoly(2, {(78, 0): 1}), half_map()) == MultiPoly(
+            2, {(78, 0): Fraction(1, 2**78)})
+        with pytest.raises(ValueError, match="3240 monomials"):
+            compose_affine(MultiPoly(2, {(79, 0): 1}), half_map())
+
+    def test_work_guard_admits_eight_variables_at_degree_four(self):
+        p = parse_polynomial(" + ".join(f"x{i}^4" for i in range(1, 9)) + " - 1")
+        f = AffineMap([[Fraction(1, 2) if i == j else Fraction(0) for j in range(8)]
+                       for i in range(8)], [Fraction(0)] * 8)
+        assert compose_affine(p, f) == MultiPoly(
+            8, {**{key: Fraction(1, 16) for key in p.terms if sum(key)}, (0,) * 8: -1})
+
 
 class TestScalingConstant:
     def test_printed_pair_constants_are_half(self):

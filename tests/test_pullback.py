@@ -1,6 +1,7 @@
 """Pullback polynomials, coefficient rank, witnesses, diameter decay."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -205,3 +206,15 @@ class TestCirclePoints:
 
     def test_circle_polynomial_text(self):
         assert circle_polynomial() == parse_polynomial("x1^2 + x2^2 - 1")
+
+
+def test_circle_point_cap_rejects_before_building():
+    tracemalloc.start()
+    try:
+        for count in (10_001, 10**9):
+            with pytest.raises(ValueError, match="above the cap 10000"):
+                rational_circle_points(count)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
