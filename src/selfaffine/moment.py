@@ -208,10 +208,10 @@ def build_moment_ifs(
     anchors = tuple(Fraction(t) for t in anchors)
     if any(not spec.c <= t <= spec.d for t in anchors):
         raise ValueError("every anchor must lie in [c, d]")
-    maps = [
+    maps = tuple(
         AffineMap(*_moment_entries(spec.dim, _parameter_line(ratio, spec.c, anchor)))
         for anchor in anchors
-    ]
+    )
     return MomentIfsRecipe(spec, ratio, anchors, _certified_system(maps, range(len(maps))))
 
 
