@@ -301,14 +301,14 @@ def map_to_jsonable(f: AffineMap) -> dict:
 
 def ifs_from_jsonable(data) -> IteratedFunctionSystem:
     """Parse and validate the dict form produced by ifs_to_jsonable."""
-    return _read_system(data, lambda index, dim, entry: None)
+    return _read_system(data, lambda dim, entries: [None] * len(entries))
 
 
 def _read_system(data, built) -> IteratedFunctionSystem:
     """Read an IFS document, parsing and certifying every entry that `built` does not supply.
 
-    built(index, dim, entry) is map `index` when that is invertible and
-    equal to what `entry` stores, else None.
+    built(dim, entries) runs before any entry is parsed and may raise ValueError; per entry it
+    returns the map when that is invertible and equal to what the entry stores, else None.
     """
     if not isinstance(data, dict):
         raise ValueError("IFS document must be a JSON object")
@@ -318,7 +318,7 @@ def _read_system(data, built) -> IteratedFunctionSystem:
     entries = data.get("maps")
     if not isinstance(entries, list) or not entries:
         raise ValueError('"maps" must be a nonempty array')
-    known = [built(index, dim, entry) for index, entry in enumerate(entries)]
+    known = built(dim, entries)
     maps = [f or map_from_jsonable(entry, dim, where=f"map {index}")
             for index, (f, entry) in enumerate(zip(known, entries))]
     return _certified_system(maps, {index for index, f in enumerate(known) if f})

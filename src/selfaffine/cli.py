@@ -194,6 +194,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_format(args.format, ("text",), "verify")
     if args.points < 2:
         raise ValueError("--points must be at least 2")
     recipe = read_recipe(_load_json(args.ifs))
@@ -217,6 +218,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
+    _check_format(args.format, ("text",), "scaling")
     with open(args.polynomial, "r", encoding="utf-8") as handle:
         poly = parse_polynomial(handle.read())
     f = _load_single_map(args.map)
@@ -262,12 +264,12 @@ def _cmd_compactness_demo(args) -> int:
     with open(args.polynomial, "r", encoding="utf-8") as handle:
         poly = parse_polynomial(handle.read())
     f = _load_single_map(args.map)
-    seq = pullback_sequence(poly, f, args.depth)
     if poly != circle_polynomial():
         raise ValueError(
             "built-in zero samples exist only for the unit circle "
             "x1^2 + x2^2 - 1; other surfaces need library-level sampling"
         )
+    seq = pullback_sequence(poly, f, args.depth)
     samples = rational_circle_points(args.points)
     cloud = PointCloud(2, [[float(x), float(y)] for x, y in samples])
     report = diameter_decay_report(seq, cloud, tolerance=args.tolerance)
@@ -378,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pullback rank and zero-set decay table for the circle")
     p.add_argument("polynomial", help="polynomial text file")
     p.add_argument("map", help="single-map JSON file")
-    p.add_argument("--depth", type=int, default=10, help="number of pullbacks m")
+    p.add_argument("--depth", type=int, default=10, help="number of pullbacks m (at most 1000)")
     p.add_argument("--points", type=int, default=64, help="circle sample count (at most 10000)")
     p.add_argument("--tolerance", type=float, default=1e-9,
                    help="relative residual tolerance")

@@ -113,18 +113,22 @@ class MomentIfsRecipe:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ratio", Fraction(self.ratio))
         object.__setattr__(self, "anchors", tuple(Fraction(t) for t in self.anchors))
-        if not 0 < self.ratio < 1:
-            raise ValueError("contraction ratio must lie in (0, 1)")
-        c, d = self.spec.c, self.spec.d
-        if any(not c <= t <= d for t in self.anchors):
-            raise ValueError("every anchor must lie in [c, d]")
-        if len(self.anchors) != len(self.ifs.maps):
-            raise ValueError("one anchor per map is required")
-        if self.ifs.dim != self.spec.dim:
-            raise ValueError("system dimension must match the curve dimension")
-        width = self.ratio * (d - c)
-        intervals = [(t, t + width) for t in self.anchors]
-        _check_tiling(intervals, c, d, "interval images", "[c, d]")
+        _check_recipe(self.spec, self.ratio, self.anchors, self.ifs.dim, len(self.ifs.maps))
+
+
+def _check_recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, dim, count) -> None:
+    """Raise ValueError unless λ and the anchors tile [c, d], one anchor per map of dimension n."""
+    if not 0 < ratio < 1:
+        raise ValueError("contraction ratio must lie in (0, 1)")
+    c, d = spec.c, spec.d
+    if any(not c <= t <= d for t in anchors):
+        raise ValueError("every anchor must lie in [c, d]")
+    if len(anchors) != count:
+        raise ValueError("one anchor per map is required")
+    if dim != spec.dim:
+        raise ValueError("system dimension must match the curve dimension")
+    width = ratio * (d - c)
+    _check_tiling([(t, t + width) for t in anchors], c, d, "interval images", "[c, d]")
 
 
 def _parameter_line(ratio: Fraction, c: Fraction, anchor: Fraction) -> tuple[int, int, int]:
@@ -233,17 +237,6 @@ class InvarianceReport:
         return not self.counterexamples
 
 
-def _coefficient_mismatches(recipe: MomentIfsRecipe) -> list[int]:
-    """Indices of the maps whose entries are not the coefficients of (λt + s)ᵏ."""
-    n = recipe.spec.dim
-    return [
-        index
-        for index, (anchor, f) in enumerate(zip(recipe.anchors, recipe.ifs.maps))
-        if (f.matrix, f.translation)
-        != _moment_entries(n, _parameter_line(recipe.ratio, recipe.spec.c, anchor))
-    ]
-
-
 def _sampled_counterexamples(
     recipe: MomentIfsRecipe, samples: Sequence[Fraction], indices: Sequence[int]
 ) -> list[InvarianceCounterexample]:
@@ -292,20 +285,18 @@ def verify_moment_invariance(
 ) -> InvarianceReport:
     """Check f_i(η(t)) = η(λ(t−c) + t_i) for every map, exactly.
 
-    Two checks run over the full matrix and translation of every map,
-    entries above the diagonal included:
+    Both sides are compared at each sample in integer arithmetic, with
+    all denominators cleared, over the full matrix and translation of
+    every map, entries above the diagonal included.  Component k of each
+    side is a polynomial in t of degree ≤ n, so agreement at n + 1
+    distinct samples proves the identity for every t.
 
-    - the coefficient identity: row k and translation entry k of map i
-      must equal the coefficients of (λt + t_i − λc)ᵏ.  This is a
-      polynomial identity, so it proves the invariance for every t;
-    - an independent sampled cross-check at each given sample, in
-      integer arithmetic with all denominators cleared.
-
-    `checks` counts the sampled comparisons, len(samples) per map.  A
-    map that fails the coefficient identity but no sample is reported
-    at the first of the n + 1 points c + k(d − c)/n where the two sides
-    differ; a nonzero polynomial of degree ≤ n cannot vanish at all of
-    them.  Violations are collected in the report rather than raised.
+    `checks` counts the sampled comparisons, len(samples) per map.  Only
+    when the samples hold n or fewer distinct values, or none, are the
+    maps no sample caught also compared at the n + 1 points
+    c + k(d − c)/n; each that fails there is reported at the first point
+    where the two sides differ.  Violations are collected in the report
+    rather than raised.
     """
     spec = recipe.spec
     sample_values = [Fraction(t) for t in samples]
@@ -313,13 +304,13 @@ def verify_moment_invariance(
         raise ValueError("samples must lie in [c, d]")
     every_map = range(len(recipe.ifs.maps))
     found = _sampled_counterexamples(recipe, sample_values, every_map)
-    caught = {bad.map_index for bad in found}
-    missed = [index for index in _coefficient_mismatches(recipe) if index not in caught]
-    if missed:
+    if len(set(sample_values)) <= spec.dim:
+        caught = {bad.map_index for bad in found}
         step = (spec.d - spec.c) / spec.dim
         grid = [spec.c + k * step for k in range(spec.dim + 1)]
-        for index in missed:
-            found.append(_sampled_counterexamples(recipe, grid, [index])[0])
+        for index in every_map:
+            if index not in caught:
+                found += _sampled_counterexamples(recipe, grid, [index])[:1]
         found.sort(key=lambda bad: bad.map_index)
     return InvarianceReport(len(sample_values) * len(every_map), tuple(found))
 
@@ -340,9 +331,10 @@ def recipe_to_jsonable(recipe: MomentIfsRecipe) -> dict:
 def read_recipe(data) -> MomentIfsRecipe:
     """A recipe document: the construction its meta records, and its maps.
 
-    The meta is read first.  A stored map equal to the construction's is
-    taken as built; any other is parsed and certified as by ifs_from_jsonable
-    and kept as stored, so that verify_moment_invariance can name it.
+    The meta is read first, and checked as MomentIfsRecipe checks it, before
+    any map is read.  A stored map equal to the construction's is taken as built; any
+    other is parsed and certified as by ifs_from_jsonable and kept as stored,
+    so that verify_moment_invariance can name it.
     """
     meta = data.get("meta") if isinstance(data, dict) else None
     if not isinstance(meta, dict):
@@ -359,9 +351,10 @@ def read_recipe(data) -> MomentIfsRecipe:
     except KeyError as exc:
         raise ValueError(f"meta is missing {exc.args[0]!r}") from None
 
-    def built(index, dim, entry):
-        if dim == n and ratio > 0 and index < len(anchors):
-            return _built_map(entry, n, _parameter_line(ratio, spec.c, anchors[index]))
+    def built(dim, entries):
+        _check_recipe(spec, ratio, anchors, dim, len(entries))
+        return [_built_map(entry, n, _parameter_line(ratio, spec.c, anchor))
+                for entry, anchor in zip(entries, anchors)]
 
     return MomentIfsRecipe(spec, ratio, anchors, _read_system(data, built))
 
@@ -371,6 +364,6 @@ def recipe_from_jsonable(data) -> MomentIfsRecipe:
     recipe = read_recipe(data)
     if recipe.ratio > lambda_bound(recipe.spec):
         raise ValueError("ratio must lie in (0, lambda_bound]")
-    if _coefficient_mismatches(recipe):
+    if not verify_moment_invariance(recipe, ()).ok:  # every map, on the n + 1 point grid
         raise ValueError("stored maps do not match the recorded construction")
     return recipe

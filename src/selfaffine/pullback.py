@@ -46,6 +46,8 @@ CITED_CONCLUSION = (
 _RESIDUAL_TOLERANCE = 1e-9
 # Most points rational_circle_points builds, checked first; 10⁴ points take about 2 s.
 _MAX_CIRCLE_POINTS = 10_000
+# Most pullbacks pullback_sequence computes, checked first; x ↦ x/2 takes 3 s at 400.
+_MAX_PULLBACKS = 1_000
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,8 @@ def pullback_sequence(poly: MultiPoly, f: AffineMap, count: int) -> PullbackSequ
         raise ValueError("polynomial must be non-constant")
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if count > _MAX_PULLBACKS:
+        raise ValueError(f"{count} pullbacks are above the cap {_MAX_PULLBACKS}")
     certify_admissible(f)
     inverse = invert(f)
     polys = [poly]

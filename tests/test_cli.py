@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from selfaffine import affine, cli
+from selfaffine import affine, cli, pullback
 from selfaffine.cli import main
 from selfaffine.moment import InvarianceReport
 
@@ -390,11 +390,11 @@ class TestRecipeReading:
             assert run(capsys, *argv)[0] == 0
         assert determinant_calls == []
 
-    # determinant calls: a meta that cannot be read leaves every map to
-    # ifs_from_jsonable; a recipe rejected after its maps were read is read again
+    # determinant calls: a rejected meta, read or checked before any map,
+    # leaves every map to ifs_from_jsonable alone
     @pytest.mark.parametrize("meta, determinants", [
         ("missing", 25), ("decimal-lambda", 25), ("non-array-anchors", 25),
-        ("broken-tiling", 1 + 25), ("other-dimension", 25 + 25),
+        ("broken-tiling", 25), ("other-dimension", 25),
     ])
     @pytest.mark.parametrize("command", ["chaos", "render"])
     def test_rejected_meta_keeps_the_output(
@@ -572,6 +572,25 @@ class TestCompactnessDemo:
         assert "above the guard" in json.loads(err)["error"]
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("surface, depth, message", [
+        ("x1^2 + x2^2 - 2", "10", "only for the unit circle"),
+        ("x1^2 + x2^2 - 1", "1001", "1001 pullbacks are above the cap 1000"),
+    ])
+    def test_rejected_before_any_pullback(
+        self, tmp_path, half_map_file, monkeypatch, surface, depth, message, capsys
+    ):
+        poly = tmp_path / "surface.txt"
+        poly.write_text(surface)
+        composed = []
+        monkeypatch.setattr(pullback, "compose_affine", lambda *args: composed.append(args))
+        (code, out, err), peak = run_traced(capsys, "compactness-demo", str(poly),
+                                            str(half_map_file), "--depth", depth)
+        assert code == 2
+        assert out == ""
+        assert message in json.loads(err)["error"]
+        assert composed == []
+        assert peak < 1_000_000
+
     def test_non_circle_polynomial_rejected(self, tmp_path, half_map_file, capsys):
         poly = tmp_path / "sphere.txt"
         poly.write_text("x1^2 + x2^2 - 2")
@@ -589,3 +608,14 @@ class TestArgumentErrors:
     def test_bad_format_value(self, moment_file, capsys):
         code, _, err = run(capsys, "chaos", str(moment_file), "--format", "svg")
         assert code == 2
+
+    def test_verify_rejects_unsupported_format(self, moment_file, capsys):
+        code, out, err = run(capsys, "verify", str(moment_file), "--format", "json")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "verify supports --format {text}, got 'json'"
+
+    def test_scaling_rejects_unsupported_format(self, circle_file, half_map_file, capsys):
+        code, out, err = run(capsys, "scaling", str(circle_file), str(half_map_file),
+                             "--format", "json")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "scaling supports --format {text}, got 'json'"

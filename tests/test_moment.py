@@ -23,11 +23,58 @@ from selfaffine.moment import (
     verify_moment_invariance,
 )
 from selfaffine.moment import (
-    _coefficient_mismatches,
+    InvarianceCounterexample,
+    InvarianceReport,
     _moment_entries,
     _parameter_line,
     _sampled_counterexamples,
 )
+
+
+def _coefficient_mismatches(recipe):
+    """Indices of the maps whose entries are not the coefficients of (λt + s)ᵏ."""
+    n = recipe.spec.dim
+    return [
+        index
+        for index, (anchor, f) in enumerate(zip(recipe.anchors, recipe.ifs.maps))
+        if (f.matrix, f.translation)
+        != _moment_entries(n, _parameter_line(recipe.ratio, recipe.spec.c, anchor))
+    ]
+
+
+def _grid(spec):
+    """The n + 1 points c + k(d − c)/n: no nonzero polynomial of degree ≤ n vanishes on all."""
+    step = (spec.d - spec.c) / spec.dim
+    return [spec.c + k * step for k in range(spec.dim + 1)]
+
+
+def _plain_counterexamples(recipe, samples, index):
+    """Both sides of the identity for map `index` at each sample, in plain Fractions."""
+    f, anchor = recipe.ifs.maps[index], recipe.anchors[index]
+    n, ratio, c = recipe.spec.dim, recipe.ratio, recipe.spec.c
+    found = []
+    for t in samples:
+        image, expected = f(eval_moment(n, t)), eval_moment(n, ratio * (t - c) + anchor)
+        if image != expected:
+            found.append(InvarianceCounterexample(index, t, image, expected))
+    return found
+
+
+def _reference_verify(recipe, samples):
+    """The verifier with two comparisons: every sample, then the coefficient identity.
+
+    A map whose coefficients differ but that no sample caught is reported
+    at the first of the n + 1 points c + k(d − c)/n where the sides differ.
+    """
+    samples = [Fraction(t) for t in samples]
+    every_map = range(len(recipe.ifs.maps))
+    found = [bad for index in every_map for bad in _plain_counterexamples(recipe, samples, index)]
+    caught = {bad.map_index for bad in found}
+    for index in _coefficient_mismatches(recipe):
+        if index not in caught:
+            found.append(_plain_counterexamples(recipe, _grid(recipe.spec), index)[0])
+    found.sort(key=lambda bad: bad.map_index)
+    return InvarianceReport(len(samples) * len(every_map), tuple(found))
 
 
 def unit_spec(n=2):
@@ -311,6 +358,79 @@ def _seeded_recipes():
             yield _tiling_recipe(n, c, c + width, ratio)
 
 
+def _tamper(recipe, rng, kind):
+    """The recipe with one entry of a random map shifted by a small positive amount.
+
+    kind is "above" or "below" the diagonal (the diagonal included) or "translation".
+    """
+    n = recipe.spec.dim
+    index = rng.randrange(len(recipe.ifs))
+    f = recipe.ifs.maps[index]
+    matrix, translation = [list(row) for row in f.matrix], list(f.translation)
+    delta = Fraction(1, rng.choice([7, 997, 10**6]))
+    if kind == "translation":
+        translation[rng.randrange(n)] += delta
+    else:
+        row = rng.randrange(n - 1) if kind == "above" else rng.randrange(n)
+        column = rng.randrange(row + 1, n) if kind == "above" else rng.randrange(row + 1)
+        matrix[row][column] += delta
+    maps = list(recipe.ifs.maps)
+    maps[index] = AffineMap(matrix, translation)
+    return MomentIfsRecipe(recipe.spec, recipe.ratio, recipe.anchors,
+                           IteratedFunctionSystem(tuple(maps)))
+
+
+class TestVerifierAgainstReference:
+    def test_reports_equal_the_two_comparison_reference(self):
+        rng = random.Random(29)
+        compared = tampered_reports = gridded = 0
+        for recipe in _seeded_recipes():
+            spec, n = recipe.spec, recipe.spec.dim
+            # sample values: the proof grid, so that samples can coincide with it, and others
+            values = [*_grid(spec), spec.c + (spec.d - spec.c) / 7, spec.d]
+            # no samples at all is the check recipe_from_jsonable makes
+            for size in range(n + 3):
+                for tampers in range(4):
+                    current = recipe
+                    for kind in rng.choices(["above", "below", "translation"], k=tampers):
+                        current = _tamper(current, rng, kind)
+                    samples = [rng.choice(values) for _ in range(size)]
+                    report = verify_moment_invariance(current, samples)
+                    expected = _reference_verify(current, samples)
+                    assert report.checks == expected.checks
+                    assert len(report.counterexamples) == len(expected.counterexamples)
+                    for mine, theirs in zip(report.counterexamples, expected.counterexamples):
+                        assert mine.map_index == theirs.map_index
+                        assert mine.sample == theirs.sample
+                        assert mine.image == theirs.image
+                        assert mine.expected == theirs.expected
+                    compared += 1
+                    tampered_reports += not expected.ok
+                    gridded += len(set(samples)) <= n and not expected.ok
+        # the cases above reach both branches: tampers caught, and grids needed
+        assert compared == 3 * sum(4 * (n + 3) for n in (2, 3, 4, 5))
+        assert tampered_reports > compared // 2
+        assert gridded > 20
+
+    def test_grid_only_for_few_distinct_samples(self, monkeypatch):
+        recipe = _tiling_recipe(3, 0, 1, Fraction(1, 10))
+        calls = []
+        original = moment._sampled_counterexamples
+
+        def counted(recipe, samples, indices):
+            calls.append(list(samples))
+            return original(recipe, samples, indices)
+
+        monkeypatch.setattr(moment, "_sampled_counterexamples", counted)
+        # n = 3: three distinct samples need the grid, four do not
+        for samples, gridded in [([0, 1, 1, 1], True), ([0, Fraction(1, 3), 1, 1], True),
+                                 ([0, Fraction(1, 3), Fraction(1, 2), 1], False)]:
+            calls.clear()
+            assert verify_moment_invariance(recipe, samples).ok
+            assert calls[0] == samples
+            assert calls[1:] == [_grid(recipe.spec)] * (len(recipe.ifs) if gridded else 0)
+
+
 @pytest.fixture
 def determinant_calls(monkeypatch):
     """The matrices the IFS readers pass to determinant."""
@@ -404,15 +524,16 @@ class TestRecipeReader:
             read_recipe(data)
         assert determinant_calls == []
 
-    def test_zero_ratio_maps_are_parsed_and_certified(self):
-        # at λ = 0 the construction's maps are singular, so none may be taken as built
+    def test_zero_ratio_maps_are_parsed_and_certified(self, determinant_calls):
+        # at λ = 0 the construction's maps are singular: the meta is rejected before any map
         spec, zero = MomentCurveSpec(2, Fraction(0), Fraction(1)), Fraction(0)
         anchors = [Fraction(0), Fraction(1)]
         maps = [AffineMap(*_moment_entries(2, _parameter_line(zero, spec.c, t))) for t in anchors]
         data = {"dim": 2, "maps": [affine.map_to_jsonable(f) for f in maps],
                 "meta": {"n": 2, "c": "0", "d": "1", "lambda": "0", "anchors": ["0", "1"]}}
-        with pytest.raises(ValueError, match="map 0 is not invertible"):
+        with pytest.raises(ValueError, match=r"contraction ratio must lie in \(0, 1\)"):
             read_recipe(data)
+        assert determinant_calls == []
 
     def test_malformed_meta_is_reported_before_any_map_is_read(self, determinant_calls):
         data = recipe_to_jsonable(self._half_recipe())
@@ -420,6 +541,32 @@ class TestRecipeReader:
         data["meta"]["lambda"] = "0.1"
         data["maps"][2]["translation"] = ["0"]
         with pytest.raises(ValueError, match="not a rational"):
+            read_recipe(data)
+        assert determinant_calls == []
+
+    @pytest.mark.parametrize("meta, message", [
+        ("ratio-one", r"contraction ratio must lie in \(0, 1\)"),
+        ("anchor-outside", r"every anchor must lie in \[c, d\]"),
+        ("one-anchor-short", "one anchor per map is required"),
+        ("other-dimension", "system dimension must match the curve dimension"),
+        ("broken-tiling", "interval images leave a gap"),
+    ])
+    def test_rejected_meta_reads_no_map(self, meta, message, determinant_calls, monkeypatch):
+        data = recipe_to_jsonable(self._half_recipe())
+        anchors = data["meta"]["anchors"]
+        if meta == "ratio-one":
+            data["meta"]["lambda"] = "1"
+        elif meta == "anchor-outside":
+            anchors[4] = "2"
+        elif meta == "one-anchor-short":
+            del anchors[-1]
+        elif meta == "other-dimension":
+            data["meta"]["n"] = 4
+        else:
+            anchors[4] = anchors[3]
+        monkeypatch.setattr(moment, "_pascal_rows", None)
+        determinant_calls.clear()
+        with pytest.raises(ValueError, match=message):
             read_recipe(data)
         assert determinant_calls == []
 

@@ -9,8 +9,8 @@ one pair to the next.  Each run is a fresh process started from the
 checkout's root, so it measures that checkout's own ``src/`` with that
 checkout's own benchmark.  The output file holds every run's metrics,
 each side's median and quartiles per metric, the pairs the change won,
-both commits, and the environment: Python version, whether gmpy2 is
-installed, CPU count and platform.  Running the script again with the
+both commits with the line count of their ``src/``, and the environment:
+Python version, whether gmpy2 is installed, CPU count and platform.  Running the script again with the
 same output file adds or replaces the named workload and keeps the
 others; the commits and the environment must match.
 """
@@ -47,10 +47,13 @@ def git(checkout: Path, *args: str) -> str:
 
 
 def describe(checkout: Path) -> dict:
-    """The commit of a checkout, its src/ tree, and whether it has uncommitted changes."""
+    """The commit of a checkout, its src/ tree, the lines ``wc -l src/selfaffine/*.py`` counts,
+    and whether it has uncommitted changes."""
     return {
         "commit": git(checkout, "rev-parse", "HEAD"),
         "src_tree": git(checkout, "rev-parse", "HEAD:src"),
+        "src_lines": sum(path.read_bytes().count(b"\n")
+                         for path in (checkout / "src" / "selfaffine").glob("*.py")),
         "dirty": bool(git(checkout, "status", "--porcelain", "--", "src", "perfbench")),
     }
 
