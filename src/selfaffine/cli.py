@@ -380,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pullback rank and zero-set decay table for the circle")
     p.add_argument("polynomial", help="polynomial text file")
     p.add_argument("map", help="single-map JSON file")
-    p.add_argument("--depth", type=int, default=10, help="number of pullbacks m (at most 1000)")
+    p.add_argument("--depth", type=int, default=10, help="number of pullbacks m (at most 100)")
     p.add_argument("--points", type=int, default=64, help="circle sample count (at most 10000)")
     p.add_argument("--tolerance", type=float, default=1e-9,
                    help="relative residual tolerance")

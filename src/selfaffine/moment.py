@@ -332,9 +332,9 @@ def read_recipe(data) -> MomentIfsRecipe:
     """A recipe document: the construction its meta records, and its maps.
 
     The meta is read first, and checked as MomentIfsRecipe checks it, before
-    any map is read.  A stored map equal to the construction's is taken as built; any
-    other is parsed and certified as by ifs_from_jsonable and kept as stored,
-    so that verify_moment_invariance can name it.
+    any map is read.  A stored map equal to the construction's is taken as
+    built; any other is parsed and certified as by ifs_from_jsonable and kept
+    as stored, so that verify_moment_invariance can name it.
     """
     meta = data.get("meta") if isinstance(data, dict) else None
     if not isinstance(meta, dict):

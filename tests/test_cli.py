@@ -574,7 +574,7 @@ class TestCompactnessDemo:
 
     @pytest.mark.parametrize("surface, depth, message", [
         ("x1^2 + x2^2 - 2", "10", "only for the unit circle"),
-        ("x1^2 + x2^2 - 1", "1001", "1001 pullbacks are above the cap 1000"),
+        ("x1^2 + x2^2 - 1", "101", "101 pullbacks are above the cap 100"),
     ])
     def test_rejected_before_any_pullback(
         self, tmp_path, half_map_file, monkeypatch, surface, depth, message, capsys

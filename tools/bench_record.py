@@ -10,9 +10,10 @@ checkout's root, so it measures that checkout's own ``src/`` with that
 checkout's own benchmark.  The output file holds every run's metrics,
 each side's median and quartiles per metric, the pairs the change won,
 both commits with the line count of their ``src/``, and the environment:
-Python version, whether gmpy2 is installed, CPU count and platform.  Running the script again with the
-same output file adds or replaces the named workload and keeps the
-others; the commits and the environment must match.
+Python version, whether gmpy2 is installed, CPU count and platform.
+Running the script again with the same output file adds or replaces the
+named workload and keeps the others; the commits and the environment
+must match.
 """
 
 from __future__ import annotations
