@@ -8,6 +8,8 @@ against the moment curve, and walks the polynomial-pullback obstruction
 that keeps non-trivial self-affine sets off compact algebraic surfaces.
 """
 
+from types import ModuleType as _ModuleType
+
 from .affine import (
     AffineMap,
     ContractionCertificate,
@@ -103,89 +105,8 @@ from .series import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AffineMap",
-    "CITED_CONCLUSION",
-    "ClassificationResult",
-    "ConjugationReport",
-    "ContractionCertificate",
-    "DecayReport",
-    "FixedPointReport",
-    "GraphForm",
-    "HyperplaneDegeneracyError",
-    "InsufficientOrderError",
-    "InvarianceReport",
-    "IteratedFunctionSystem",
-    "MomentCurveSpec",
-    "MomentIfsRecipe",
-    "MultiPoly",
-    "ParaboloidSpec",
-    "PointCloud",
-    "PullbackSequence",
-    "RecenterResult",
-    "ScalingCertificate",
-    "TruncatedSeries",
-    "VERDICT_CONJUGATION",
-    "VERDICT_GAP",
-    "VERDICT_HYPERPLANE",
-    "VERDICT_MOMENT",
-    "build_moment_ifs",
-    "build_paraboloid_ifs",
-    "chaos_game",
-    "check_conjugation",
-    "choose_anchors",
-    "circle_polynomial",
-    "classify_curve",
-    "coefficient_span_dimension",
-    "compose",
-    "dependency_witness",
-    "determinant",
-    "diameter",
-    "diameter_decay_report",
-    "eval_moment",
-    "express_in_span",
-    "fixed_point",
-    "format_polynomial",
-    "format_rational",
-    "germ_from_jsonable",
-    "graph_form",
-    "greedy_independent",
-    "hutchinson_iterate",
-    "ifs_from_jsonable",
-    "ifs_to_jsonable",
-    "invert",
-    "is_contractive",
-    "is_self_affine_pair",
-    "lambda_bound",
-    "map_from_jsonable",
-    "map_to_jsonable",
-    "mat_inverse",
-    "matrix_from_jsonable",
-    "max_row_sum",
-    "normalize_at_fixed_point",
-    "one_sided_hausdorff",
-    "operator_norm",
-    "paraboloid_polynomial",
-    "parse_polynomial",
-    "parse_rational",
-    "pullback_sequence",
-    "rational_circle_points",
-    "read_csv",
-    "recipe_from_jsonable",
-    "recipe_to_jsonable",
-    "scaling_certificate",
-    "scaling_constant",
-    "series_compose",
-    "series_multiply",
-    "series_reverse",
-    "solve",
-    "solve_recenter",
-    "sqrt_upper_bound",
-    "surface_residual",
-    "tangent_eigenvalue",
-    "verify_fixed_points_on_surface",
-    "verify_moment_invariance",
-    "verify_paraboloid_conjugation",
-    "write_csv",
-    "write_svg",
-]
+# The public names are the ones imported above; the submodules are not among them.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exactlinalg import Matrix, as_matrix, as_vector, express_in_span, mat_inverse, mat_vec
+from .exactlinalg import Matrix, as_matrix, as_vector, mat_inverse, mat_vec
 from .rationals import parse_rational
-from .series import TruncatedSeries, _compose, series_reverse
+from .series import TruncatedSeries, _compose, _reverse_powers
 
 __all__ = [
     "VERDICT_MOMENT",
@@ -46,6 +46,9 @@ VERDICT_MOMENT = "affine image of moment curve, p_k = k"
 VERDICT_GAP = "p-curve with exponent gap (not moment)"
 VERDICT_CONJUGATION = "conjugation fails (no diagonal model to order N)"
 VERDICT_HYPERPLANE = "hyperplane degenerate"
+
+# Largest germ order a document may give; graph_form's power table is (order + 1)².
+_MAX_ORDER = 64
 
 
 class HyperplaneDegeneracyError(ValueError):
@@ -143,11 +146,15 @@ def graph_form(normalized: TruncatedSeries) -> GraphForm:
     first_order = tuple(row[1] for row in normalized.coords)
     if first_order != (Fraction(1),) + (Fraction(0),) * (n - 1):
         raise ValueError("normalized germ must have first-order vector (1, 0, …, 0)")
-    parameter = series_reverse(normalized.coordinate(0))
-    inner = parameter.coefficients()
+    # powers[j] = rʲ for the reversion r of the first coordinate: x_k∘r = Σⱼ cⱼ·rʲ
+    powers = _reverse_powers(normalized.coords[0], order)
     extracted = []
     for k in range(1, n):
-        row = tuple(_compose(normalized.coords[k], inner, order))
+        coeffs = normalized.coords[k]
+        row = tuple(
+            sum((coeffs[j] * powers[j][m] for j in range(1, m + 1) if coeffs[j]), Fraction(0))
+            for m in range(order + 1)
+        )
         exponent = next((i for i in range(1, order + 1) if row[i] != 0), None)
         if exponent is None:
             raise HyperplaneDegeneracyError(
@@ -303,13 +310,40 @@ class RecenterResult:
         return f"missing monomial t^{self.witness_degree}"
 
 
+def _check_recenter(profile, t1, rows, index, missing) -> None:
+    """Raise ArithmeticError unless the rows, or the witness, certify the verdict.
+
+    Each row must re-expand over the span to (t − t1)^p, here b^{−p}·(b·t − a)^p
+    for t1 = a/b by repeated integer multiplication; a witness degree must be
+    zero in every span vector and nonzero in the failing row's target.
+    """
+    top = profile[-1]
+    span = [[-(t1**q)] + [int(m == q) for m in range(1, top + 1)] for q in profile]
+    a, b = t1.numerator, t1.denominator
+    scaled = [[1]]
+    for _ in range(top):
+        scaled.append([b * x - a * y for x, y in zip([0] + scaled[-1], scaled[-1] + [0])])
+    for p, row in zip(profile, rows):
+        expanded = [sum(c * v[m] for c, v in zip(row, span) if v[m]) for m in range(top + 1)]
+        if [value * b**p for value in expanded] != scaled[p] + [0] * (top - p):
+            raise ArithmeticError(f"row {p} does not re-expand to (t - t1)^{p}")
+    if index is not None:
+        p = profile[index - 1]
+        if not 0 < missing <= p or any(v[missing] for v in span) or not scaled[p][missing]:
+            raise ArithmeticError(f"t^{missing} does not witness infeasibility at index {index}")
+
+
 def solve_recenter(exponents: Sequence[int], t1: Fraction) -> RecenterResult:
     """Decide the recentering system for an exponent profile.
 
     The profile must start at 1 and increase strictly.  Feasibility of
     every row is equivalent to the profile being (1, 2, …, n); the
     degree filter fixes the free inner degree d at 1, so the quotient
-    exponents equal the profile itself.
+    exponents equal the profile itself.  Span vector j, t^{p_j} − t1^{p_j},
+    is a unit vector apart from its constant slot, so row p can only be
+    C(p, p_j)·(−t1)^{p−p_j}, and the first p whose range 1..p misses a
+    degree fails with the smallest one as witness; `_check_recenter`
+    certifies either answer before it is returned.
     """
     profile = tuple(int(p) for p in exponents)
     if not profile or profile[0] != 1:
@@ -319,24 +353,15 @@ def solve_recenter(exponents: Sequence[int], t1: Fraction) -> RecenterResult:
     t1 = Fraction(t1)
     if t1 == 0:
         raise ValueError("t1 must be nonzero")
-    top = profile[-1]
-    span = []
-    for p in profile:
-        vector = [Fraction(0)] * (top + 1)
-        vector[p] = Fraction(1)
-        vector[0] = -(t1**p)
-        span.append(vector)
     degrees = set(profile)
     rows = []
     for index, p in enumerate(profile, start=1):
-        target = [Fraction(0)] * (top + 1)
-        for m in range(p + 1):
-            target[m] = math.comb(p, m) * (-t1) ** (p - m)
-        coefficients = express_in_span(span, target)
-        if coefficients is None:
-            missing = next(m for m in range(1, p + 1) if m not in degrees)
+        missing = next((m for m in range(1, p + 1) if m not in degrees), None)
+        if missing is not None:
+            _check_recenter(profile, t1, (), index, missing)
             return RecenterResult(False, profile, profile, None, index, missing)
-        rows.append(tuple(coefficients))
+        rows.append(tuple(math.comb(p, q) * (-t1) ** (p - q) for q in profile))
+    _check_recenter(profile, t1, rows, None, None)
     return RecenterResult(True, profile, profile, tuple(rows))
 
 
@@ -418,6 +443,8 @@ def germ_from_jsonable(data) -> tuple[TruncatedSeries, Fraction]:
     order = data.get("order")
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise ValueError('"order" must be a positive integer')
+    if order > _MAX_ORDER:
+        raise ValueError(f'"order" {order} is above the cap {_MAX_ORDER}')
     coords = data.get("coords")
     if not isinstance(coords, list) or not coords:
         raise ValueError('"coords" must be a nonempty array')

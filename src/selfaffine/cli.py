@@ -236,6 +236,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _check_format(args.format, ("text", "json"), "classify")
     germ, _t0 = germ_from_jsonable(_load_json(args.germ))
     if args.order is not None:
         germ = germ.truncate(args.order)
@@ -245,7 +246,6 @@ def _cmd_classify(args) -> int:
     j_field = map_data.get("J")
     j_matrix = matrix_from_jsonable(j_field, "J") if j_field is not None else identity(germ.dim)
     result = classify_curve(germ, m_matrix, j_matrix, parse_rational(args.t1))
-    _check_format(args.format, ("text", "json"), "classify")
     if args.format == "json":
         payload = {
             "verdict": result.verdict,
@@ -261,6 +261,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_compactness_demo(args) -> int:
+    _check_format(args.format, ("text", "csv"), "compactness-demo")
     with open(args.polynomial, "r", encoding="utf-8") as handle:
         poly = parse_polynomial(handle.read())
     f = _load_single_map(args.map)
@@ -274,7 +275,6 @@ def _cmd_compactness_demo(args) -> int:
     cloud = PointCloud(2, [[float(x), float(y)] for x, y in samples])
     report = diameter_decay_report(seq, cloud, tolerance=args.tolerance)
     rank, basis = coefficient_span_dimension(seq)
-    _check_format(args.format, ("text", "csv"), "compactness-demo")
     lines = []
     if args.format == "csv":
         lines.append("j,rank_so_far,sampled_diameter,max_residual")

@@ -130,24 +130,35 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     return TruncatedSeries(outer.order, (tuple(_compose(out, inn, outer.order)),))
 
 
+def _reverse_powers(coeffs: Sequence[Fraction], order: int) -> list[list[Fraction]]:
+    """Table P[k][m] = [tᵐ] rᵏ (k, m ≤ order) of the reversion r = P[1] of coeffs.
+
+    For k ≥ 2, P[k][m] = Σᵢ rᵢ·P[k−1][m−i] needs only r₁..r_{m−1}: column m
+    is filled first, then [tᵐ] s(r) = a₁·r_m + Σ_{k≥2} a_k·P[k][m] = 0 fixes r_m.
+    """
+    powers = [[Fraction(0)] * (order + 1) for _ in range(order + 1)]
+    powers[0][0], powers[1][1] = Fraction(1), 1 / coeffs[1]
+    r = powers[1]
+    for m in range(2, order + 1):
+        for k in range(2, m + 1):
+            terms = (r[i] * powers[k - 1][m - i] for i in range(1, m - k + 2))
+            powers[k][m] = sum(terms, Fraction(0))
+        residual = sum((coeffs[k] * powers[k][m] for k in range(2, m + 1)), Fraction(0))
+        r[m] = -residual / coeffs[1]
+    return powers
+
+
 def series_reverse(series: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse: compose(series, result) = t up to the order.
 
-    Coefficients are solved one order at a time; at step m the residual
-    of the composition determines the next coefficient through the
-    (nonzero) linear coefficient of the input.
+    Coefficients come one order at a time from the power table of
+    `_reverse_powers`, O(N³) in all: at order m the powers rᵏ, k ≥ 2, need
+    only lower coefficients, and the composition's coefficient at tᵐ then
+    fixes r_m through the (nonzero) linear coefficient of the input.
     """
     coeffs = _require_1d(series, "series_reverse")
     if coeffs[0] != 0:
         raise ValueError("series must vanish at 0 to be reversed")
     if coeffs[1] == 0:
         raise ValueError("series needs a nonzero linear coefficient to be reversed")
-    order = series.order
-    result = [Fraction(0)] * (order + 1)
-    result[1] = 1 / coeffs[1]
-    for m in range(2, order + 1):
-        # result is correct below order m and has zero coefficient at m;
-        # the composition residual at order m is linear in result[m].
-        residual = _compose(coeffs, result, m)[m]
-        result[m] = -residual / coeffs[1]
-    return TruncatedSeries(order, (tuple(result),))
+    return TruncatedSeries(series.order, (tuple(_reverse_powers(coeffs, series.order)[1]),))

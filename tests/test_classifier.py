@@ -1,17 +1,23 @@
 """Curve-germ classifier: graph form, conjugation checks, recentering."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from selfaffine import classifier
 from selfaffine.classifier import (
     VERDICT_CONJUGATION,
     VERDICT_GAP,
     VERDICT_HYPERPLANE,
     VERDICT_MOMENT,
+    GraphForm,
     HyperplaneDegeneracyError,
     InsufficientOrderError,
+    RecenterResult,
     check_conjugation,
     classify_curve,
     germ_from_jsonable,
@@ -20,8 +26,8 @@ from selfaffine.classifier import (
     solve_recenter,
     tangent_eigenvalue,
 )
-from selfaffine.exactlinalg import identity, mat_inverse, mat_mul, mat_vec
-from selfaffine.series import TruncatedSeries
+from selfaffine.exactlinalg import express_in_span, identity, mat_inverse, mat_mul, mat_vec
+from selfaffine.series import TruncatedSeries, _compose, series_reverse
 
 ORDER = 16
 
@@ -39,6 +45,72 @@ def diag(*entries):
     n = len(entries)
     return [[Fraction(entries[i]) if i == j else Fraction(0) for j in range(n)]
             for i in range(n)]
+
+
+def reference_graph_form(normalized):
+    """Plain graph form: one series_reverse, then one _compose per coordinate."""
+    n, order = normalized.dim, normalized.order
+    inner = series_reverse(normalized.coordinate(0)).coefficients()
+    extracted = []
+    for k in range(1, n):
+        row = tuple(_compose(normalized.coords[k], inner, order))
+        exponent = next((i for i in range(1, order + 1) if row[i] != 0), None)
+        if exponent is None:
+            raise HyperplaneDegeneracyError(
+                f"coordinate {k + 1} vanishes to order {order}; "
+                "the curve lies in a hyperplane to this order"
+            )
+        extracted.append((exponent, row[exponent], row, k))
+    extracted.sort(key=lambda item: item[0])
+    exponents = tuple(item[0] for item in extracted)
+    if len(set(exponents)) != len(exponents):
+        raise ValueError(
+            "two coordinates share a leading exponent; "
+            "the germ is outside the simple graph-normalizable class"
+        )
+    if exponents[-1] > order - 2:
+        raise InsufficientOrderError(
+            f"leading exponent {exponents[-1]} requires order at least "
+            f"{exponents[-1] + 2}; have {order}"
+        )
+    return GraphForm(
+        order,
+        exponents,
+        tuple(item[1] for item in extracted),
+        tuple(item[2] for item in extracted),
+        tuple(item[3] for item in extracted),
+    )
+
+
+def reference_solve_recenter(profile, t1):
+    """Plain recentering: express_in_span on every row (valid input only)."""
+    top = profile[-1]
+    span = []
+    for p in profile:
+        vector = [Fraction(0)] * (top + 1)
+        vector[p] = Fraction(1)
+        vector[0] = -(t1**p)
+        span.append(vector)
+    degrees = set(profile)
+    rows = []
+    for index, p in enumerate(profile, start=1):
+        target = [Fraction(0)] * (top + 1)
+        for m in range(p + 1):
+            target[m] = math.comb(p, m) * (-t1) ** (p - m)
+        coefficients = express_in_span(span, target)
+        if coefficients is None:
+            missing = next(m for m in range(1, p + 1) if m not in degrees)
+            return RecenterResult(False, profile, profile, None, index, missing)
+        rows.append(tuple(coefficients))
+    return RecenterResult(True, profile, profile, tuple(rows))
+
+
+def outcome(function, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return function(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestNormalize:
@@ -116,6 +188,34 @@ class TestGraphForm:
         steep = TruncatedSeries.from_rows([[0, 1], [0] * 15 + [1]], ORDER)
         with pytest.raises(InsufficientOrderError):
             graph_form(steep)
+
+    def test_equals_plain_reference(self):
+        # rows start at degree 2 or later with zeros inside; some germs
+        # repeat an exponent, vanish, or need a higher order, and must
+        # fail the same way
+        rng = random.Random(61)
+        for _ in range(60):
+            order = rng.randint(3, 16)
+            n = rng.randint(2, 4)
+            first = [0, 1] + [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                              for _ in range(order - 1)]
+            rows = [first]
+            for _ in range(n - 1):
+                start = rng.randint(2, order + 1)
+                rows.append([0] * start + [
+                    Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+                    for _ in range(order + 1 - start)
+                ])
+            germ = TruncatedSeries.from_rows(rows, order)
+            assert outcome(graph_form, germ) == outcome(reference_graph_form, germ)
+
+    def test_conjugated_germs_equal_plain_reference(self):
+        rng = random.Random(62)
+        for germ in (moment_germ(3), moment_germ(4, 12), gap_germ()):
+            a = _random_invertible(rng, germ.dim)
+            curve = _push_curve(germ, a, [Fraction(0)] * germ.dim)
+            normalized = normalize_at_fixed_point(curve, a, [Fraction(0)] * germ.dim)
+            assert graph_form(normalized) == reference_graph_form(normalized)
 
     def test_requires_unit_tangent_in_first_coordinate(self):
         sideways = TruncatedSeries.from_rows([[0, 0, 1], [0, 1]], 8)
@@ -214,6 +314,49 @@ class TestSolveRecenter:
             assert solve_recenter(profile, Fraction(2)).feasible
         for profile in [(1, 3), (1, 2, 5), (1, 4, 6)]:
             assert not solve_recenter(profile, Fraction(2)).feasible
+
+    def test_equals_plain_reference_on_criterion_10(self):
+        t1_values = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2)]
+        for n in range(2, 7):
+            for tail in itertools.combinations(range(2, 13), n - 1):
+                profile = (1,) + tail
+                for t1 in t1_values:
+                    mine = solve_recenter(profile, t1)
+                    plain = reference_solve_recenter(profile, t1)
+                    assert mine.feasible == plain.feasible
+                    assert mine.matrix == plain.matrix
+                    assert mine.witness_index == plain.witness_index
+                    assert mine.witness_degree == plain.witness_degree
+                    assert mine == plain
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0), (2, 1), (2, 2), (1, 2)])
+    def test_tampered_row_fails_its_certificate(self, entry):
+        t1 = Fraction(-1, 2)
+        rows = [list(row) for row in solve_recenter((1, 2, 3), t1).matrix]
+        classifier._check_recenter((1, 2, 3), t1, rows, None, None)
+        rows[entry[0]][entry[1]] += Fraction(1, 3)
+        with pytest.raises(ArithmeticError, match="does not re-expand"):
+            classifier._check_recenter((1, 2, 3), t1, rows, None, None)
+
+    def test_tampered_closed_form_raises_in_solve_recenter(self, monkeypatch):
+        # every binomial C(p, 1) off by one: the rows solve_recenter builds are wrong
+        monkeypatch.setattr(classifier, "math",
+                            SimpleNamespace(comb=lambda p, q: math.comb(p, q) + (q == 1)))
+        with pytest.raises(ArithmeticError, match="does not re-expand"):
+            solve_recenter((1, 2, 3), Fraction(2))
+
+    @pytest.mark.parametrize("profile, index, degree", [
+        ((1, 3, 4), 2, 3),   # in the profile: nonzero in a span vector
+        ((1, 3, 4), 2, 4),   # above p = 3: zero in the target
+        ((1, 2, 4), 3, 5),   # beyond every span vector
+        ((1, 2, 4), 3, 0),   # the constant slot
+    ])
+    def test_tampered_witness_fails_its_certificate(self, profile, index, degree):
+        result = solve_recenter(profile, Fraction(3))
+        classifier._check_recenter(profile, Fraction(3), (), result.witness_index,
+                                   result.witness_degree)
+        with pytest.raises(ArithmeticError, match="does not witness"):
+            classifier._check_recenter(profile, Fraction(3), (), index, degree)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -328,6 +471,13 @@ class TestGermJson:
         back, t0 = germ_from_jsonable(data)
         assert back.coords == germ.coords
         assert t0 == Fraction(2, 3)
+
+    def test_order_cap(self):
+        # the cap is read before any coefficient: coords here are never parsed
+        with pytest.raises(ValueError, match="above the cap 64"):
+            germ_from_jsonable({"t0": "0", "order": 65, "coords": "unparsed"})
+        germ, _ = germ_from_jsonable(_germ_document(moment_germ(2, 64), "0"))
+        assert germ.order == classifier._MAX_ORDER == 64
 
     @pytest.mark.parametrize("mutate", [
         lambda d: d.__setitem__("order", 0),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from selfaffine import affine, cli, pullback
+from selfaffine import affine, classifier, cli, pullback, series
 from selfaffine.cli import main
 from selfaffine.moment import InvarianceReport
 
@@ -506,6 +506,22 @@ class TestClassify:
         assert code == 2
         assert "error" in json.loads(err.strip().splitlines()[-1])
 
+    def test_order_above_cap_rejected_before_any_reversion(self, tmp_path, monkeypatch, capsys):
+        germ = tmp_path / "germ.json"
+        germ.write_text(json.dumps({"t0": "0", "order": 10**6, "coords": [["0", "1"]]}))
+        map_file = tmp_path / "m.json"
+        map_file.write_text(json.dumps({"matrix": [["1/2", "0"], ["0", "1/4"]]}))
+        reversions = []
+        for module, name in ((series, "series_reverse"), (series, "_reverse_powers"),
+                             (classifier, "_reverse_powers")):
+            monkeypatch.setattr(module, name, lambda *args: reversions.append(args))
+        (code, out, err), peak = run_traced(capsys, "classify", str(germ), str(map_file),
+                                            "--t1", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == '"order" 1000000 is above the cap 64'
+        assert reversions == []
+        assert peak < 1_000_000
+
     def test_explicit_j_matrix(self, tmp_path, capsys):
         germ = self._germ_file(tmp_path, [["0", "1"], ["0", "0", "1"]])
         map_file = tmp_path / "m.json"
@@ -613,6 +629,28 @@ class TestArgumentErrors:
         code, out, err = run(capsys, "verify", str(moment_file), "--format", "json")
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "verify supports --format {text}, got 'json'"
+
+    def test_classify_rejects_unsupported_format_first(self, tmp_path, monkeypatch, capsys):
+        germ = TestClassify()._germ_file(tmp_path, [["0", "1"], ["0", "0", "1"]])
+        map_file = tmp_path / "m.json"
+        map_file.write_text(json.dumps({"matrix": [["1/2", "0"], ["0", "1/4"]]}))
+        calls = []
+        monkeypatch.setattr(cli, "classify_curve", lambda *args: calls.append(args))
+        code, out, err = run(capsys, "classify", str(germ), str(map_file), "--t1", "1",
+                             "--format", "xml")
+        assert (code, out, calls) == (2, "", [])
+        assert json.loads(err)["error"] == "classify supports --format {text,json}, got 'xml'"
+
+    def test_compactness_demo_rejects_unsupported_format_first(
+        self, circle_file, half_map_file, monkeypatch, capsys
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "pullback_sequence", lambda *args: calls.append(args))
+        code, out, err = run(capsys, "compactness-demo", str(circle_file), str(half_map_file),
+                             "--format", "json")
+        assert (code, out, calls) == (2, "", [])
+        assert (json.loads(err)["error"]
+                == "compactness-demo supports --format {text,csv}, got 'json'")
 
     def test_scaling_rejects_unsupported_format(self, circle_file, half_map_file, capsys):
         code, out, err = run(capsys, "scaling", str(circle_file), str(half_map_file),

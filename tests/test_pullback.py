@@ -8,9 +8,11 @@ import pytest
 
 from selfaffine.affine import AffineMap
 from selfaffine.cloud import PointCloud
+from selfaffine.exactlinalg import greedy_independent
 from selfaffine.polynomials import MultiPoly, evaluate, parse_polynomial
 from selfaffine.pullback import (
     CITED_CONCLUSION,
+    _coefficient_vectors,
     circle_polynomial,
     coefficient_span_dimension,
     dependency_witness,
@@ -162,6 +164,22 @@ class TestDiameterDecay:
         ranks = [row.rank_so_far for row in report.rows]
         assert ranks == sorted(ranks)
         assert ranks[0] == 1
+
+    @pytest.mark.parametrize("matrix, translation", [
+        ([["1/2", "0"], ["0", "1/2"]], ["0", "0"]),
+        ([["1/2", "0"], ["0", "1/2"]], ["1/4", "0"]),
+        ([["3/5", "-4/7"], ["4/7", "3/5"]], ["0", "0"]),
+        ([["1/2", "1/5"], ["0", "1/3"]], ["1/4", "-1/3"]),
+        ([["1/3", "0"], ["0", "1/2"]], ["0", "0"]),
+    ])
+    def test_rank_column_equals_prefix_ranks(self, matrix, translation):
+        f = AffineMap([[Fraction(x) for x in row] for row in matrix],
+                      [Fraction(x) for x in translation])
+        seq = pullback_sequence(circle_polynomial(), f, 12)
+        report = diameter_decay_report(seq, circle_cloud())
+        vectors = _coefficient_vectors(seq)
+        ranks = [greedy_independent(vectors[: j + 1])[0] for j in range(len(seq))]
+        assert [row.rank_so_far for row in report.rows] == ranks
 
     def test_rejects_off_surface_samples(self):
         seq = pullback_sequence(circle_polynomial(), half_map(), 3)

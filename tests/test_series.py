@@ -12,6 +12,8 @@ import pytest
 
 from selfaffine.series import (
     TruncatedSeries,
+    _compose,
+    _reverse_powers,
     series_compose,
     series_multiply,
     series_reverse,
@@ -55,6 +57,26 @@ def lagrange_reversion(coeffs, order):
         power = _mul_lists(power, q, order)
         result[m] = power[m - 1] / m
     return result
+
+
+def reference_reverse(coeffs, order):
+    """Plain reversion: the composition residual at every order, O(N⁴)."""
+    result = [Fraction(0)] * (order + 1)
+    result[1] = 1 / coeffs[1]
+    for m in range(2, order + 1):
+        result[m] = -_compose(coeffs, result, m)[m] / coeffs[1]
+    return result
+
+
+def seeded_series(rng, order, sparse):
+    """A series with zero constant term and a non-unit or negative linear term."""
+    coeffs = [Fraction(0), Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 7]))]
+    for _ in range(order - 1):
+        if sparse and rng.random() < 0.7:
+            coeffs.append(Fraction(0))
+        else:
+            coeffs.append(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    return coeffs
 
 
 class TestConstruction:
@@ -195,6 +217,25 @@ class TestReverse:
             Fraction(0), Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0),
             Fraction(0),
         )
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_equals_plain_reference(self, sparse):
+        rng = random.Random(97 + sparse)
+        for order in range(1, 25):
+            coeffs = seeded_series(rng, order, sparse)
+            mine = series_reverse(TruncatedSeries.from_coefficients(coeffs, order))
+            assert list(mine.coefficients()) == reference_reverse(coeffs, order)
+
+    def test_power_table_holds_the_powers(self):
+        rng = random.Random(5)
+        for order in (1, 2, 7, 12):
+            coeffs = seeded_series(rng, order, False)
+            powers = _reverse_powers(coeffs, order)
+            r = reference_reverse(coeffs, order)
+            expected = [Fraction(1)] + [Fraction(0)] * order
+            for k in range(order + 1):
+                assert powers[k] == expected
+                expected = _mul_lists(expected, r, order)
 
     def test_rejects_bad_germs(self):
         with pytest.raises(ValueError):
