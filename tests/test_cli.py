@@ -631,7 +631,9 @@ class TestArgumentErrors:
         assert json.loads(err)["error"] == "verify supports --format {text}, got 'json'"
 
     def test_classify_rejects_unsupported_format_first(self, tmp_path, monkeypatch, capsys):
-        germ = TestClassify()._germ_file(tmp_path, [["0", "1"], ["0", "0", "1"]])
+        germ = tmp_path / "germ.json"
+        coords = [["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"]]
+        germ.write_text(json.dumps({"t0": "0", "order": 4, "coords": coords}))
         map_file = tmp_path / "m.json"
         map_file.write_text(json.dumps({"matrix": [["1/2", "0"], ["0", "1/4"]]}))
         calls = []
