@@ -3,15 +3,15 @@
 Attractors are sampled in floating point, either by the random chaos
 game (PCG64 generator, so a seed fully determines the cloud) or by
 deterministic enumeration of all composition words to a fixed depth.
-Distances are exact scans; the nearest-neighbour structure used for
-one_sided_hausdorff accelerates the scan without changing the result.
+Distances are exact scans.  diameter is a numpy scan that matches
+scipy's cdist bit for bit; one_sided_hausdorff queries scipy's KD-tree,
+which accelerates the scan without changing the result, and is the only
+code in the package that loads scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .affine import _WORD_GUARD, IteratedFunctionSystem, _float_array, fixed_point
 from .cloud import PointCloud
@@ -19,6 +19,9 @@ from .cloud import PointCloud
 __all__ = ["chaos_game", "hutchinson_iterate", "diameter", "one_sided_hausdorff"]
 
 _EXACT_DIAMETER_LIMIT = 10_000
+# Rows per block of the pairwise scan, few enough that a block stays in cache
+# (16 rows × 10⁴ points of doubles is 1.3 MB).
+_DIAMETER_BLOCK = 16
 
 
 def chaos_game(
@@ -76,7 +79,8 @@ def hutchinson_iterate(ifs: IteratedFunctionSystem, depth: int) -> PointCloud:
 def diameter(cloud: PointCloud) -> float:
     """Largest pairwise distance in the cloud.
 
-    Exact pairwise scan up to 10⁴ points; beyond that the bounding-box
+    Exact pairwise scan up to 10⁴ points, equal bit for bit to the
+    largest entry of scipy's euclidean cdist; beyond that the bounding-box
     diagonal is returned, an upper bound exceeding the true diameter by
     at most a factor of √dim.
     """
@@ -84,12 +88,27 @@ def diameter(cloud: PointCloud) -> float:
         raise ValueError("diameter of an empty cloud is undefined")
     points = cloud.points
     if len(cloud) <= _EXACT_DIAMETER_LIMIT:
+        # Squared distances accumulate one coordinate at a time, in cdist's
+        # order, over the upper triangle; sqrt is monotone, so it is taken once.
+        # Every block is a view of the same two buffers, which stay in cache.
+        count = len(points)
+        first, *rest = np.ascontiguousarray(points.T)
+        squared_buffer = np.empty(_DIAMETER_BLOCK * count)
+        difference_buffer = np.empty_like(squared_buffer)
         worst = 0.0
-        block = 512
-        for start in range(0, len(points), block):
-            chunk = cdist(points[start : start + block], points)
-            worst = max(worst, float(chunk.max()))
-        return worst
+        for start in range(0, count, _DIAMETER_BLOCK):
+            stop = min(start + _DIAMETER_BLOCK, count)
+            shape = (stop - start, count - start)
+            squared = squared_buffer[: shape[0] * shape[1]].reshape(shape)
+            difference = difference_buffer[: shape[0] * shape[1]].reshape(shape)
+            np.subtract(first[start:stop, None], first[start:], out=squared)
+            squared *= squared
+            for column in rest:
+                np.subtract(column[start:stop, None], column[start:], out=difference)
+                difference *= difference
+                squared += difference
+            worst = max(worst, float(squared.max()))
+        return float(np.sqrt(worst))
     extents = points.max(axis=0) - points.min(axis=0)
     return float(np.sqrt(np.sum(extents**2)))
 
@@ -104,6 +123,8 @@ def one_sided_hausdorff(source: PointCloud, target: PointCloud) -> float:
         raise ValueError("clouds must share a dimension")
     if len(source) == 0 or len(target) == 0:
         raise ValueError("clouds must be nonempty")
+    from scipy.spatial import cKDTree  # imported here so only this function pays for scipy
+
     tree = cKDTree(target.points)
     distances, _ = tree.query(source.points, k=1)
     return float(np.max(distances))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exactlinalg import Matrix, as_matrix, as_vector, mat_inverse, mat_vec
-from .rationals import parse_rational
+from .exactlinalg import Matrix, as_matrix, as_vector, mat_inverse
+from .rationals import _clear_denominators, parse_rational
 from .series import TruncatedSeries, _compose, _reverse_powers
 
 __all__ = [
@@ -93,11 +93,16 @@ def tangent_eigenvalue(matrix: Sequence[Sequence], tangent: Sequence) -> Optiona
     v = as_vector(tangent)
     if all(x == 0 for x in v):
         raise ValueError("tangent vector must be nonzero")
-    image = mat_vec(m, v)
-    pivot = next(i for i, x in enumerate(v) if x != 0)
-    candidate = image[pivot] / v[pivot]
-    if all(image[i] == candidate * v[i] for i in range(len(v))):
-        return candidate
+    if len(m) != len(v) or len(m[0]) != len(v):
+        raise ValueError("matrix and tangent dimensions differ")
+    # on integers: v = q/t and row i of M = p_i/s_i, so (M·v)_i = (p_i·q)/(s_i·t)
+    q, _ = _clear_denominators(v)
+    image = [(sum(a * b for a, b in zip(p, q)), s) for p, s in map(_clear_denominators, m)]
+    pivot = next(i for i, x in enumerate(q) if x)
+    top, scale = image[pivot]
+    # λ = top/(scale·q_pivot), and (M·v)_i = λ·v_i for every i
+    if all(x * scale * q[pivot] == top * y * s for (x, s), y in zip(image, q)):
+        return Fraction(top, scale * q[pivot])
     return None
 
 
@@ -384,7 +389,10 @@ def classify_curve(
     """Full pipeline: normalize, graph, conjugation check, recentering.
 
     The first column of J must be an eigenvector of M with rational
-    eigenvalue λ, 0 < |λ| < 1, and t1 must be nonzero.
+    eigenvalue λ, 0 < |λ| < 1, and t1 must be nonzero.  The diagonal
+    model is D = J⁻¹·M·J: a column of J that is not an eigenvector of M
+    leaves an off-diagonal entry and fails the conjugation stage, and
+    otherwise λ_k is D's diagonal entry for graph coordinate k.
     """
     t1 = Fraction(t1)
     if t1 == 0:
@@ -408,8 +416,18 @@ def classify_curve(
         return ClassificationResult(VERDICT_HYPERPLANE, lam, None, None, None, tuple(stages))
     profile = (1,) + gf.exponents
     stages.append(f"[graph-form] exponent profile p = {profile}")
-    diagonal = [lam] + [lam**p for p in gf.exponents]
-    report = check_conjugation(gf, diagonal)
+    # D = J⁻¹·M·J, M in the normalized coordinates, is diagonal exactly when every
+    # column of J is an eigenvector of M, and then its diagonal holds their eigenvalues
+    eigenvalues = [tangent_eigenvalue(m, column) for column in zip(*j)]
+    off_diagonal = tuple(
+        f"column {c + 1} of J is not an eigenvector of M, so D = J⁻¹·M·J is not diagonal"
+        for c, eigenvalue in enumerate(eigenvalues)
+        if eigenvalue is None
+    )
+    if off_diagonal:
+        report = ConjugationReport(False, "diagonal", off_diagonal)
+    else:
+        report = check_conjugation(gf, [lam] + [eigenvalues[i] for i in gf.coordinate_order])
     if not report.passed:
         stages.append("[diagonal-conjugation] identity fails: " + "; ".join(report.mismatches))
         return ClassificationResult(

@@ -1,13 +1,19 @@
 """Attractor sampling: chaos game, word enumeration, metric helpers."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from selfaffine.affine import AffineMap, IteratedFunctionSystem
 from selfaffine.attractor import (
+    _DIAMETER_BLOCK,
     chaos_game,
     diameter,
     hutchinson_iterate,
@@ -24,6 +30,14 @@ def cantor_like_ifs():
     g = AffineMap([[Fraction(1, 3), Fraction(0)], [Fraction(0), Fraction(1, 3)]],
                   [Fraction(2, 3), Fraction(2, 3)])
     return IteratedFunctionSystem((f, g))
+
+
+def reference_diameter(points):
+    """The cdist scan diameter used before its numpy kernel: 512-row blocks, max entry."""
+    worst = 0.0
+    for start in range(0, len(points), 512):
+        worst = max(worst, float(cdist(points[start : start + 512], points).max()))
+    return worst
 
 
 def moment_ifs(n=2):
@@ -130,6 +144,20 @@ class TestDiameter:
         )
         assert diameter(cloud) == pytest.approx(brute, rel=0, abs=0)
 
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_equals_cdist_scan(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        sizes = (1, 2, _DIAMETER_BLOCK - 1, _DIAMETER_BLOCK, _DIAMETER_BLOCK + 1, 1_503)
+        for size in sizes:
+            for scale in (1e-3, 1.0, 1e3):
+                pts = rng.normal(size=(size, dim)) * scale
+                assert diameter(PointCloud(dim, pts)) == reference_diameter(pts)
+                # coincident points: every row repeated, and one row everywhere
+                doubled = np.vstack([pts, pts[::-1]])
+                assert diameter(PointCloud(dim, doubled)) == reference_diameter(doubled)
+                same = np.repeat(pts[:1], size, axis=0)
+                assert diameter(PointCloud(dim, same)) == 0.0 == reference_diameter(same)
+
     def test_large_cloud_upper_bound(self):
         # beyond the exact-pairwise limit the result is the bounding-box
         # diagonal: an upper bound within sqrt(dim) of the true diameter
@@ -175,3 +203,23 @@ class TestOneSidedHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             one_sided_hausdorff(PointCloud(1, []), PointCloud(1, [[0.0]]))
+
+
+class TestImports:
+    def test_scipy_loaded_only_by_one_sided_hausdorff(self):
+        source = str(Path(__file__).resolve().parent.parent / "src")
+        script = (
+            "import sys\n"
+            "import selfaffine, selfaffine.cli\n"
+            "print('scipy' in sys.modules)\n"
+            "cloud = selfaffine.PointCloud(1, [[0.0], [1.0]])\n"
+            "selfaffine.diameter(cloud)\n"
+            "print('scipy' in sys.modules)\n"
+            "selfaffine.one_sided_hausdorff(cloud, cloud)\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=source)
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "False", "True"]

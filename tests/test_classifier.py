@@ -105,6 +105,14 @@ def reference_solve_recenter(profile, t1):
     return RecenterResult(True, profile, profile, tuple(rows))
 
 
+def reference_tangent_eigenvalue(m, v):
+    """Plain eigenvector test in Fractions: M·v by mat_vec, λ from the first nonzero entry."""
+    image = mat_vec(m, v)
+    pivot = next(i for i, x in enumerate(v) if x != 0)
+    candidate = image[pivot] / v[pivot]
+    return candidate if all(image[i] == candidate * v[i] for i in range(len(v))) else None
+
+
 def outcome(function, *args):
     """The result of a call, or the type and message of what it raised."""
     try:
@@ -153,6 +161,32 @@ class TestTangentEigenvalue:
     def test_zero_tangent_rejected(self):
         with pytest.raises(ValueError):
             tangent_eigenvalue(diag(1, 1), (Fraction(0), Fraction(0)))
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            tangent_eigenvalue(diag(1, 2, 3), (Fraction(1), Fraction(0)))
+
+    def test_equals_plain_reference(self):
+        # eigenvectors of conjugated diagonals, their perturbations and random vectors,
+        # with zero, negative and large-denominator entries
+        rng = random.Random(41)
+        checked = eigen = 0
+        for n in range(1, 7):
+            for _ in range(12):
+                a = _random_invertible(rng, n)
+                d = diag(*(Fraction(rng.randint(-9, 9), rng.randint(1, 99)) for _ in range(n)))
+                m = mat_mul(mat_mul(a, d), mat_inverse(a))
+                for column in zip(*a):
+                    nudged = list(column)
+                    nudged[rng.randrange(n)] += Fraction(1, rng.randint(1, 10**6))
+                    noise = [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)]
+                    for v in (column, [-3 * x for x in column], nudged, noise):
+                        if any(v):
+                            expected = reference_tangent_eigenvalue(m, v)
+                            assert tangent_eigenvalue(m, v) == expected
+                            checked += 1
+                            eigen += expected is not None
+        assert eigen >= 2 * 6 * 12 and checked - eigen >= 6 * 12
 
 
 class TestGraphForm:
@@ -400,6 +434,37 @@ class TestClassifyCurve:
         assert result.verdict == VERDICT_CONJUGATION
         assert result.conjugation is not None
         assert not result.conjugation.passed
+
+    def test_other_eigenvalues_are_read(self):
+        # M maps (t, t^2) to (t/2, t^2/8), off the curve: λ_2 = 1/8 is not λ^2
+        result = classify_curve(moment_germ(2), diag(Fraction(1, 2), Fraction(1, 8)),
+                                identity(2), Fraction(1))
+        assert result.verdict == VERDICT_CONJUGATION
+        assert result.exponents == (1, 2)
+        assert result.conjugation.eigenvalue_relation is False
+        assert "coordinate 2: λ_k = 1/8 differs from λ₁^2 = 1/4" in result.conjugation.mismatches
+        a = ((Fraction(1), Fraction(2)), (Fraction(-1), Fraction(3)))
+        curve = _push_curve(moment_germ(2), a, [Fraction(1), Fraction(-2)])
+        m_conj = mat_mul(mat_mul(a, diag(Fraction(1, 2), Fraction(1, 8))), mat_inverse(a))
+        assert classify_curve(curve, m_conj, a, Fraction(1)).verdict == VERDICT_CONJUGATION
+
+    def test_off_diagonal_model_fails(self):
+        m = [[Fraction(1, 2), Fraction(1)], [Fraction(0), Fraction(1, 4)]]
+        result = classify_curve(moment_germ(2), m, identity(2), Fraction(1))
+        assert result.verdict == VERDICT_CONJUGATION
+        assert result.conjugation.mismatches == (
+            "column 2 of J is not an eigenvector of M, so D = J⁻¹·M·J is not diagonal",
+        )
+
+    def test_eigenvalues_follow_the_graph_coordinate_order(self):
+        # (t, t^3, t^2): the second graph coordinate (p = 2) is the third axis
+        swapped = TruncatedSeries.from_rows([[0, 1], [0, 0, 0, 1], [0, 0, 1]], ORDER)
+        result = classify_curve(swapped, diag(Fraction(1, 2), Fraction(1, 8), Fraction(1, 4)),
+                                identity(3), Fraction(1))
+        assert result.verdict == VERDICT_MOMENT
+        result = classify_curve(swapped, diag(Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)),
+                                identity(3), Fraction(1))
+        assert result.verdict == VERDICT_CONJUGATION
 
     def test_verdicts_invariant_under_conjugation(self):
         rng = random.Random(99)

@@ -490,6 +490,19 @@ class TestClassify:
         assert payload["verdict"] == "p-curve with exponent gap (not moment)"
         assert payload["exponents"] == [1, 3]
 
+    def test_other_eigenvalue_gives_conjugation_verdict(self, tmp_path, capsys):
+        # M maps (t, t^2) to (t/2, t^2/8), which is off the curve
+        germ = self._germ_file(tmp_path, [["0", "1"], ["0", "0", "1"]])
+        map_file = tmp_path / "m.json"
+        map_file.write_text(json.dumps({"matrix": [["1/2", "0"], ["0", "1/8"]]}))
+        code, out, _ = run(capsys, "classify", str(germ), str(map_file),
+                           "--t1", "1", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "conjugation fails (no diagonal model to order N)"
+        assert payload["exponents"] == [1, 2]
+        assert "λ_k = 1/8 differs from λ₁^2 = 1/4" in payload["stages"][-1]
+
     def test_insufficient_order_is_input_error(self, tmp_path, capsys):
         rows = [["0", "1"], ["0"] * 15 + ["1"]]
         germ = self._germ_file(tmp_path, rows)

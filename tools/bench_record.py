@@ -10,7 +10,8 @@ checkout's root, so it measures that checkout's own ``src/`` with that
 checkout's own benchmark.  The output file holds every run's metrics,
 each side's median and quartiles per metric, the pairs the change won,
 both commits with the line count of their ``src/``, and the environment:
-Python version, whether gmpy2 is installed, CPU count and platform.
+Python version, whether gmpy2 is installed, the numpy and scipy versions
+(null when absent), CPU count and platform.
 Running the script again with the same output file adds or replaces the
 named workload and keeps the others; the commits and the environment
 must match.
@@ -19,6 +20,7 @@ must match.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import importlib.util
 import json
 import os
@@ -59,10 +61,20 @@ def describe(checkout: Path) -> dict:
     }
 
 
+def version(distribution: str):
+    """The installed version of a distribution, or None when it is absent."""
+    try:
+        return importlib.metadata.version(distribution)
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def environment() -> dict:
     return {
         "python": platform.python_version(),
         "gmpy2": importlib.util.find_spec("gmpy2") is not None,
+        "numpy": version("numpy"),
+        "scipy": version("scipy"),
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
     }
