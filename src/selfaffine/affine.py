@@ -167,15 +167,19 @@ class ContractionCertificate:
         return self.contractive
 
 
-def is_contractive(f: AffineMap) -> ContractionCertificate:
-    """Certified contraction test: exact row-sum route first, then numeric."""
-    n = f.dim
-    row_sum = max_row_sum(f.matrix)
+def _row_sum_certificate(n: int, row_sum: Fraction) -> Optional[ContractionCertificate]:
+    """The row-sum route's certificate for side n and max row sum, None when n·row_sum² ≥ 1."""
     squared = n * row_sum * row_sum
     if squared < 1:
-        return ContractionCertificate(
-            True, "row-sum-bound", math.sqrt(float(squared)), squared
-        )
+        return ContractionCertificate(True, "row-sum-bound", math.sqrt(float(squared)), squared)
+    return None
+
+
+def is_contractive(f: AffineMap) -> ContractionCertificate:
+    """Certified contraction test: exact row-sum route first, then numeric."""
+    certificate = _row_sum_certificate(f.dim, max_row_sum(f.matrix))
+    if certificate:
+        return certificate
     norm = operator_norm(f.matrix)
     return ContractionCertificate(norm < 1.0 - NORM_TOLERANCE, "spectral-norm", norm)
 
@@ -210,7 +214,7 @@ class IteratedFunctionSystem:
     )
 
     def __post_init__(self) -> None:
-        _certified_system(self.maps, (), self)
+        _certified_system(self.maps, {}, self)
 
     @property
     def dim(self) -> int:
@@ -226,11 +230,11 @@ class IteratedFunctionSystem:
         return self.maps[index]
 
 
-def _certified_system(maps, invertible, ifs=None) -> IteratedFunctionSystem:
+def _certified_system(maps, known, ifs=None) -> IteratedFunctionSystem:
     """`maps` as a system, each map certified once, stored on `ifs` (by default a new one).
 
-    The maps at the indices in `invertible` skip the determinant, as the
-    moment construction's do: they are triangular with diagonal λᵏ, λ > 0.
+    The maps `known` indexes skip the determinant, as the moment construction's (triangular,
+    diagonal λᵏ, λ > 0) do, and take the certificate it gives, or is_contractive's for None.
     """
     ifs = object.__new__(IteratedFunctionSystem) if ifs is None else ifs
     maps = tuple(maps)
@@ -241,8 +245,8 @@ def _certified_system(maps, invertible, ifs=None) -> IteratedFunctionSystem:
     for index, current in enumerate(maps):
         if current.dim != dim:
             raise ValueError(f"map {index} has dimension {current.dim}, expected {dim}")
-        certify = _certify_contraction if index in invertible else certify_admissible
-        certificates.append(certify(current, f"map {index}"))
+        certify = _certify_contraction if index in known else certify_admissible
+        certificates.append(known.get(index) or certify(current, f"map {index}"))
     object.__setattr__(ifs, "maps", maps)
     object.__setattr__(ifs, "certificates", tuple(certificates))
     return ifs
@@ -308,7 +312,7 @@ def _read_system(data, built) -> IteratedFunctionSystem:
     """Read an IFS document, parsing and certifying every entry that `built` does not supply.
 
     built(dim, entries) runs before any entry is parsed and may raise ValueError; per entry it
-    returns the map when that is invertible and equal to what the entry stores, else None.
+    returns (map, certificate or None) when the map is invertible and as stored, else None.
     """
     if not isinstance(data, dict):
         raise ValueError("IFS document must be a JSON object")
@@ -319,6 +323,6 @@ def _read_system(data, built) -> IteratedFunctionSystem:
     if not isinstance(entries, list) or not entries:
         raise ValueError('"maps" must be a nonempty array')
     known = built(dim, entries)
-    maps = [f or map_from_jsonable(entry, dim, where=f"map {index}")
-            for index, (f, entry) in enumerate(zip(known, entries))]
-    return _certified_system(maps, {index for index, f in enumerate(known) if f})
+    maps = [pair[0] if pair else map_from_jsonable(entry, dim, where=f"map {index}")
+            for index, (pair, entry) in enumerate(zip(known, entries))]
+    return _certified_system(maps, {index: pair[1] for index, pair in enumerate(known) if pair})

@@ -13,13 +13,14 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .affine import (
     AffineMap,
     IteratedFunctionSystem,
     _certified_system,
     _read_system,
+    _row_sum_certificate,
     ifs_to_jsonable,
 )
 from .rationals import (
@@ -175,8 +176,18 @@ def _moment_entries(n: int, line: tuple[int, int, int]):
     return rows, translation
 
 
-def _built_map(entry, n: int, line: tuple[int, int, int]) -> Optional[AffineMap]:
-    """The construction's map when `entry` stores exactly its canonical strings, else None.
+def _built_certificate(n: int, line: tuple[int, int, int]):
+    """is_contractive of the construction's map, or None where that takes its spectral route.
+
+    Row k sums to ((|α| + |β|)ᵏ − |β|ᵏ)/γᵏ in absolute value; rows compare over γⁿ on integers.
+    """
+    alpha, beta, gamma = map(abs, line)
+    top = max(((alpha + beta) ** k - beta**k) * gamma ** (n - k) for k in range(1, n + 1))
+    return _row_sum_certificate(n, Fraction(top, gamma**n))
+
+
+def _built_map(entry, n: int, line: tuple[int, int, int]):
+    """The map and _built_certificate when `entry` stores exactly its canonical strings, else None.
 
     Rows are built only while the stored ones match, so a differing entry
     costs no more than it stores; "2/4" for 1/2, or an integer 0, differs.
@@ -192,7 +203,7 @@ def _built_map(entry, n: int, line: tuple[int, int, int]) -> Optional[AffineMap]
             return None
         built.append((offset, row))
     translation, matrix = zip(*built)
-    return AffineMap(matrix, translation)
+    return AffineMap(matrix, translation), _built_certificate(n, line)
 
 
 def build_moment_ifs(
@@ -212,11 +223,12 @@ def build_moment_ifs(
     anchors = tuple(Fraction(t) for t in anchors)
     if any(not spec.c <= t <= spec.d for t in anchors):
         raise ValueError("every anchor must lie in [c, d]")
-    maps = tuple(
-        AffineMap(*_moment_entries(spec.dim, _parameter_line(ratio, spec.c, anchor)))
-        for anchor in anchors
-    )
-    return MomentIfsRecipe(spec, ratio, anchors, _certified_system(maps, range(len(maps))))
+    maps, known = [], {}
+    for anchor in anchors:
+        line = _parameter_line(ratio, spec.c, anchor)
+        known[len(maps)] = _built_certificate(spec.dim, line)
+        maps.append(AffineMap(*_moment_entries(spec.dim, line)))
+    return MomentIfsRecipe(spec, ratio, anchors, _certified_system(maps, known))
 
 
 @dataclass(frozen=True)
@@ -246,7 +258,8 @@ def _sampled_counterexamples(
     integer vector (Pʲ·Qⁿ⁻ʲ); each row of a map is cleared over the lcm
     of its own denominators.  Component k then holds exactly when two
     integer cross-products agree, and no Fraction is normalised unless
-    a violation has to be reported.
+    a violation has to be reported.  A map stops, proven, once the first
+    n + 1 distinct samples pass; a false map passes at most n of them.
     """
     n = recipe.spec.dim
     numerators, common = _clear_denominators(samples)
@@ -254,6 +267,8 @@ def _sampled_counterexamples(
         (t, p, [p**j * common ** (n - j) for j in range(n + 1)])
         for t, p in zip(samples, numerators)
     ]
+    distinct = list(dict.fromkeys(numerators))
+    proven = numerators.index(distinct[n]) + 1 if len(distinct) > n else len(table)
     found = []
     for index in indices:
         alpha, beta, gamma = _parameter_line(recipe.ratio, recipe.spec.c, recipe.anchors[index])
@@ -264,7 +279,10 @@ def _sampled_counterexamples(
         for k, (offset, row) in enumerate(zip(f.translation, f.matrix), start=1):
             numerators, scale = _clear_denominators((offset,) + row)
             rows.append((numerators, scale * common**n, gamma**k))
-        for t, p, powers in table:
+        caught = len(found)
+        for position, (t, p, powers) in enumerate(table):
+            if position == proven and len(found) == caught:
+                break
             u = alpha * p + beta * common
             u_power = 1
             for numerators, scale, gamma_power in rows:
@@ -289,9 +307,10 @@ def verify_moment_invariance(
     all denominators cleared, over the full matrix and translation of
     every map, entries above the diagonal included.  Component k of each
     side is a polynomial in t of degree ≤ n, so agreement at n + 1
-    distinct samples proves the identity for every t.
+    distinct samples proves the identity for every t, and a map stops
+    there.  A map that fails is evaluated and reported at every sample.
 
-    `checks` counts the sampled comparisons, len(samples) per map.  Only
+    `checks` counts the samples established, len(samples) per map.  Only
     when the samples hold n or fewer distinct values, or none, are the
     maps no sample caught also compared at the n + 1 points
     c + k(d − c)/n; each that fails there is reported at the first point
@@ -333,8 +352,8 @@ def read_recipe(data) -> MomentIfsRecipe:
 
     The meta is read first, and checked as MomentIfsRecipe checks it, before
     any map is read.  A stored map equal to the construction's is taken as
-    built; any other is parsed and certified as by ifs_from_jsonable and kept
-    as stored, so that verify_moment_invariance can name it.
+    built, with _built_certificate; any other is parsed and certified as by
+    ifs_from_jsonable and kept as stored, so that verify_moment_invariance can name it.
     """
     meta = data.get("meta") if isinstance(data, dict) else None
     if not isinstance(meta, dict):

@@ -229,8 +229,9 @@ def rational_circle_points(count: int) -> list[tuple[Fraction, Fraction]]:
     Uses the tangent half-angle parametrization ((1−s²)/(1+s²),
     2s/(1+s²)) on a uniform s-grid over [−1, 1] (right half plus both
     poles) and mirrors across the y-axis, yielding close to `count`
-    distinct points.  The antipodal pair (0, ±1) is always present, so
-    the sample diameter is exactly 2.
+    distinct points.  The map is one-to-one on [−1, 1], so only the
+    poles' mirror images repeat.  The antipodal pair (0, ±1) is always
+    present, so the sample diameter is exactly 2.
     """
     if count < 4:
         raise ValueError("at least 4 points are required")
@@ -238,14 +239,10 @@ def rational_circle_points(count: int) -> list[tuple[Fraction, Fraction]]:
         raise ValueError(f"{count} circle points are above the cap {_MAX_CIRCLE_POINTS}")
     half = count // 2 + 1
     points: list[tuple[Fraction, Fraction]] = []
-    seen = set()
     for k in range(half):
         s = Fraction(-1) + Fraction(2 * k, half - 1)
         denominator = 1 + s * s
         x = (1 - s * s) / denominator
         y = 2 * s / denominator
-        for candidate in ((x, y), (-x, y)):
-            if candidate not in seen:
-                seen.add(candidate)
-                points.append(candidate)
+        points += [(x, y), (-x, y)] if x else [(x, y)]
     return points

@@ -178,12 +178,21 @@ class TestBuildMoment:
         capsys.readouterr()
         assert path.read_bytes() == (DATA / "build_moment_dim3.json").read_bytes()
 
-    def test_certifies_each_map_once(self, contraction_calls, capsys):
+    def test_certifies_each_map_once(self, contraction_calls, capsys, monkeypatch):
+        # the built maps take the closed-form row-sum certificate, equal to is_contractive's
+        recipes = []
+        original = cli.build_moment_ifs
+        monkeypatch.setattr(cli, "build_moment_ifs",
+                            lambda *args: recipes.append(original(*args)) or recipes[-1])
         code, out, _ = run(capsys, "build-moment", "--dim", "2", "--c", "0",
                            "--d", "1", "--lambda", "1/25")
         assert code == 0
         assert len(json.loads(out)["maps"]) == 25
-        assert len(contraction_calls) == 25
+        assert len(contraction_calls) == 0
+        [recipe] = recipes
+        assert len(recipe.ifs.certificates) == 25
+        for f, certificate in zip(recipe.ifs.maps, recipe.ifs.certificates):
+            assert certificate == affine.is_contractive(f)
 
 
 class TestParaboloid:

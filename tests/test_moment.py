@@ -2,13 +2,17 @@
 
 import copy
 import math
+import operator
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from selfaffine import affine, moment
-from selfaffine.affine import AffineMap, IteratedFunctionSystem, ifs_from_jsonable, is_contractive
+from selfaffine.affine import (
+    AffineMap, IteratedFunctionSystem, ifs_from_jsonable, is_contractive, max_row_sum
+)
 from selfaffine.exactlinalg import determinant
 from selfaffine.moment import (
     MomentCurveSpec,
@@ -25,10 +29,12 @@ from selfaffine.moment import (
 from selfaffine.moment import (
     InvarianceCounterexample,
     InvarianceReport,
+    _built_certificate,
     _moment_entries,
     _parameter_line,
     _sampled_counterexamples,
 )
+from selfaffine.rationals import _clear_denominators
 
 
 def _coefficient_mismatches(recipe):
@@ -587,3 +593,214 @@ class TestRecipeReader:
             read_recipe(data)
         # one row for map 0, all n = 3 rows for each of the maps that match
         assert len(rows) == 1 + 3 * (len(data["maps"]) - 1)
+
+
+def _all_samples_counterexamples(recipe, samples, indices):
+    """The integer sampled check without its early stop: every map at every sample."""
+    n = recipe.spec.dim
+    numerators, common = _clear_denominators(samples)
+    table = [
+        (t, p, [p**j * common ** (n - j) for j in range(n + 1)])
+        for t, p in zip(samples, numerators)
+    ]
+    found = []
+    for index in indices:
+        alpha, beta, gamma = _parameter_line(recipe.ratio, recipe.spec.c, recipe.anchors[index])
+        gamma *= common
+        rows = []
+        f = recipe.ifs.maps[index]
+        for k, (offset, row) in enumerate(zip(f.translation, f.matrix), start=1):
+            numerators, scale = _clear_denominators((offset,) + row)
+            rows.append((numerators, scale * common**n, gamma**k))
+        for t, p, powers in table:
+            u = alpha * p + beta * common
+            u_power = 1
+            for numerators, scale, gamma_power in rows:
+                u_power *= u
+                if sum(map(operator.mul, numerators, powers)) * gamma_power != u_power * scale:
+                    image = tuple(
+                        Fraction(sum(map(operator.mul, numerators, powers)), scale)
+                        for numerators, scale, _ in rows
+                    )
+                    expected = tuple(Fraction(u**k, gamma**k) for k in range(1, n + 1))
+                    found.append(InvarianceCounterexample(index, t, image, expected))
+                    break
+    return found
+
+
+def _vanishing_tamper(recipe, rng, roots):
+    """The recipe with one component of a random map shifted by ε·∏(t − r) over `roots`.
+
+    The shift has degree len(roots) ≤ n and vanishes exactly at the roots,
+    so the tampered map passes every sample among them and fails at every other.
+    """
+    n = recipe.spec.dim
+    coefficients = [Fraction(1, 10**6)]  # t⁰ first
+    for r in roots:
+        coefficients = [upper - r * lower
+                        for lower, upper in zip(coefficients + [0], [0] + coefficients)]
+    index, row = rng.randrange(len(recipe.ifs)), rng.randrange(n)
+    f = recipe.ifs.maps[index]
+    matrix, translation = [list(entries) for entries in f.matrix], list(f.translation)
+    translation[row] += coefficients[0]
+    for j, coefficient in enumerate(coefficients[1:]):
+        matrix[row][j] += coefficient
+    maps = list(recipe.ifs.maps)
+    maps[index] = AffineMap(matrix, translation)
+    return MomentIfsRecipe(recipe.spec, recipe.ratio, recipe.anchors,
+                           IteratedFunctionSystem(tuple(maps))), index
+
+
+class TestEarlyStop:
+    def test_reports_equal_the_all_samples_reference(self):
+        rng = random.Random(43)
+        late_failures = 0
+        for recipe in _seeded_recipes():
+            spec, n = recipe.spec, recipe.spec.dim
+            grid = [spec.c + (spec.d - spec.c) * k / 99 for k in range(100)]
+            rng.shuffle(grid)
+            # the first n + 1 entries of the second list hold only n distinct values
+            for samples in (grid, [grid[0], *grid[:99]]):
+                assert len(samples) == 100
+                cases = [(recipe, None)]
+                cases += [(_tamper(recipe, rng, kind), None)
+                          for kind in ("above", "below", "translation")]
+                cases.append(_vanishing_tamper(recipe, rng, grid[:n]))
+                for current, vanishing in cases:
+                    every_map = range(len(current.ifs))
+                    expected = _all_samples_counterexamples(current, samples, every_map)
+                    assert _sampled_counterexamples(current, samples, every_map) == expected
+                    report = verify_moment_invariance(current, samples)
+                    assert report.checks == 100 * len(current.ifs)
+                    assert report.counterexamples == tuple(expected)
+                    assert report.ok == (current is recipe)
+                    if vanishing is not None:
+                        # it first fails at the (n + 1)-th distinct sample, and then at every one
+                        first = samples.index(grid[n])
+                        assert first == n + (samples is not grid)
+                        assert [bad.sample for bad in expected] == samples[first:]
+                        assert {bad.map_index for bad in expected} == {vanishing}
+                        late_failures += 1
+        assert late_failures == 2 * 12
+
+    def test_stops_where_the_distinct_samples_prove_a_map(self, monkeypatch):
+        # n = 3: samples[:6] hold the first four distinct values, so each intact map stops there
+        recipe = _tiling_recipe(3, 0, 1, Fraction(1, 10))
+        samples = [Fraction(k, 99) for k in (0, 0, 1, 1, 2, 3, *range(4, 99))]
+        products = []
+        monkeypatch.setattr(moment, "operator",
+                            SimpleNamespace(mul=lambda a, b: products.append(1) or a * b))
+        report = verify_moment_invariance(recipe, samples)
+        assert report.ok and report.checks == len(samples) * len(recipe.ifs)
+        # one evaluation multiplies the n + 1 entries of each of the n rows
+        assert len(products) == 6 * len(recipe.ifs) * 3 * 4
+
+
+@pytest.fixture
+def contraction_calls(monkeypatch):
+    """The maps the IFS readers and builders pass to is_contractive."""
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return is_contractive(f)
+
+    monkeypatch.setattr(affine, "is_contractive", counted)
+    return calls
+
+
+def _built_document(n, c, d, ratio, anchors):
+    """A recipe document of the construction's maps, written without building an IFS."""
+    lines = [_parameter_line(ratio, c, t) for t in anchors]
+    return {
+        "dim": n,
+        "maps": [affine.map_to_jsonable(AffineMap(*_moment_entries(n, line))) for line in lines],
+        "meta": {"n": n, "c": str(c), "d": str(d), "lambda": str(ratio),
+                 "anchors": [str(t) for t in anchors]},
+    }
+
+
+class TestBuiltCertificate:
+    def test_closed_form_equals_is_contractive(self):
+        routes = set()
+        for n in (2, 3, 4, 5):
+            for c in (Fraction(0), Fraction(-1), Fraction(-1, 2)):
+                spec = MomentCurveSpec(n, c, c + 1)
+                for ratio in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 13), lambda_bound(spec)):
+                    for anchor in (c + Fraction(k, 8) for k in range(9)):
+                        line = _parameter_line(ratio, c, anchor)
+                        f = AffineMap(*_moment_entries(n, line))
+                        certificate = is_contractive(f)
+                        routes.add(certificate.route)
+                        if certificate.route == "row-sum-bound":
+                            assert _built_certificate(n, line) == certificate
+                        else:
+                            assert _built_certificate(n, line) is None
+        assert routes == {"row-sum-bound", "spectral-norm"}
+
+    def test_built_and_read_maps_take_the_closed_form(self, contraction_calls):
+        built = []
+        for n, c in [(2, 0), (2, -1), (2, Fraction(-1, 2)), (3, 0), (3, -1), (3, Fraction(-1, 2)),
+                     (4, 0)]:
+            spec = MomentCurveSpec(n, Fraction(c), Fraction(c) + 1)
+            ratio = lambda_bound(spec)
+            built.append(build_moment_ifs(spec, ratio, choose_anchors(spec, ratio)))
+        documents = [recipe_to_jsonable(recipe) for recipe in _seeded_recipes()]
+        contraction_calls.clear()  # the seeded recipes are certified by is_contractive
+        read = [read_recipe(data) for data in documents]
+        assert contraction_calls == []
+        assert {recipe.spec.dim for recipe in read} == {2, 3, 4, 5}
+        for recipe in built + read:
+            assert recipe.ifs.certificates == tuple(map(is_contractive, recipe.ifs.maps))
+
+    def test_above_lambda_bound_the_spectral_route_decides(self, contraction_calls,
+                                                           determinant_calls):
+        # n = 2, λ = 1/2, anchors 0 and 1/2: map 1 has row sums 1/2 and 3/4, so n·s² = 9/8
+        recipe = _tiling_recipe(2, 0, 1, Fraction(1, 2))
+        assert recipe.anchors == (0, Fraction(1, 2))
+        assert 2 * max_row_sum(recipe.ifs.maps[1].matrix) ** 2 == Fraction(9, 8)
+        contraction_calls.clear()
+        determinant_calls.clear()
+        read = read_recipe(recipe_to_jsonable(recipe))
+        assert contraction_calls == [recipe.ifs.maps[1]]
+        assert determinant_calls == []
+        assert read.ifs.certificates == recipe.ifs.certificates
+        assert [c.route for c in read.ifs.certificates] == ["row-sum-bound", "spectral-norm"]
+        assert _built_certificate(2, _parameter_line(recipe.ratio, 0, recipe.anchors[1])) is None
+        with pytest.raises(ValueError, match="lambda_bound"):
+            recipe_from_jsonable(recipe_to_jsonable(recipe))
+
+    def test_not_contractive_built_map_keeps_its_error(self, contraction_calls):
+        # on [0, 4] at λ = 1/2, map 1 (anchor 2) has matrix [[1/2, 0], [2, 1/4]]
+        data = _built_document(2, Fraction(0), Fraction(4), Fraction(1, 2),
+                               [Fraction(0), Fraction(2)])
+        with pytest.raises(ValueError) as parsed:
+            ifs_from_jsonable(copy.deepcopy(data))
+        contraction_calls.clear()
+        with pytest.raises(ValueError) as read:
+            read_recipe(data)
+        assert str(read.value) == str(parsed.value) == "map 1 is not strictly contractive"
+        assert len(contraction_calls) == 1
+
+    @pytest.mark.parametrize("kind", ["above-diagonal", "below-diagonal", "translation",
+                                      "non-canonical", "integer"])
+    def test_differing_map_is_certified_once(self, kind, determinant_calls, contraction_calls):
+        recipe = TestRecipeReader._half_recipe()
+        data = recipe_to_jsonable(recipe)
+        entry = data["maps"][5]
+        if kind == "above-diagonal":
+            entry["matrix"][0][2] = "1/997"
+        elif kind == "below-diagonal":
+            entry["matrix"][2][0] = "1/997"
+        elif kind == "translation":
+            entry["translation"][1] = "1/997"
+        elif kind == "non-canonical":
+            entry["translation"][0] = "2/4"
+        else:
+            entry["matrix"][0][1] = 0
+        determinant_calls.clear()
+        contraction_calls.clear()
+        read = read_recipe(data)
+        assert determinant_calls == [read.ifs.maps[5].matrix]
+        assert contraction_calls == [read.ifs.maps[5]]
+        assert read.ifs.certificates == tuple(map(is_contractive, read.ifs.maps))

@@ -225,6 +225,26 @@ class TestCirclePoints:
     def test_circle_polynomial_text(self):
         assert circle_polynomial() == parse_polynomial("x1^2 + x2^2 - 1")
 
+    def test_equals_the_set_filtered_reference(self):
+        for count in [*range(4, 201), 10_000]:
+            assert rational_circle_points(count) == _set_filtered_circle_points(count)
+
+
+def _set_filtered_circle_points(count):
+    """The half-angle points and their mirror images, duplicates dropped through a set."""
+    half = count // 2 + 1
+    points, seen = [], set()
+    for k in range(half):
+        s = Fraction(-1) + Fraction(2 * k, half - 1)
+        denominator = 1 + s * s
+        x = (1 - s * s) / denominator
+        y = 2 * s / denominator
+        for candidate in ((x, y), (-x, y)):
+            if candidate not in seen:
+                seen.add(candidate)
+                points.append(candidate)
+    return points
+
 
 def test_circle_point_cap_rejects_before_building():
     tracemalloc.start()
