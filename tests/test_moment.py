@@ -698,7 +698,7 @@ class TestEarlyStop:
 
 @pytest.fixture
 def contraction_calls(monkeypatch):
-    """The maps the IFS readers and builders pass to is_contractive."""
+    """The maps passed to is_contractive, by the IFS readers and by build_moment_ifs."""
     calls = []
 
     def counted(f):
