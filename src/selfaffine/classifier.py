@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 from .exactlinalg import Matrix, as_matrix, as_vector, mat_inverse
 from .rationals import _clear_denominators, parse_rational
-from .series import TruncatedSeries, _compose, _reverse_powers
+from .series import TruncatedSeries, _combine, _powers, _reverse_powers
 
 __all__ = [
     "VERDICT_MOMENT",
@@ -77,13 +77,7 @@ def normalize_at_fixed_point(
         if curve.coords[i][0] != value[i]:
             raise ValueError("constant coefficients must equal the value at the base point")
     shifted = [(Fraction(0),) + row[1:] for row in curve.coords]
-    rows = tuple(
-        tuple(
-            sum(inverse[i][j] * shifted[j][k] for j in range(n))
-            for k in range(curve.order + 1)
-        )
-        for i in range(n)
-    )
+    rows = tuple(tuple(_combine(weights, shifted, curve.order)) for weights in inverse)
     return TruncatedSeries(curve.order, rows)
 
 
@@ -155,11 +149,7 @@ def graph_form(normalized: TruncatedSeries) -> GraphForm:
     powers = _reverse_powers(normalized.coords[0], order)
     extracted = []
     for k in range(1, n):
-        coeffs = normalized.coords[k]
-        row = tuple(
-            sum((coeffs[j] * powers[j][m] for j in range(1, m + 1) if coeffs[j]), Fraction(0))
-            for m in range(order + 1)
-        )
+        row = tuple(_combine(normalized.coords[k], powers, order))
         exponent = next((i for i in range(1, order + 1) if row[i] != 0), None)
         if exponent is None:
             raise HyperplaneDegeneracyError(
@@ -205,6 +195,14 @@ class ConjugationReport:
     monomial: Optional[bool] = None
 
 
+def _first_mismatch(k: int, left: Sequence[Fraction], right: Sequence[Fraction]) -> Optional[str]:
+    """The line naming the first degree where two coefficient rows differ, or None."""
+    for degree, (a, b) in enumerate(zip(left, right)):
+        if a != b:
+            return f"coordinate {k}: identity fails first at degree {degree} ({a} vs {b})"
+    return None
+
+
 def _check_diagonal(gf: GraphForm, diagonal: Sequence[Fraction]) -> ConjugationReport:
     values = [Fraction(x) for x in diagonal]
     n = len(gf.exponents) + 1
@@ -220,15 +218,12 @@ def _check_diagonal(gf: GraphForm, diagonal: Sequence[Fraction]) -> ConjugationR
     for position, (p, c, row) in enumerate(zip(gf.exponents, gf.leading, gf.series)):
         k = position + 2
         scale = values[position + 1]
-        for degree in range(gf.order + 1):
-            left = row[degree] * lam_powers[degree]
-            right = scale * row[degree]
-            if left != right:
-                mismatches.append(
-                    f"coordinate {k}: identity fails first at degree {degree} "
-                    f"({left} vs {right})"
-                )
-                break
+        # x_k*(λ₁·u) against λ_k·x_k*(u), coefficient by coefficient
+        mismatch = _first_mismatch(
+            k, [x * step for x, step in zip(row, lam_powers)], [scale * x for x in row]
+        )
+        if mismatch:
+            mismatches.append(mismatch)
         if scale != lam_powers[p]:
             eigen_ok = False
             mismatches.append(
@@ -249,29 +244,21 @@ def _check_diagonal(gf: GraphForm, diagonal: Sequence[Fraction]) -> ConjugationR
 def _check_matrix(gf: GraphForm, matrix: Matrix) -> ConjugationReport:
     n = len(gf.exponents) + 1
     m = as_matrix(matrix)
-    if len(m) != n:
+    if len(m) != n or len(m[0]) != n:
         raise ValueError(f"expected a {n}×{n} matrix")
     order = gf.order
     xi = [TruncatedSeries.identity(order).coefficients(), *gf.series]
-    images = [
-        tuple(
-            sum(m[i][j] * xi[j][k] for j in range(n)) for k in range(order + 1)
-        )
-        for i in range(n)
-    ]
-    inner = images[0]
-    if inner[0] != 0:
+    images = [_combine(weights, xi, order) for weights in m]
+    if images[0][0] != 0:
         raise ValueError("transformed first coordinate must vanish at 0")
-    mismatches: list[str] = []
+    # ξ_k∘Y = Σⱼ ξ_k[j]·Yʲ, every coordinate over one table of powers of Y = images[0]
+    powers = _powers(images[0], order)
+    mismatches = []
     for position in range(1, n):
-        composed = _compose(xi[position], inner, order)
-        for degree in range(order + 1):
-            if images[position][degree] != composed[degree]:
-                mismatches.append(
-                    f"coordinate {position + 1}: identity fails first at degree "
-                    f"{degree} ({images[position][degree]} vs {composed[degree]})"
-                )
-                break
+        composed = _combine(xi[position], powers, order)
+        mismatch = _first_mismatch(position + 1, images[position], composed)
+        if mismatch:
+            mismatches.append(mismatch)
     return ConjugationReport(not mismatches, "matrix", tuple(mismatches))
 
 
@@ -329,7 +316,7 @@ def _check_recenter(profile, t1, rows, index, missing) -> None:
     for _ in range(top):
         scaled.append([b * x - a * y for x, y in zip([0] + scaled[-1], scaled[-1] + [0])])
     for p, row in zip(profile, rows):
-        expanded = [sum(c * v[m] for c, v in zip(row, span) if v[m]) for m in range(top + 1)]
+        expanded = _combine(row, span, top)
         if [value * b**p for value in expanded] != scaled[p] + [0] * (top - p):
             raise ArithmeticError(f"row {p} does not re-expand to (t - t1)^{p}")
     if index is not None:

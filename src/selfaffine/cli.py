@@ -41,7 +41,6 @@ from .polynomials import (
 )
 from .pullback import (
     circle_polynomial,
-    coefficient_span_dimension,
     dependency_witness,
     diameter_decay_report,
     pullback_sequence,
@@ -107,7 +106,6 @@ def _cmd_build_moment(args) -> int:
     ratio = parse_rational(args.ratio) if args.ratio else ceiling / 2
     anchors = _parse_anchor_list(args.anchors) if args.anchors else choose_anchors(spec, ratio)
     recipe = build_moment_ifs(spec, ratio, anchors)
-    _check_format(args.format, ("json",), "build-moment")
     payload = _json_text(recipe_to_jsonable(recipe))
     report = sys.stdout if args.output else sys.stderr
     _emit(payload, args.output)
@@ -146,7 +144,6 @@ def _cmd_paraboloid(args) -> int:
         tuple(_parse_base_pairs(args.base)),
     )
     ifs = build_paraboloid_ifs(spec)
-    _check_format(args.format, ("json",), "paraboloid")
     data = ifs_to_jsonable(ifs)
     data["meta"] = {
         "surface": "paraboloid",
@@ -166,8 +163,8 @@ def _cmd_paraboloid(args) -> int:
     return 0
 
 
-def _chaos_cloud(args, allowed: str):
-    """The chaos-game cloud that chaos and render write, in the format `allowed`.
+def _chaos_cloud(args):
+    """The chaos-game cloud that chaos and render write.
 
     A file that read_recipe rejects, moment meta or not, is read by ifs_from_jsonable.
     """
@@ -176,25 +173,23 @@ def _chaos_cloud(args, allowed: str):
         ifs = read_recipe(data).ifs
     except ValueError:
         ifs = ifs_from_jsonable(data)
-    _check_format(args.format, (allowed,), args.subcommand)
     if args.points <= 0:
         raise ValueError("--points must be positive")
     return chaos_game(ifs, args.points + args.burn_in, args.burn_in, args.seed)
 
 
 def _cmd_chaos(args) -> int:
-    write_csv(_chaos_cloud(args, "csv"), args.output if args.output else sys.stdout)
+    write_csv(_chaos_cloud(args), args.output if args.output else sys.stdout)
     return 0
 
 
 def _cmd_render(args) -> int:
-    cloud = _chaos_cloud(args, "svg")
+    cloud = _chaos_cloud(args)
     write_svg(cloud, args.output if args.output else sys.stdout, projection=tuple(args.project))
     return 0
 
 
 def _cmd_verify(args) -> int:
-    _check_format(args.format, ("text",), "verify")
     if args.points < 2:
         raise ValueError("--points must be at least 2")
     recipe = read_recipe(_load_json(args.ifs))
@@ -218,7 +213,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    _check_format(args.format, ("text",), "scaling")
     with open(args.polynomial, "r", encoding="utf-8") as handle:
         poly = parse_polynomial(handle.read())
     f = _load_single_map(args.map)
@@ -236,7 +230,6 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    _check_format(args.format, ("text", "json"), "classify")
     germ, _t0 = germ_from_jsonable(_load_json(args.germ))
     if args.order is not None:
         germ = germ.truncate(args.order)
@@ -261,7 +254,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_compactness_demo(args) -> int:
-    _check_format(args.format, ("text", "csv"), "compactness-demo")
     with open(args.polynomial, "r", encoding="utf-8") as handle:
         poly = parse_polynomial(handle.read())
     f = _load_single_map(args.map)
@@ -274,7 +266,7 @@ def _cmd_compactness_demo(args) -> int:
     samples = rational_circle_points(args.points)
     cloud = PointCloud(2, [[float(x), float(y)] for x, y in samples])
     report = diameter_decay_report(seq, cloud, tolerance=args.tolerance)
-    rank, basis = coefficient_span_dimension(seq)
+    basis = report.basis
     lines = []
     if args.format == "csv":
         lines.append("j,rank_so_far,sampled_diameter,max_residual")
@@ -293,7 +285,7 @@ def _cmd_compactness_demo(args) -> int:
             f"({format_rational(c)})·P_{k}" for c, k in zip(witness, basis)
         )
         lines.append(f"[dependency-witness] P_{dependent} = {combo} (exact re-expansion)")
-    lines.append(f"[rank-bound] coefficient rank {rank} over {len(seq)} pullbacks")
+    lines.append(f"[rank-bound] coefficient rank {len(basis)} over {len(seq)} pullbacks")
     lines.append(f"[diameter-decay] sampled diameters shrink like ‖M‖^j; "
                  f"{len(report.violations)} violations")
     lines.append(report.conclusion)
@@ -323,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated anchor list (default: uniform tiling grid)")
     p.add_argument("--output", default=None, help="write IFS JSON here (default stdout)")
     p.add_argument("--format", default="json")
-    p.set_defaults(handler=_cmd_build_moment)
+    p.set_defaults(handler=_cmd_build_moment, formats=("json",))
 
     p = sub.add_parser("paraboloid", help="build the paraboloid-embedded IFS")
     p.add_argument("--dim", type=int, required=True, help="ambient dimension n ≥ 2")
@@ -333,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated c:d pairs for the 1-D base maps, e.g. 1/2:0,1/2:1/2")
     p.add_argument("--output", default=None, help="write IFS JSON here (default stdout)")
     p.add_argument("--format", default="json")
-    p.set_defaults(handler=_cmd_paraboloid)
+    p.set_defaults(handler=_cmd_paraboloid, formats=("json",))
 
     p = sub.add_parser("chaos", help="sample an attractor to CSV via the chaos game")
     p.add_argument("ifs", help="IFS JSON file")
@@ -342,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="PCG64 seed")
     p.add_argument("--output", default=None, help="CSV path (default stdout)")
     p.add_argument("--format", default="csv")
-    p.set_defaults(handler=_cmd_chaos)
+    p.set_defaults(handler=_cmd_chaos, formats=("csv",))
 
     p = sub.add_parser("render", help="render an attractor scatter to SVG")
     p.add_argument("ifs", help="IFS JSON file")
@@ -353,19 +345,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="0-based coordinate pair to draw")
     p.add_argument("--output", default=None, help="SVG path (default stdout)")
     p.add_argument("--format", default="svg")
-    p.set_defaults(handler=_cmd_render)
+    p.set_defaults(handler=_cmd_render, formats=("svg",))
 
     p = sub.add_parser("verify", help="exact invariance check of a moment recipe")
     p.add_argument("ifs", help="IFS JSON file with recipe meta")
     p.add_argument("--points", type=int, default=100, help="rational sample count")
     p.add_argument("--format", default="text")
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, formats=("text",))
 
     p = sub.add_parser("scaling", help="detect P∘f = C·P for a polynomial and a map")
     p.add_argument("polynomial", help="polynomial text file")
     p.add_argument("map", help="single-map JSON file")
     p.add_argument("--format", default="text")
-    p.set_defaults(handler=_cmd_scaling)
+    p.set_defaults(handler=_cmd_scaling, formats=("text",))
 
     p = sub.add_parser("classify", help="classify a curve germ against the moment curve")
     p.add_argument("germ", help="germ JSON file")
@@ -374,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=None, help="truncate the germ to this order")
     p.add_argument("--output", default=None)
     p.add_argument("--format", default="text")
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler=_cmd_classify, formats=("text", "json"))
 
     p = sub.add_parser("compactness-demo",
                        help="pullback rank and zero-set decay table for the circle")
@@ -386,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative residual tolerance")
     p.add_argument("--output", default=None)
     p.add_argument("--format", default="text")
-    p.set_defaults(handler=_cmd_compactness_demo)
+    p.set_defaults(handler=_cmd_compactness_demo, formats=("text", "csv"))
 
     return parser
 
@@ -395,6 +387,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_format(args.format, args.formats, args.subcommand)
         return args.handler(args)
     except BrokenPipeError:
         return 0

@@ -18,6 +18,10 @@ __all__ = ["PointCloud", "write_csv", "read_csv", "write_svg"]
 
 PathOrFile = Union[str, "io.TextIOBase", TextIO]
 
+# write_svg's square canvas side and point radius, in SVG user units
+_SVG_SIZE = 800
+_SVG_RADIUS = 1.0
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -87,13 +91,7 @@ def read_csv(source: PathOrFile, dim: Optional[int] = None) -> PointCloud:
     return PointCloud(width, np.array(rows, dtype=float))
 
 
-def write_svg(
-    cloud: PointCloud,
-    target: PathOrFile,
-    projection: tuple[int, int] = (0, 1),
-    size: int = 800,
-    radius: float = 1.0,
-) -> None:
+def write_svg(cloud: PointCloud, target: PathOrFile, projection: tuple[int, int] = (0, 1)) -> None:
     """Flat scatter plot of a 2-D coordinate projection of the cloud.
 
     projection picks the two 0-based coordinate indices drawn as x and
@@ -108,8 +106,8 @@ def write_svg(
         raise ValueError("cannot render an empty cloud")
     xs = cloud.points[:, i]
     ys = cloud.points[:, j]
-    margin = size * 0.05
-    span = size - 2 * margin
+    margin = _SVG_SIZE * 0.05
+    span = _SVG_SIZE - 2 * margin
     x_min, x_max = float(xs.min()), float(xs.max())
     y_min, y_max = float(ys.min()), float(ys.max())
     x_extent = x_max - x_min or 1.0
@@ -117,12 +115,12 @@ def write_svg(
     scale = span / max(x_extent, y_extent)
     with _open_for_write(target) as handle:
         handle.write(
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-            f'viewBox="0 0 {size} {size}">\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+            f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">\n'
         )
-        handle.write(f'<rect width="{size}" height="{size}" fill="white"/>\n')
+        handle.write(f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>\n')
         for x, y in zip(xs, ys):
             px = margin + (x - x_min) * scale
-            py = size - margin - (y - y_min) * scale
-            handle.write(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{radius}" fill="black"/>\n')
+            py = _SVG_SIZE - margin - (y - y_min) * scale
+            handle.write(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{_SVG_RADIUS}" fill="black"/>\n')
         handle.write("</svg>\n")

@@ -151,6 +151,7 @@ class DecayRow:
 class DecayReport:
     rows: tuple[DecayRow, ...]
     violations: tuple[str, ...]
+    basis: tuple[int, ...]  # coefficient_span_dimension's earliest independent indices
     conclusion: str = CITED_CONCLUSION
 
     @property
@@ -174,7 +175,8 @@ def diameter_decay_report(
     column name "sampled diameter"), and max |P_j| on the pushed cloud.
     Violations of the residual tolerance (relative, default 1e-9), the
     norm-power diameter bound, or eventual monotone decay are recorded,
-    not raised.
+    not raised.  The report carries the basis indices of
+    `coefficient_span_dimension`, whose rank-cap check runs here.
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
@@ -185,7 +187,7 @@ def diameter_decay_report(
     translation = _float_array(seq.map.translation)
     norm = operator_norm(seq.map.matrix)
     # the earliest independent set of P₀..P_m, cut to P₀..P_j, is that of P₀..P_j
-    kept = set(greedy_independent(_coefficient_vectors(seq))[1])
+    basis = coefficient_span_dimension(seq)[1]
     rank_so_far = 0
     rows: list[DecayRow] = []
     violations: list[str] = []
@@ -197,7 +199,7 @@ def diameter_decay_report(
             pushed = pushed @ matrix.T + translation
         cloud = PointCloud(zero_samples.dim, pushed)
         residual = surface_residual(poly, cloud)
-        if j in kept:
+        if j in basis:
             rank_so_far += 1
         sampled = diameter(cloud)
         rows.append(DecayRow(j, rank_so_far, sampled, residual))
@@ -213,7 +215,7 @@ def diameter_decay_report(
         ):
             violations.append(f"j={j}: diameter stopped decreasing")
         previous_diameter = sampled
-    return DecayReport(tuple(rows), tuple(violations))
+    return DecayReport(tuple(rows), tuple(violations), basis)
 
 
 def circle_polynomial() -> MultiPoly:

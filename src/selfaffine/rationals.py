@@ -16,6 +16,8 @@ __all__ = ["parse_rational", "format_rational", "sqrt_upper_bound"]
 
 # "p/q" with positive denominator, or a bare integer; no decimals, no floats
 _RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
+# sqrt_upper_bound's grid: its bound is a multiple of 1/_SQRT_SCALE
+_SQRT_SCALE = 10**6
 
 
 def parse_rational(text: str | int | Fraction) -> Fraction:
@@ -66,18 +68,18 @@ def _check_tiling(intervals, a: Fraction, b: Fraction, images: str, interval: st
         reach = max(reach, right)
 
 
-def sqrt_upper_bound(x: Fraction | int, scale: int = 10**6) -> Fraction:
-    """Smallest k/scale with (k/scale)^2 > x, for x >= 0.
+def sqrt_upper_bound(x: Fraction | int) -> Fraction:
+    """Smallest k/_SQRT_SCALE with (k/_SQRT_SCALE)^2 > x, for x >= 0.
 
-    A strict rational upper bound on sqrt(x), within 1/scale of the true
+    A strict rational upper bound on sqrt(x), within 1/_SQRT_SCALE of the true
     root.  Strictness matters: substituting the bound into a reciprocal
     keeps derived quantities strictly below their irrational targets.
     """
     x = Fraction(x)
     if x < 0:
         raise ValueError("negative input")
-    target = x * scale * scale
+    target = x * _SQRT_SCALE * _SQRT_SCALE
     k = isqrt(target.numerator // target.denominator)
     while Fraction(k * k) <= target:
         k += 1
-    return Fraction(k, scale)
+    return Fraction(k, _SQRT_SCALE)

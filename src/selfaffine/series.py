@@ -100,14 +100,23 @@ def _mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fract
     return out
 
 
-def _compose(outer: Sequence[Fraction], inner: Sequence[Fraction], order: int) -> list[Fraction]:
-    # Horner over series; inner must have zero constant term.
-    result = [Fraction(0)] * (order + 1)
-    result[0] = outer[order] if order < len(outer) else Fraction(0)
-    for k in range(order - 1, -1, -1):
-        result = _mul(result, inner, order)
-        result[0] += outer[k]
-    return result
+def _combine(weights: Sequence[Fraction], rows: Sequence[Sequence], order: int) -> list[Fraction]:
+    """Σⱼ weights[j]·rows[j] on coefficients 0..order, skipping zero weights and entries."""
+    out = [Fraction(0)] * (order + 1)
+    for weight, row in zip(weights, rows):
+        if weight:
+            for m, x in enumerate(row[: order + 1]):
+                if x:
+                    out[m] += weight * x
+    return out
+
+
+def _powers(inner: Sequence[Fraction], order: int) -> list[list[Fraction]]:
+    """The table innerʲ, j = 0..order, each truncated at order."""
+    table = [[Fraction(1)] + [Fraction(0)] * order]
+    for _ in range(order):
+        table.append(_mul(table[-1], inner, order))
+    return table
 
 
 def series_multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -127,7 +136,9 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
         raise ValueError("series orders differ")
     if inn[0] != 0:
         raise ValueError("inner series must have zero constant term")
-    return TruncatedSeries(outer.order, (tuple(_compose(out, inn, outer.order)),))
+    # outer∘inner = Σⱼ outer_j·innerʲ
+    powers = _powers(inn, outer.order)
+    return TruncatedSeries(outer.order, (tuple(_combine(out, powers, outer.order)),))
 
 
 def _reverse_powers(coeffs: Sequence[Fraction], order: int) -> list[list[Fraction]]:

@@ -27,7 +27,7 @@ from selfaffine.classifier import (
     tangent_eigenvalue,
 )
 from selfaffine.exactlinalg import express_in_span, identity, mat_inverse, mat_mul, mat_vec
-from selfaffine.series import TruncatedSeries, _compose, series_reverse
+from selfaffine.series import TruncatedSeries, series_reverse
 
 ORDER = 16
 
@@ -47,13 +47,26 @@ def diag(*entries):
             for i in range(n)]
 
 
+def horner_compose(outer, inner, order):
+    """Local Horner composition outer∘inner, independent of the library implementation."""
+    result = [Fraction(0)] * (order + 1)
+    for coefficient in reversed(list(outer[: order + 1])):
+        shifted = [Fraction(0)] * (order + 1)
+        for i, x in enumerate(result):
+            for j, y in enumerate(inner[: order + 1 - i]):
+                shifted[i + j] += x * y
+        result = shifted
+        result[0] += coefficient
+    return result
+
+
 def reference_graph_form(normalized):
-    """Plain graph form: one series_reverse, then one _compose per coordinate."""
+    """Plain graph form: one series_reverse, then one Horner composition per coordinate."""
     n, order = normalized.dim, normalized.order
     inner = series_reverse(normalized.coordinate(0)).coefficients()
     extracted = []
     for k in range(1, n):
-        row = tuple(_compose(normalized.coords[k], inner, order))
+        row = tuple(horner_compose(normalized.coords[k], inner, order))
         exponent = next((i for i in range(1, order + 1) if row[i] != 0), None)
         if exponent is None:
             raise HyperplaneDegeneracyError(
@@ -307,6 +320,35 @@ class TestCheckConjugation:
         report = check_conjugation(gf, rot)
         assert not report.passed
         assert report.mismatches
+
+
+    HALF = Fraction(1, 2)
+
+    @pytest.mark.parametrize("germ, scaling, mismatches", [
+        (moment_germ(2), [[HALF, Fraction(1)], [Fraction(0), HALF]],
+         ("coordinate 2: identity fails first at degree 2 (1/2 vs 1/4)",)),
+        (moment_germ(2), [[Fraction(3, 10), Fraction(-4, 10)], [Fraction(4, 10), Fraction(3, 10)]],
+         ("coordinate 2: identity fails first at degree 1 (2/5 vs 0)",)),
+        (moment_germ(3), [HALF, HALF**2, HALF**2],
+         ("coordinate 3: identity fails first at degree 3 (1/8 vs 1/4)",
+          "coordinate 3: λ_k = 1/4 differs from λ₁^3 = 1/8")),
+        (TruncatedSeries.from_rows([[0, 1], [0, 0, 1, 1]], 10), [HALF, HALF**2],
+         ("coordinate 2: identity fails first at degree 3 (1/8 vs 1/4)",
+          "coordinate 2: not monomial, extra term at degree 3")),
+        # the matrix mode prints A·ξ first and ξ∘Y second, the diagonal mode x_k*(λ₁·u) first
+        (TruncatedSeries.from_rows([[0, 1], [0, 0, 1, 1]], 10), diag(HALF, HALF**2),
+         ("coordinate 2: identity fails first at degree 3 (1/4 vs 1/8)",)),
+    ], ids=["jordan", "rotation", "wrong-powers", "non-monomial-diagonal",
+            "non-monomial-matrix"])
+    def test_mismatch_lines_are_pinned(self, germ, scaling, mismatches):
+        report = check_conjugation(graph_form(germ), scaling)
+        assert not report.passed
+        assert report.mismatches == mismatches
+
+    def test_matrix_mode_rejects_a_non_square_matrix(self):
+        gf = graph_form(moment_germ(2))
+        with pytest.raises(ValueError, match="expected a 2×2 matrix"):
+            check_conjugation(gf, [[self.HALF, 0, 0], [0, self.HALF**2, 0]])
 
 
 class TestSolveRecenter:

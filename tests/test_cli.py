@@ -574,6 +574,18 @@ class TestCompactnessDemo:
         assert lines[0] == "j,rank_so_far,sampled_diameter,max_residual"
         assert len([l for l in lines if l and l[0].isdigit()]) == 5
 
+    def test_pullback_coefficients_eliminated_once(self, circle_file, half_map_file,
+                                                   monkeypatch, capsys):
+        calls = []
+        original = pullback.greedy_independent
+        monkeypatch.setattr(pullback, "greedy_independent",
+                            lambda vectors: calls.append(len(vectors)) or original(vectors))
+        code, out, _ = run(capsys, "compactness-demo", str(circle_file),
+                           str(half_map_file), "--depth", "12")
+        assert code == 0
+        assert calls == [13]
+        assert "[rank-bound] coefficient rank 2 over 13 pullbacks" in out
+
     def test_pullback_beyond_float_range_is_input_error(self, tmp_path, circle_file, capsys):
         # the map's entries are floats, but P∘f⁻¹ has coefficients near 10⁴⁰⁰
         far = tmp_path / "far.json"
@@ -675,6 +687,30 @@ class TestArgumentErrors:
         assert (code, out, calls) == (2, "", [])
         assert (json.loads(err)["error"]
                 == "compactness-demo supports --format {text,csv}, got 'json'")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["build-moment", "--dim", "5", "--c", "0", "--d", "1", "--format", "yaml"],
+         "build-moment supports --format {json}, got 'yaml'"),
+        (["paraboloid", "--dim", "3", "--c", "0", "--d", "1/4", "--base", "1/2:0,1/2:1/8",
+          "--format", "yaml"],
+         "paraboloid supports --format {json}, got 'yaml'"),
+        (["chaos", "system.json", "--format", "svg"], "chaos supports --format {csv}, got 'svg'"),
+        (["render", "system.json", "--format", "csv"], "render supports --format {svg}, got 'csv'"),
+    ], ids=["build-moment", "paraboloid", "chaos", "render"])
+    def test_format_rejected_before_any_work(self, argv, message, monkeypatch, capsys):
+        calls = []
+        for name in ("build_moment_ifs", "build_paraboloid_ifs", "_load_json"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, calls) == (2, "", [])
+        assert json.loads(err) == {"error": message}
+
+    def test_every_subcommand_declares_its_formats(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices
+        for name, subparser in subparsers.items():
+            formats = subparser.get_default("formats")
+            assert formats and subparser.get_default("format") == formats[0], name
 
     def test_scaling_rejects_unsupported_format(self, circle_file, half_map_file, capsys):
         code, out, err = run(capsys, "scaling", str(circle_file), str(half_map_file),

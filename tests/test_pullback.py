@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from selfaffine import pullback
 from selfaffine.affine import AffineMap
 from selfaffine.cloud import PointCloud
 from selfaffine.exactlinalg import greedy_independent
@@ -180,6 +181,22 @@ class TestDiameterDecay:
         vectors = _coefficient_vectors(seq)
         ranks = [greedy_independent(vectors[: j + 1])[0] for j in range(len(seq))]
         assert [row.rank_so_far for row in report.rows] == ranks
+
+    def test_report_carries_the_span_basis(self):
+        f = AffineMap([[Fraction(3, 5), Fraction(-4, 7)], [Fraction(4, 7), Fraction(3, 5)]],
+                      [Fraction(0), Fraction(0)])
+        seq = pullback_sequence(circle_polynomial(), f, 12)
+        report = diameter_decay_report(seq, circle_cloud())
+        rank, basis = coefficient_span_dimension(seq)
+        assert report.basis == basis
+        assert report.rows[-1].rank_so_far == rank == len(basis)
+
+    def test_report_runs_the_rank_cap_check(self, monkeypatch):
+        seq = pullback_sequence(circle_polynomial(), half_map(), 12)
+        monkeypatch.setattr(pullback, "greedy_independent",
+                            lambda vectors: (7, tuple(range(7))))
+        with pytest.raises(ArithmeticError, match="rank exceeded"):
+            diameter_decay_report(seq, circle_cloud())
 
     def test_rejects_off_surface_samples(self):
         seq = pullback_sequence(circle_polynomial(), half_map(), 3)

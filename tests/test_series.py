@@ -12,7 +12,6 @@ import pytest
 
 from selfaffine.series import (
     TruncatedSeries,
-    _compose,
     _reverse_powers,
     series_compose,
     series_multiply,
@@ -29,6 +28,15 @@ def _mul_lists(a, b, order):
         for j, y in enumerate(b[: order + 1 - i]):
             out[i + j] += x * y
     return out
+
+
+def horner_compose(outer, inner, order):
+    """Local Horner composition outer∘inner, independent of the library implementation."""
+    result = [Fraction(0)] * (order + 1)
+    for coefficient in reversed(list(outer[: order + 1])):
+        result = _mul_lists(result, inner, order)
+        result[0] += coefficient
+    return result
 
 
 def _reciprocal_list(c, order):
@@ -64,7 +72,7 @@ def reference_reverse(coeffs, order):
     result = [Fraction(0)] * (order + 1)
     result[1] = 1 / coeffs[1]
     for m in range(2, order + 1):
-        result[m] = -_compose(coeffs, result, m)[m] / coeffs[1]
+        result[m] = -horner_compose(coeffs, result, m)[m] / coeffs[1]
     return result
 
 
@@ -174,6 +182,24 @@ class TestCompose:
             left = series_compose(series_compose(a, b), c)
             right = series_compose(a, series_compose(b, c))
             assert left.coefficients() == right.coefficients()
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "negative"])
+    def test_equals_horner_reference(self, kind):
+        rng = random.Random(f"compose:{kind}")
+
+        def coefficient():
+            if kind == "sparse" and rng.random() < 0.7:
+                return Fraction(0)
+            if kind == "negative":
+                return -Fraction(rng.randint(1, 9), rng.randint(1, 5))
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+        for order in range(1, 17):
+            outer = [coefficient() for _ in range(order + 1)]
+            inner = [Fraction(0)] + [coefficient() for _ in range(order)]
+            composed = series_compose(TruncatedSeries.from_coefficients(outer, order),
+                                      TruncatedSeries.from_coefficients(inner, order))
+            assert list(composed.coefficients()) == horner_compose(outer, inner, order)
 
 
 class TestReverse:
