@@ -10,103 +10,22 @@ that keeps non-trivial self-affine sets off compact algebraic surfaces.
 
 from types import ModuleType as _ModuleType
 
-from .affine import (
-    AffineMap,
-    ContractionCertificate,
-    IteratedFunctionSystem,
-    compose,
-    fixed_point,
-    ifs_from_jsonable,
-    ifs_to_jsonable,
-    invert,
-    is_contractive,
-    map_from_jsonable,
-    map_to_jsonable,
-    matrix_from_jsonable,
-    max_row_sum,
-    operator_norm,
-)
-from .attractor import chaos_game, diameter, hutchinson_iterate, one_sided_hausdorff
-from .classifier import (
-    VERDICT_CONJUGATION,
-    VERDICT_GAP,
-    VERDICT_HYPERPLANE,
-    VERDICT_MOMENT,
-    ClassificationResult,
-    ConjugationReport,
-    GraphForm,
-    HyperplaneDegeneracyError,
-    InsufficientOrderError,
-    RecenterResult,
-    check_conjugation,
-    classify_curve,
-    germ_from_jsonable,
-    graph_form,
-    normalize_at_fixed_point,
-    solve_recenter,
-    tangent_eigenvalue,
-)
-from .cloud import PointCloud, read_csv, write_csv, write_svg
-from .exactlinalg import (
-    determinant,
-    express_in_span,
-    greedy_independent,
-    mat_inverse,
-    solve,
-)
-from .moment import (
-    InvarianceReport,
-    MomentCurveSpec,
-    MomentIfsRecipe,
-    build_moment_ifs,
-    choose_anchors,
-    eval_moment,
-    lambda_bound,
-    recipe_from_jsonable,
-    recipe_to_jsonable,
-    verify_moment_invariance,
-)
-from .paraboloid import (
-    ParaboloidSpec,
-    build_paraboloid_ifs,
-    paraboloid_polynomial,
-    surface_residual,
-    verify_paraboloid_conjugation,
-)
-from .polynomials import (
-    FixedPointReport,
-    MultiPoly,
-    ScalingCertificate,
-    format_polynomial,
-    is_self_affine_pair,
-    parse_polynomial,
-    scaling_certificate,
-    scaling_constant,
-    verify_fixed_points_on_surface,
-)
-from .pullback import (
-    CITED_CONCLUSION,
-    DecayReport,
-    PullbackSequence,
-    circle_polynomial,
-    coefficient_span_dimension,
-    dependency_witness,
-    diameter_decay_report,
-    pullback_sequence,
-    rational_circle_points,
-)
-from .rationals import format_rational, parse_rational, sqrt_upper_bound
-from .series import (
-    TruncatedSeries,
-    series_compose,
-    series_multiply,
-    series_reverse,
-)
+from .affine import *
+from .attractor import *
+from .classifier import *
+from .cloud import *
+from .exactlinalg import *
+from .moment import *
+from .paraboloid import *
+from .polynomials import *
+from .pullback import *
+from .rationals import *
+from .series import *
 
 __version__ = "0.1.0"
 
-# The public names are the ones imported above; the submodules are not among them.
-__all__ = sorted(
+# Each module's __all__, star-imported above, and the version; the submodules are not among them.
+__all__ = ["__version__"] + sorted(
     name for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, _ModuleType)
 )

@@ -214,7 +214,7 @@ class IteratedFunctionSystem:
     )
 
     def __post_init__(self) -> None:
-        _certified_system(self.maps, {}, self)
+        _certified_system(self.maps, ifs=self)
 
     @property
     def dim(self) -> int:
@@ -230,25 +230,25 @@ class IteratedFunctionSystem:
         return self.maps[index]
 
 
-def _certified_system(maps, known, ifs=None) -> IteratedFunctionSystem:
+def _certified_system(maps, certificates=(), ifs=None) -> IteratedFunctionSystem:
     """`maps` as a system, each map certified once, stored on `ifs` (by default a new one).
 
-    The maps `known` indexes skip the determinant, as the moment construction's (triangular,
-    diagonal λᵏ, λ > 0) do, and take the certificate it gives, or is_contractive's for None.
+    `certificates` gives one certificate per map, drawn in order as the maps are
+    checked; a map given None, or none at all, is certified in full.
     """
     ifs = object.__new__(IteratedFunctionSystem) if ifs is None else ifs
     maps = tuple(maps)
     if not maps:
         raise ValueError("an iterated function system needs at least one map")
     dim = maps[0].dim
-    certificates = []
+    known = iter(certificates)
+    certified = []
     for index, current in enumerate(maps):
         if current.dim != dim:
             raise ValueError(f"map {index} has dimension {current.dim}, expected {dim}")
-        certify = _certify_contraction if index in known else certify_admissible
-        certificates.append(known.get(index) or certify(current, f"map {index}"))
+        certified.append(next(known, None) or certify_admissible(current, f"map {index}"))
     object.__setattr__(ifs, "maps", maps)
-    object.__setattr__(ifs, "certificates", tuple(certificates))
+    object.__setattr__(ifs, "certificates", tuple(certified))
     return ifs
 
 
@@ -303,17 +303,8 @@ def map_to_jsonable(f: AffineMap) -> dict:
     }
 
 
-def ifs_from_jsonable(data) -> IteratedFunctionSystem:
-    """Parse and validate the dict form produced by ifs_to_jsonable."""
-    return _read_system(data, lambda dim, entries: [None] * len(entries))
-
-
-def _read_system(data, built) -> IteratedFunctionSystem:
-    """Read an IFS document, parsing and certifying every entry that `built` does not supply.
-
-    built(dim, entries) runs before any entry is parsed and may raise ValueError; per entry it
-    returns (map, certificate or None) when the map is invertible and as stored, else None.
-    """
+def _ifs_header(data) -> tuple[int, list]:
+    """The "dim" and the "maps" entries of an IFS document, checked before any entry is read."""
     if not isinstance(data, dict):
         raise ValueError("IFS document must be a JSON object")
     dim = data.get("dim")
@@ -322,7 +313,12 @@ def _read_system(data, built) -> IteratedFunctionSystem:
     entries = data.get("maps")
     if not isinstance(entries, list) or not entries:
         raise ValueError('"maps" must be a nonempty array')
-    known = built(dim, entries)
-    maps = [pair[0] if pair else map_from_jsonable(entry, dim, where=f"map {index}")
-            for index, (pair, entry) in enumerate(zip(known, entries))]
-    return _certified_system(maps, {index: pair[1] for index, pair in enumerate(known) if pair})
+    return dim, entries
+
+
+def ifs_from_jsonable(data) -> IteratedFunctionSystem:
+    """Parse and validate the dict form produced by ifs_to_jsonable."""
+    dim, entries = _ifs_header(data)
+    return _certified_system(
+        map_from_jsonable(entry, dim, where=f"map {index}") for index, entry in enumerate(entries)
+    )

@@ -290,7 +290,6 @@ class RecenterResult:
 
     feasible: bool
     exponents: tuple[int, ...]
-    quotient: tuple[int, ...]
     matrix: Optional[tuple[tuple[Fraction, ...], ...]]
     witness_index: Optional[int] = None
     witness_degree: Optional[int] = None
@@ -329,13 +328,11 @@ def solve_recenter(exponents: Sequence[int], t1: Fraction) -> RecenterResult:
     """Decide the recentering system for an exponent profile.
 
     The profile must start at 1 and increase strictly.  Feasibility of
-    every row is equivalent to the profile being (1, 2, …, n); the
-    degree filter fixes the free inner degree d at 1, so the quotient
-    exponents equal the profile itself.  Span vector j, t^{p_j} − t1^{p_j},
-    is a unit vector apart from its constant slot, so row p can only be
-    C(p, p_j)·(−t1)^{p−p_j}, and the first p whose range 1..p misses a
-    degree fails with the smallest one as witness; `_check_recenter`
-    certifies either answer before it is returned.
+    every row is equivalent to the profile being (1, 2, …, n).  Span
+    vector j, t^{p_j} − t1^{p_j}, is a unit vector apart from its constant
+    slot, so row p can only be C(p, p_j)·(−t1)^{p−p_j}, and the first p
+    whose range 1..p misses a degree fails with the smallest one as
+    witness; `_check_recenter` certifies either answer before it is returned.
     """
     profile = tuple(int(p) for p in exponents)
     if not profile or profile[0] != 1:
@@ -351,10 +348,10 @@ def solve_recenter(exponents: Sequence[int], t1: Fraction) -> RecenterResult:
         missing = next((m for m in range(1, p + 1) if m not in degrees), None)
         if missing is not None:
             _check_recenter(profile, t1, (), index, missing)
-            return RecenterResult(False, profile, profile, None, index, missing)
+            return RecenterResult(False, profile, None, index, missing)
         rows.append(tuple(math.comb(p, q) * (-t1) ** (p - q) for q in profile))
     _check_recenter(profile, t1, rows, None, None)
-    return RecenterResult(True, profile, profile, tuple(rows))
+    return RecenterResult(True, profile, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,20 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 from .affine import (
     AffineMap,
     IteratedFunctionSystem,
     _certified_system,
-    _read_system,
+    _certify_contraction,
+    _ifs_header,
     _row_sum_certificate,
     ifs_to_jsonable,
+    map_from_jsonable,
 )
+from .exactlinalg import as_vector
 from .rationals import (
     _check_tiling, _clear_denominators, format_rational, parse_rational, sqrt_upper_bound
 )
@@ -90,14 +94,14 @@ def choose_anchors(spec: MomentCurveSpec, ratio: Fraction) -> list[Fraction]:
 
     Uses ℓ = ⌈1/λ⌉ anchors; consecutive images of [c, d] under
     x ↦ λ(x−c) + t_i then overlap or abut, with no gaps.  More than
-    _MAP_GUARD anchors are rejected before any is built.
+    _MAP_GUARD anchors are rejected before any is built; λ and ℓ are not printed.
     """
     ratio = Fraction(ratio)
     if not 0 < ratio <= lambda_bound(spec):
         raise ValueError("ratio must lie in (0, lambda_bound]")
     count = math.ceil(1 / ratio)
     if count > _MAP_GUARD:
-        raise ValueError(f"lambda = {ratio} needs {count} maps, above the guard {_MAP_GUARD}")
+        raise ValueError(f"the map count ceil(1/lambda) is above the guard {_MAP_GUARD}")
     step = (spec.d - spec.c) * (1 - ratio) / (count - 1)
     return [spec.c + i * step for i in range(count)]
 
@@ -113,23 +117,31 @@ class MomentIfsRecipe:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ratio", Fraction(self.ratio))
-        object.__setattr__(self, "anchors", tuple(Fraction(t) for t in self.anchors))
+        object.__setattr__(self, "anchors", as_vector(self.anchors))
         _check_recipe(self.spec, self.ratio, self.anchors, self.ifs.dim, len(self.ifs.maps))
 
 
 def _check_recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, dim, count) -> None:
-    """Raise ValueError unless λ and the anchors tile [c, d], one anchor per map of dimension n."""
+    """Raise ValueError unless λ and the anchors tile [c, d], one anchor per map of dimension n.
+
+    It runs before any map is built or read, so it also caps the map count at _MAP_GUARD.
+    """
     if not 0 < ratio < 1:
         raise ValueError("contraction ratio must lie in (0, 1)")
     c, d = spec.c, spec.d
-    if any(not c <= t <= d for t in anchors):
+    distinct = [t for t, _ in groupby(sorted(anchors))]  # equal anchors have equal images
+    if any(not c <= t <= d for t in distinct):
         raise ValueError("every anchor must lie in [c, d]")
     if len(anchors) != count:
         raise ValueError("one anchor per map is required")
     if dim != spec.dim:
         raise ValueError("system dimension must match the curve dimension")
+    if not anchors:
+        raise ValueError("an iterated function system needs at least one map")
     width = ratio * (d - c)
-    _check_tiling([(t, t + width) for t in anchors], c, d, "interval images", "[c, d]")
+    _check_tiling([(t, t + width) for t in distinct], c, d, "interval images", "[c, d]")
+    if count > _MAP_GUARD:
+        raise ValueError(f"the map count {count} is above the guard {_MAP_GUARD}")
 
 
 def _parameter_line(ratio: Fraction, c: Fraction, anchor: Fraction) -> tuple[int, int, int]:
@@ -142,38 +154,22 @@ def _parameter_line(ratio: Fraction, c: Fraction, anchor: Fraction) -> tuple[int
     )
 
 
-def _pascal_rows(n: int, line: tuple[int, int, int]):
-    """For k = 1..n, the integer coefficients of (αt + β)ᵏ (t⁰ first) and γᵏ.
+def _moment_rows(n: int, line: tuple[int, int, int]):
+    """Translation entry k and matrix row k of the construction's map, k = 1..n.
 
-    Over γᵏ they are the coefficients of (λt + s)ᵏ, s = t_i − λc.
+    They are the constant term and the tʲ coefficients (zero for j > k) of
+    (λt + s)ᵏ, s = t_i − λc: the integer coefficients of (αt + β)ᵏ over γᵏ.
     """
     alpha, beta, gamma = line
-    coefficients = [1]
-    scale = 1
-    for _ in range(n):
+    coefficients, scale, zero = [1], 1, Fraction(0)
+    for k in range(1, n + 1):
         coefficients = [
             beta * lower + alpha * upper
             for lower, upper in zip(coefficients + [0], [0] + coefficients)
         ]
         scale *= gamma
-        yield coefficients, scale
-
-
-def _moment_rows(n: int, line: tuple[int, int, int]):
-    """Translation entry k and matrix row k of the construction's map, k = 1..n.
-
-    They are the constant term and the tʲ coefficients (zero for j > k) of (λt + s)ᵏ.
-    """
-    zero = Fraction(0)
-    for k, (coefficients, scale) in enumerate(_pascal_rows(n, line), start=1):
         row = tuple(Fraction(x, scale) for x in coefficients[1:]) + (zero,) * (n - k)
         yield Fraction(coefficients[0], scale), row
-
-
-def _moment_entries(n: int, line: tuple[int, int, int]):
-    """Matrix and translation of the construction's map (see _moment_rows)."""
-    translation, rows = zip(*_moment_rows(n, line))
-    return rows, translation
 
 
 def _built_certificate(n: int, line: tuple[int, int, int]):
@@ -187,23 +183,39 @@ def _built_certificate(n: int, line: tuple[int, int, int]):
 
 
 def _built_map(entry, n: int, line: tuple[int, int, int]):
-    """The map and _built_certificate when `entry` stores exactly its canonical strings, else None.
+    """The construction's map at `line`; given a stored `entry`, None unless it matches.
 
-    Rows are built only while the stored ones match, so a differing entry
-    costs no more than it stores; "2/4" for 1/2, or an integer 0, differs.
+    A stored entry must hold exactly the canonical strings ("2/4" for 1/2, or
+    an integer 0, differs).  Rows are built only while the stored ones match,
+    so a differing entry costs no more than it stores.
     """
-    if not isinstance(entry, dict):
+    if entry is None:
+        rows = list(_moment_rows(n, line))
+    elif isinstance(entry, dict) and all(
+        isinstance(entry.get(key), list) and len(entry[key]) == n for key in ("translation", "matrix")
+    ):
+        rows = []
+        stored = zip(_moment_rows(n, line), entry["translation"], entry["matrix"])
+        for (offset, row), stored_offset, stored_row in stored:
+            if stored_offset != format_rational(offset) or stored_row != [*map(format_rational, row)]:
+                return None
+            rows.append((offset, row))
+    else:
         return None
-    offsets, rows = entry.get("translation"), entry.get("matrix")
-    if not all(isinstance(stored, list) and len(stored) == n for stored in (offsets, rows)):
-        return None
-    built = []
-    for (offset, row), stored_offset, stored_row in zip(_moment_rows(n, line), offsets, rows):
-        if stored_offset != format_rational(offset) or stored_row != [*map(format_rational, row)]:
-            return None
-        built.append((offset, row))
-    translation, matrix = zip(*built)
-    return AffineMap(matrix, translation), _built_certificate(n, line)
+    translation, matrix = zip(*rows)
+    return AffineMap(matrix, translation)
+
+
+def _construction_certificates(n: int, lines, built):
+    """One certificate per entry of `built`, drawn lazily and in order.
+
+    A construction map takes _built_certificate's, or is_contractive's where
+    that is None; it never reaches the determinant, since its diagonal is λᵏ
+    with λ > 0.  An entry None (a stored map that is not the construction's)
+    gives None, which _certified_system certifies in full.
+    """
+    for index, (line, f) in enumerate(zip(lines, built)):
+        yield f and (_built_certificate(n, line) or _certify_contraction(f, f"map {index}"))
 
 
 def build_moment_ifs(
@@ -214,21 +226,18 @@ def build_moment_ifs(
     Row k of T_i holds λᵏ·binom(k, j)·(t_i/λ − c)^(k−j) in column j;
     the translation is −T_i·η(c − t_i/λ).  Equivalently, row k and
     translation entry k are the coefficients of (λt + t_i − λc)ᵏ, so
-    each map satisfies f_i(η(t)) = η(λ(t−c) + t_i) identically.  Its
-    diagonal is λᵏ with λ > 0, so only its contraction is certified.
+    each map satisfies f_i(η(t)) = η(λ(t−c) + t_i) identically.  The
+    recipe is checked before any map is built.
     """
     ratio = Fraction(ratio)
     if not 0 < ratio <= lambda_bound(spec):
         raise ValueError("ratio must lie in (0, lambda_bound]")
-    anchors = tuple(Fraction(t) for t in anchors)
-    if any(not spec.c <= t <= spec.d for t in anchors):
-        raise ValueError("every anchor must lie in [c, d]")
-    maps, known = [], {}
-    for anchor in anchors:
-        line = _parameter_line(ratio, spec.c, anchor)
-        known[len(maps)] = _built_certificate(spec.dim, line)
-        maps.append(AffineMap(*_moment_entries(spec.dim, line)))
-    return MomentIfsRecipe(spec, ratio, anchors, _certified_system(maps, known))
+    anchors = as_vector(anchors)
+    _check_recipe(spec, ratio, anchors, spec.dim, len(anchors))
+    lines = [_parameter_line(ratio, spec.c, anchor) for anchor in anchors]
+    maps = [_built_map(None, spec.dim, line) for line in lines]
+    ifs = _certified_system(maps, _construction_certificates(spec.dim, lines, maps))
+    return MomentIfsRecipe(spec, ratio, anchors, ifs)
 
 
 @dataclass(frozen=True)
@@ -352,8 +361,9 @@ def read_recipe(data) -> MomentIfsRecipe:
 
     The meta is read first, and checked as MomentIfsRecipe checks it, before
     any map is read.  A stored map equal to the construction's is taken as
-    built, with _built_certificate; any other is parsed and certified as by
-    ifs_from_jsonable and kept as stored, so that verify_moment_invariance can name it.
+    built, with its construction certificate; any other is parsed and certified
+    as by ifs_from_jsonable and kept as stored, so that verify_moment_invariance
+    can name it.  Every entry is read before any map is certified.
     """
     meta = data.get("meta") if isinstance(data, dict) else None
     if not isinstance(meta, dict):
@@ -370,12 +380,14 @@ def read_recipe(data) -> MomentIfsRecipe:
     except KeyError as exc:
         raise ValueError(f"meta is missing {exc.args[0]!r}") from None
 
-    def built(dim, entries):
-        _check_recipe(spec, ratio, anchors, dim, len(entries))
-        return [_built_map(entry, n, _parameter_line(ratio, spec.c, anchor))
-                for entry, anchor in zip(entries, anchors)]
-
-    return MomentIfsRecipe(spec, ratio, anchors, _read_system(data, built))
+    dim, entries = _ifs_header(data)
+    _check_recipe(spec, ratio, anchors, dim, len(entries))
+    lines = [_parameter_line(ratio, spec.c, anchor) for anchor in anchors]
+    built = [_built_map(entry, n, line) for entry, line in zip(entries, lines)]
+    maps = [f or map_from_jsonable(entry, dim, where=f"map {index}")
+            for index, (f, entry) in enumerate(zip(built, entries))]
+    ifs = _certified_system(maps, _construction_certificates(n, lines, built))
+    return MomentIfsRecipe(spec, ratio, anchors, ifs)
 
 
 def recipe_from_jsonable(data) -> MomentIfsRecipe:

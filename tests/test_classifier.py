@@ -113,9 +113,9 @@ def reference_solve_recenter(profile, t1):
         coefficients = express_in_span(span, target)
         if coefficients is None:
             missing = next(m for m in range(1, p + 1) if m not in degrees)
-            return RecenterResult(False, profile, profile, None, index, missing)
+            return RecenterResult(False, profile, None, index, missing)
         rows.append(tuple(coefficients))
-    return RecenterResult(True, profile, profile, tuple(rows))
+    return RecenterResult(True, profile, tuple(rows))
 
 
 def reference_tangent_eigenvalue(m, v):

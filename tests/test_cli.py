@@ -146,6 +146,9 @@ class TestBuildMoment:
     @pytest.mark.parametrize("argv", [
         ("--dim", "10", "--c", "0", "--d", "1"),
         ("--dim", "2", "--c", "0", "--d", "1", "--lambda", "1/1000000000000"),
+        # ceil(1/lambda) has thousands of digits, beyond int-to-str conversion at n = 8000
+        ("--dim", "5000", "--c", "0", "--d", "1"),
+        ("--dim", "8000", "--c", "0", "--d", "1"),
     ])
     def test_map_count_guard_before_building(self, argv, capsys):
         (code, out, err), peak = run_traced(capsys, "build-moment", *argv)
@@ -153,7 +156,15 @@ class TestBuildMoment:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert "above the guard 50000" in json.loads(err)["error"]
+        assert len(err) < 100
         assert peak < 1_000_000
+
+    def test_empty_anchor_list_is_input_error(self, capsys):
+        code, out, err = run(capsys, "build-moment", "--dim", "2", "--c", "0", "--d", "1",
+                             "--anchors", ",")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": "an iterated function system needs at least one map"}
 
     def test_float_ratio_rejected(self, capsys):
         code, _, err = run(capsys, "build-moment", "--dim", "2", "--c", "0",

@@ -18,7 +18,7 @@ from selfaffine.exactlinalg import (
     mat_vec,
     solve,
 )
-from selfaffine.moment import MomentCurveSpec, _moment_entries, _parameter_line, lambda_bound
+from selfaffine.moment import MomentCurveSpec, _built_map, _parameter_line, lambda_bound
 
 
 def _random_matrix(rng, n, bound=5):
@@ -323,7 +323,7 @@ def _moment_matrices():
     count = 4580
     step = (spec.d - spec.c) * (1 - ratio) / (count - 1)
     return [
-        _moment_entries(5, _parameter_line(ratio, spec.c, spec.c + i * step))[0]
+        _built_map(None, 5, _parameter_line(ratio, spec.c, spec.c + i * step)).matrix
         for i in range(0, count, 23)
     ]
 

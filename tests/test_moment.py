@@ -30,7 +30,7 @@ from selfaffine.moment import (
     InvarianceCounterexample,
     InvarianceReport,
     _built_certificate,
-    _moment_entries,
+    _built_map,
     _parameter_line,
     _sampled_counterexamples,
 )
@@ -43,8 +43,7 @@ def _coefficient_mismatches(recipe):
     return [
         index
         for index, (anchor, f) in enumerate(zip(recipe.anchors, recipe.ifs.maps))
-        if (f.matrix, f.translation)
-        != _moment_entries(n, _parameter_line(recipe.ratio, recipe.spec.c, anchor))
+        if f != _built_map(None, n, _parameter_line(recipe.ratio, recipe.spec.c, anchor))
     ]
 
 
@@ -182,6 +181,20 @@ class TestBuildMomentIfs:
                 base = eval_moment(n, spec.c - anchor / ratio)
                 translation = tuple(-sum(m * x for m, x in zip(row, base)) for row in matrix)
                 assert f == AffineMap(matrix, translation)
+
+    @pytest.mark.parametrize("case", ["non-tiling", "above-guard"])
+    def test_recipe_is_checked_before_any_map_is_built(self, case, monkeypatch):
+        # 60,000 anchors 0 miss the endpoint 1; _MAP_GUARD + 1 anchors i/count tile [0, 1]
+        if case == "non-tiling":
+            ratio, anchors = Fraction(1, 100000), [Fraction(0)] * 60000
+            message = r"interval images must reach both endpoints of \[c, d\]"
+        else:
+            count = moment._MAP_GUARD + 1
+            ratio, anchors = Fraction(1, count), [Fraction(i, count) for i in range(count)]
+            message = f"the map count {count} is above the guard {moment._MAP_GUARD}"
+        monkeypatch.setattr(moment, "_moment_rows", None)
+        with pytest.raises(ValueError, match=message):
+            build_moment_ifs(unit_spec(3), ratio, anchors)
 
     def test_anchor_count_matches_maps(self):
         spec = MomentCurveSpec(3, Fraction(-1, 2), Fraction(1, 2))
@@ -330,7 +343,7 @@ class TestRecipeJson:
         assert ratio > lambda_bound(spec)
         anchors = (Fraction(0), Fraction(1, 2))
         maps = tuple(
-            AffineMap(*_moment_entries(2, _parameter_line(ratio, spec.c, t))) for t in anchors
+            _built_map(None, 2, _parameter_line(ratio, spec.c, t)) for t in anchors
         )
         recipe = MomentIfsRecipe(spec, ratio, anchors, IteratedFunctionSystem(maps))
         assert not _coefficient_mismatches(recipe)
@@ -350,7 +363,7 @@ def _tiling_recipe(n, c, d, ratio):
     step = (spec.d - spec.c) * (1 - ratio) / (count - 1)
     anchors = [spec.c + i * step for i in range(count)]
     maps = tuple(
-        AffineMap(*_moment_entries(n, _parameter_line(ratio, spec.c, t))) for t in anchors
+        _built_map(None, n, _parameter_line(ratio, spec.c, t)) for t in anchors
     )
     return MomentIfsRecipe(spec, ratio, anchors, IteratedFunctionSystem(maps))
 
@@ -534,7 +547,7 @@ class TestRecipeReader:
         # at λ = 0 the construction's maps are singular: the meta is rejected before any map
         spec, zero = MomentCurveSpec(2, Fraction(0), Fraction(1)), Fraction(0)
         anchors = [Fraction(0), Fraction(1)]
-        maps = [AffineMap(*_moment_entries(2, _parameter_line(zero, spec.c, t))) for t in anchors]
+        maps = [_built_map(None, 2, _parameter_line(zero, spec.c, t)) for t in anchors]
         data = {"dim": 2, "maps": [affine.map_to_jsonable(f) for f in maps],
                 "meta": {"n": 2, "c": "0", "d": "1", "lambda": "0", "anchors": ["0", "1"]}}
         with pytest.raises(ValueError, match=r"contraction ratio must lie in \(0, 1\)"):
@@ -556,10 +569,12 @@ class TestRecipeReader:
         ("one-anchor-short", "one anchor per map is required"),
         ("other-dimension", "system dimension must match the curve dimension"),
         ("broken-tiling", "interval images leave a gap"),
+        ("above-guard", f"the map count {moment._MAP_GUARD + 1} is above the guard"),
     ])
     def test_rejected_meta_reads_no_map(self, meta, message, determinant_calls, monkeypatch):
         data = recipe_to_jsonable(self._half_recipe())
         anchors = data["meta"]["anchors"]
+        count = moment._MAP_GUARD + 1
         if meta == "ratio-one":
             data["meta"]["lambda"] = "1"
         elif meta == "anchor-outside":
@@ -568,9 +583,14 @@ class TestRecipeReader:
             del anchors[-1]
         elif meta == "other-dimension":
             data["meta"]["n"] = 4
+        elif meta == "above-guard":
+            # the anchors i/count tile [0, 1] at λ = 1/count
+            data["meta"]["lambda"] = f"1/{count}"
+            anchors[:] = [f"{i}/{count}" for i in range(count)]
+            data["maps"] = [{}] * count
         else:
             anchors[4] = anchors[3]
-        monkeypatch.setattr(moment, "_pascal_rows", None)
+        monkeypatch.setattr(moment, "_moment_rows", None)
         determinant_calls.clear()
         with pytest.raises(ValueError, match=message):
             read_recipe(data)
@@ -581,14 +601,14 @@ class TestRecipeReader:
         data = recipe_to_jsonable(self._half_recipe())
         data["maps"][0]["matrix"] = [[] for _ in range(3)]
         rows = []
-        original = moment._pascal_rows
+        original = moment._moment_rows
 
         def counted(n, line):
             for row in original(n, line):
                 rows.append(row)
                 yield row
 
-        monkeypatch.setattr(moment, "_pascal_rows", counted)
+        monkeypatch.setattr(moment, "_moment_rows", counted)
         with pytest.raises(ValueError, match="map 0 matrix must be square"):
             read_recipe(data)
         # one row for map 0, all n = 3 rows for each of the maps that match
@@ -714,7 +734,7 @@ def _built_document(n, c, d, ratio, anchors):
     lines = [_parameter_line(ratio, c, t) for t in anchors]
     return {
         "dim": n,
-        "maps": [affine.map_to_jsonable(AffineMap(*_moment_entries(n, line))) for line in lines],
+        "maps": [affine.map_to_jsonable(_built_map(None, n, line)) for line in lines],
         "meta": {"n": n, "c": str(c), "d": str(d), "lambda": str(ratio),
                  "anchors": [str(t) for t in anchors]},
     }
@@ -729,7 +749,7 @@ class TestBuiltCertificate:
                 for ratio in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 13), lambda_bound(spec)):
                     for anchor in (c + Fraction(k, 8) for k in range(9)):
                         line = _parameter_line(ratio, c, anchor)
-                        f = AffineMap(*_moment_entries(n, line))
+                        f = _built_map(None, n, line)
                         certificate = is_contractive(f)
                         routes.add(certificate.route)
                         if certificate.route == "row-sum-bound":
@@ -781,6 +801,21 @@ class TestBuiltCertificate:
             read_recipe(data)
         assert str(read.value) == str(parsed.value) == "map 1 is not strictly contractive"
         assert len(contraction_calls) == 1
+
+    @pytest.mark.parametrize("fault, message", [
+        ("malformed-map-2", "map 2 matrix must be square"),
+        ("singular-map-0", "map 0 is not invertible"),
+    ])
+    def test_every_entry_is_read_before_any_map_is_certified(self, fault, message):
+        # map 1 is built but not contractive (see above); the other fault is still named first
+        data = _built_document(2, Fraction(0), Fraction(4), Fraction(1, 2),
+                               [Fraction(0), Fraction(2), Fraction(2)])
+        if fault == "malformed-map-2":
+            data["maps"][2]["matrix"] = [[]]
+        else:
+            data["maps"][0]["matrix"] = [["0", "0"], ["0", "0"]]
+        with pytest.raises(ValueError, match=message):
+            read_recipe(data)
 
     @pytest.mark.parametrize("kind", ["above-diagonal", "below-diagonal", "translation",
                                       "non-canonical", "integer"])
