@@ -10,6 +10,7 @@ exact-to-float conversion that the numeric samplers use.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -250,6 +251,45 @@ def _certified_system(maps, certificates=(), ifs=None) -> IteratedFunctionSystem
     object.__setattr__(ifs, "maps", maps)
     object.__setattr__(ifs, "certificates", tuple(certified))
     return ifs
+
+
+def _line(scale: Fraction, shift: Fraction) -> tuple[int, int, int]:
+    """Integers (α, β, γ) with scale·x + shift = (α·x + β)/γ for every x."""
+    (p, q), (r, s) = scale.as_integer_ratio(), shift.as_integer_ratio()
+    return p * s, r * q, q * s
+
+
+def _lift_failures(lifts, form, degrees, points, common: int, proven: int):
+    """The (map index, point index) pairs where f(η(x)) ≠ η(φ(x)), compared on integers.
+
+    `lifts` holds pairs (f, (α, β, γ)) with φ(x) = (α·x + β)/γ in every coordinate.
+    The points are x = P/Q for the integer tuples P in `points` and Q = `common`, and
+    component k of η(P/Q) is form(P)[k]/Q^degrees[k].  A map stops once the first
+    `proven` points pass, and one that fails is compared at every point.  Where
+    η∘φ = g∘η for an affine g, and η of those points are affinely independent, f = g.
+    """
+    top = max(degrees)
+    scale = common**top
+    table = [(scale, *(v * common ** (top - d) for v, d in zip(form(point), degrees)))
+             for point in points]
+    found = []
+    for index, (f, (alpha, beta, gamma)) in enumerate(lifts):
+        # at x = P/Q, φ(x) = U/G with U = α·P + β·Q and G = γ·Q
+        shift, gamma = beta * common, gamma * common
+        rows = []
+        for offset, row, d in zip(f.translation, f.matrix, degrees):
+            numerators, denominator = _clear_denominators((offset,) + row)
+            rows.append((numerators, denominator * scale, gamma**d))
+        caught = len(found)
+        for position, (point, powers) in enumerate(zip(points, table)):
+            if position == proven and len(found) == caught:
+                break
+            image = form([alpha * p + shift for p in point])
+            for (numerators, denominator, gamma_power), value in zip(rows, image):
+                if sum(map(operator.mul, numerators, powers)) * gamma_power != value * denominator:
+                    found.append((index, position))
+                    break
+    return found
 
 
 def ifs_to_jsonable(ifs: IteratedFunctionSystem) -> dict:

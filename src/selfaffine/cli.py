@@ -24,9 +24,9 @@ from .cloud import write_csv, write_svg
 from .exactlinalg import identity
 from .moment import (
     MomentCurveSpec,
+    _guarded_lambda_bound,
     build_moment_ifs,
     choose_anchors,
-    lambda_bound,
     read_recipe,
     recipe_to_jsonable,
     verify_moment_invariance,
@@ -102,7 +102,7 @@ def _check_format(value: str, allowed: Sequence[str], subcommand: str) -> None:
 
 def _cmd_build_moment(args) -> int:
     spec = MomentCurveSpec(args.dim, parse_rational(args.c), parse_rational(args.d))
-    ceiling = lambda_bound(spec)
+    ceiling = _guarded_lambda_bound(spec)
     ratio = parse_rational(args.ratio) if args.ratio else ceiling / 2
     anchors = _parse_anchor_list(args.anchors) if args.anchors else choose_anchors(spec, ratio)
     recipe = build_moment_ifs(spec, ratio, anchors)

@@ -10,10 +10,10 @@ checked in exact rational arithmetic.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby, repeat
+from operator import mul
 from typing import Sequence
 
 from .affine import (
@@ -22,6 +22,8 @@ from .affine import (
     _certified_system,
     _certify_contraction,
     _ifs_header,
+    _lift_failures,
+    _line,
     _row_sum_certificate,
     ifs_to_jsonable,
     map_from_jsonable,
@@ -49,6 +51,8 @@ __all__ = [
 # Most maps choose_anchors builds: the n = 5 system on [0, 1] has 4,580,
 # n = 7 already 86,700, and n = 10 at the default ratio about 6.6 million.
 _MAP_GUARD = 50_000
+# The least n with 2ⁿ√n > _MAP_GUARD: from it on, ⌈1/λ⌉ ≥ 1/lambda_bound > 2ⁿ√n maps.
+_DIM_GUARD = 14
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,13 @@ def lambda_bound(spec: MomentCurveSpec) -> Fraction:
     return 1 / (Fraction(2) ** n * root * scale)
 
 
+def _guarded_lambda_bound(spec: MomentCurveSpec) -> Fraction:
+    """lambda_bound(spec), once spec.dim is checked to need at most _MAP_GUARD maps."""
+    if spec.dim >= _DIM_GUARD:
+        raise ValueError(f"the map count ceil(1/lambda) is above the guard {_MAP_GUARD}")
+    return lambda_bound(spec)
+
+
 def choose_anchors(spec: MomentCurveSpec, ratio: Fraction) -> list[Fraction]:
     """A uniform anchor grid whose interval images tile [c, d] exactly.
 
@@ -97,7 +108,7 @@ def choose_anchors(spec: MomentCurveSpec, ratio: Fraction) -> list[Fraction]:
     _MAP_GUARD anchors are rejected before any is built; λ and ℓ are not printed.
     """
     ratio = Fraction(ratio)
-    if not 0 < ratio <= lambda_bound(spec):
+    if not 0 < ratio <= _guarded_lambda_bound(spec):
         raise ValueError("ratio must lie in (0, lambda_bound]")
     count = math.ceil(1 / ratio)
     if count > _MAP_GUARD:
@@ -142,16 +153,6 @@ def _check_recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, dim, count) -
     _check_tiling([(t, t + width) for t in distinct], c, d, "interval images", "[c, d]")
     if count > _MAP_GUARD:
         raise ValueError(f"the map count {count} is above the guard {_MAP_GUARD}")
-
-
-def _parameter_line(ratio: Fraction, c: Fraction, anchor: Fraction) -> tuple[int, int, int]:
-    """Integers (α, β, γ) with λ(t − c) + t_i = (α·t + β)/γ for every t."""
-    shift = anchor - ratio * c
-    return (
-        ratio.numerator * shift.denominator,
-        shift.numerator * ratio.denominator,
-        ratio.denominator * shift.denominator,
-    )
 
 
 def _moment_rows(n: int, line: tuple[int, int, int]):
@@ -206,16 +207,23 @@ def _built_map(entry, n: int, line: tuple[int, int, int]):
     return AffineMap(matrix, translation)
 
 
-def _construction_certificates(n: int, lines, built):
-    """One certificate per entry of `built`, drawn lazily and in order.
+def _recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, entries) -> MomentIfsRecipe:
+    """The recipe read_recipe describes, of numbers _check_recipe has passed; entry None builds a map.
 
-    A construction map takes _built_certificate's, or is_contractive's where
-    that is None; it never reaches the determinant, since its diagonal is λᵏ
-    with λ > 0.  An entry None (a stored map that is not the construction's)
-    gives None, which _certified_system certifies in full.
+    A construction map, whose diagonal λᵏ > 0 keeps it from the determinant, is not certified in full.
     """
-    for index, (line, f) in enumerate(zip(lines, built)):
-        yield f and (_built_certificate(n, line) or _certify_contraction(f, f"map {index}"))
+    lines = [_line(ratio, anchor - ratio * spec.c) for anchor in anchors]
+    built = [_built_map(entry, spec.dim, line) for entry, line in zip(entries, lines)]
+    maps = [f or map_from_jsonable(entry, spec.dim, where=f"map {index}")
+            for index, (f, entry) in enumerate(zip(built, entries))]
+    certificates = (
+        f and (_built_certificate(spec.dim, line) or _certify_contraction(f, f"map {index}"))
+        for index, (line, f) in enumerate(zip(lines, built))
+    )
+    recipe = object.__new__(MomentIfsRecipe)
+    recipe.__dict__.update(spec=spec, ratio=ratio, anchors=tuple(anchors),
+                           ifs=_certified_system(maps, certificates))
+    return recipe
 
 
 def build_moment_ifs(
@@ -230,14 +238,11 @@ def build_moment_ifs(
     recipe is checked before any map is built.
     """
     ratio = Fraction(ratio)
-    if not 0 < ratio <= lambda_bound(spec):
+    if not 0 < ratio <= _guarded_lambda_bound(spec):
         raise ValueError("ratio must lie in (0, lambda_bound]")
     anchors = as_vector(anchors)
     _check_recipe(spec, ratio, anchors, spec.dim, len(anchors))
-    lines = [_parameter_line(ratio, spec.c, anchor) for anchor in anchors]
-    maps = [_built_map(None, spec.dim, line) for line in lines]
-    ifs = _certified_system(maps, _construction_certificates(spec.dim, lines, maps))
-    return MomentIfsRecipe(spec, ratio, anchors, ifs)
+    return _recipe(spec, ratio, anchors, [None] * len(anchors))
 
 
 @dataclass(frozen=True)
@@ -261,70 +266,38 @@ class InvarianceReport:
 def _sampled_counterexamples(
     recipe: MomentIfsRecipe, samples: Sequence[Fraction], indices: Sequence[int]
 ) -> list[InvarianceCounterexample]:
-    """Evaluate both sides of the identity at each sample, on integers.
+    """Both sides of the identity at each sample, for the maps at `indices`.
 
-    The samples share one denominator Q, so η(P/Q) scaled by Qⁿ is the
-    integer vector (Pʲ·Qⁿ⁻ʲ); each row of a map is cleared over the lcm
-    of its own denominators.  Component k then holds exactly when two
-    integer cross-products agree, and no Fraction is normalised unless
-    a violation has to be reported.  A map stops, proven, once the first
-    n + 1 distinct samples pass; a false map passes at most n of them.
+    η of n + 1 distinct samples are affinely independent, so a map stops, proven,
+    once the first n + 1 distinct samples pass.  Only a failure is evaluated in Fractions.
     """
-    n = recipe.spec.dim
+    n, ratio, start = recipe.spec.dim, recipe.ratio, recipe.ratio * recipe.spec.c
     numerators, common = _clear_denominators(samples)
-    table = [
-        (t, p, [p**j * common ** (n - j) for j in range(n + 1)])
-        for t, p in zip(samples, numerators)
-    ]
     distinct = list(dict.fromkeys(numerators))
-    proven = numerators.index(distinct[n]) + 1 if len(distinct) > n else len(table)
-    found = []
-    for index in indices:
-        alpha, beta, gamma = _parameter_line(recipe.ratio, recipe.spec.c, recipe.anchors[index])
-        # at t = P/Q, λ(t − c) + t_i = u/γ with u = αP + βQ and γ scaled by Q
-        gamma *= common
-        rows = []
-        f = recipe.ifs.maps[index]
-        for k, (offset, row) in enumerate(zip(f.translation, f.matrix), start=1):
-            numerators, scale = _clear_denominators((offset,) + row)
-            rows.append((numerators, scale * common**n, gamma**k))
-        caught = len(found)
-        for position, (t, p, powers) in enumerate(table):
-            if position == proven and len(found) == caught:
-                break
-            u = alpha * p + beta * common
-            u_power = 1
-            for numerators, scale, gamma_power in rows:
-                u_power *= u
-                if sum(map(operator.mul, numerators, powers)) * gamma_power != u_power * scale:
-                    image = tuple(
-                        Fraction(sum(map(operator.mul, numerators, powers)), scale)
-                        for numerators, scale, _ in rows
-                    )
-                    expected = tuple(Fraction(u**k, gamma**k) for k in range(1, n + 1))
-                    found.append(InvarianceCounterexample(index, t, image, expected))
-                    break
-    return found
+    proven = numerators.index(distinct[n]) + 1 if len(distinct) > n else len(samples)
+    shifts = [recipe.anchors[index] - start for index in indices]  # λ(t − c) + t_i = λt + shift
+    lifts = [(recipe.ifs.maps[index], _line(ratio, shift)) for index, shift in zip(indices, shifts)]
+    points = [(p,) for p in numerators]
+    def form(point):  # component k of η(P/Q) is Pᵏ/Qᵏ
+        return list(accumulate(repeat(point[0], n), mul))
+    failures = _lift_failures(lifts, form, range(1, n + 1), points, common, proven)
+    return [
+        InvarianceCounterexample(indices[k], samples[j], lifts[k][0](eval_moment(n, samples[j])),
+                                 eval_moment(n, ratio * samples[j] + shifts[k]))
+        for k, j in failures
+    ]
 
 
 def verify_moment_invariance(
     recipe: MomentIfsRecipe, samples: Sequence[Fraction]
 ) -> InvarianceReport:
-    """Check f_i(η(t)) = η(λ(t−c) + t_i) for every map, exactly.
+    """Check f_i(η(t)) = η(λ(t−c) + t_i) for every map, exactly, entries above the diagonal too.
 
-    Both sides are compared at each sample in integer arithmetic, with
-    all denominators cleared, over the full matrix and translation of
-    every map, entries above the diagonal included.  Component k of each
-    side is a polynomial in t of degree ≤ n, so agreement at n + 1
-    distinct samples proves the identity for every t, and a map stops
-    there.  A map that fails is evaluated and reported at every sample.
-
-    `checks` counts the samples established, len(samples) per map.  Only
-    when the samples hold n or fewer distinct values, or none, are the
-    maps no sample caught also compared at the n + 1 points
-    c + k(d − c)/n; each that fails there is reported at the first point
-    where the two sides differ.  Violations are collected in the report
-    rather than raised.
+    A map that fails is reported at every sample; `checks` counts len(samples)
+    per map.  Only when the samples hold n or fewer distinct values, or none,
+    are the maps no sample caught also compared at the n + 1 points c + k(d − c)/n,
+    each that fails reported at the first of them where it does.  Violations are
+    collected in the report rather than raised.
     """
     spec = recipe.spec
     sample_values = [Fraction(t) for t in samples]
@@ -382,12 +355,7 @@ def read_recipe(data) -> MomentIfsRecipe:
 
     dim, entries = _ifs_header(data)
     _check_recipe(spec, ratio, anchors, dim, len(entries))
-    lines = [_parameter_line(ratio, spec.c, anchor) for anchor in anchors]
-    built = [_built_map(entry, n, line) for entry, line in zip(entries, lines)]
-    maps = [f or map_from_jsonable(entry, dim, where=f"map {index}")
-            for index, (f, entry) in enumerate(zip(built, entries))]
-    ifs = _certified_system(maps, _construction_certificates(n, lines, built))
-    return MomentIfsRecipe(spec, ratio, anchors, ifs)
+    return _recipe(spec, ratio, anchors, entries)
 
 
 def recipe_from_jsonable(data) -> MomentIfsRecipe:

@@ -3,7 +3,7 @@
 The embedding η(x) = (x₁, …, x_{n−1}, Σx_j²) carries a 1-D product
 system c_i·x + d_i (equal translation in every coordinate) to affine
 maps of ℝⁿ preserving the paraboloid; the conjugation identity
-f_i∘η = η∘(c_i·x + d_i) is verified symbolically on every build.
+f_i∘η = η∘(c_i·x + d_i) is proven exactly on every build.
 """
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .affine import AffineMap, IteratedFunctionSystem, _float_array
+from .affine import AffineMap, IteratedFunctionSystem, _float_array, _lift_failures, _line
 from .cloud import PointCloud
 from .polynomials import MultiPoly
-from .rationals import _check_tiling
+from .rationals import _check_tiling, _clear_denominators
 
 __all__ = [
     "ParaboloidSpec",
@@ -73,23 +73,20 @@ def _build_map(n: int, c: Fraction, d: Fraction) -> AffineMap:
 
 
 def _conjugates(spec: ParaboloidSpec, maps) -> bool:
-    """f_i∘η = η∘(c_i·x + d_i) for every base map, as exact polynomial identities.
+    """f_i∘η = η∘(c_i·x + d_i) for every base map, proven at n + 1 points.
 
-    Both sides are expanded in the n−1 base variables x, with η(x) = (x, Σx_j²).
+    η∘(c·x + d) is affine in η, as |c·x + d·1|² = c²|x|² + 2cd·Σx_j + (n−1)d², and the
+    points a·1, a·1 + h·e_j and a·1 + 2h·e_1, h = (b − a)/2, have affinely independent images.
     """
-    base_dim = spec.dim - 1
-    zero = MultiPoly.zero(base_dim)
-    coords = [MultiPoly.variable(base_dim, j) for j in range(base_dim)]
-    eta = coords + [sum((x * x for x in coords), zero)]
-    for (c, d), f in zip(spec.base_maps, maps):
-        lhs = [
-            sum((a * e for a, e in zip(row, eta) if a != 0), MultiPoly.constant(base_dim, t))
-            for row, t in zip(f.matrix, f.translation)
-        ]
-        moved = [c * x + MultiPoly.constant(base_dim, d) for x in coords]
-        if lhs != moved + [sum((y * y for y in moved), zero)]:
-            return False
-    return True
+    (a, h), common = _clear_denominators((spec.a, (spec.b - spec.a) / 2))
+    corner = (a,) * (spec.dim - 1)
+    points = [corner, *(corner[:j] + (a + h,) + corner[j + 1:] for j in range(spec.dim - 1))]
+    points.append((a + 2 * h,) + corner[1:])
+    lifts = [(f, _line(c, d)) for (c, d), f in zip(spec.base_maps, maps)]
+    def form(point):  # η(P/Q) = (P/Q, ΣP_j²/Q²)
+        return (*point, sum(p * p for p in point))
+    degrees = (1,) * (spec.dim - 1) + (2,)
+    return not _lift_failures(lifts, form, degrees, points, common, len(points))
 
 
 def build_paraboloid_ifs(spec: ParaboloidSpec) -> IteratedFunctionSystem:
@@ -98,8 +95,7 @@ def build_paraboloid_ifs(spec: ParaboloidSpec) -> IteratedFunctionSystem:
     Each map has c_i on the first n−1 diagonal entries, last row
     (2c_id_i, …, 2c_id_i, c_i²), and translation (d_i, …, d_i,
     (n−1)d_i²).  The conjugation identity f_i∘η = η∘(c_i·x + d_i) is
-    checked as an exact polynomial identity before the system is
-    returned.
+    proven exactly before the system is returned.
     """
     maps = tuple(_build_map(spec.dim, c, d) for c, d in spec.base_maps)
     if not _conjugates(spec, maps):
@@ -108,7 +104,7 @@ def build_paraboloid_ifs(spec: ParaboloidSpec) -> IteratedFunctionSystem:
 
 
 def verify_paraboloid_conjugation(spec: ParaboloidSpec) -> bool:
-    """Re-check f_i∘η = η∘(c_i·x + d_i) symbolically for every base map."""
+    """Re-check f_i∘η = η∘(c_i·x + d_i) exactly for every base map."""
     return _conjugates(spec, [_build_map(spec.dim, c, d) for c, d in spec.base_maps])
 
 

@@ -84,13 +84,6 @@ class MultiPoly:
     def constant(cls, dim: int, value) -> "MultiPoly":
         return cls(dim, {(0,) * dim: Fraction(value)})
 
-    @classmethod
-    def variable(cls, dim: int, index: int) -> "MultiPoly":
-        if not 0 <= index < dim:
-            raise ValueError("variable index out of range")
-        exponent = tuple(1 if i == index else 0 for i in range(dim))
-        return cls(dim, {exponent: Fraction(1)})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented

@@ -49,8 +49,9 @@ def format_rational(value: Fraction) -> str:
 
 def _clear_denominators(values) -> tuple[list[int], int]:
     """Integers p and the least common denominator s with values[i] == p[i] / s."""
-    scale = lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values], scale
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = lcm(*[q for _, q in ratios])
+    return [p * (scale // q) for p, q in ratios], scale
 
 
 def _check_tiling(intervals, a: Fraction, b: Fraction, images: str, interval: str) -> None:

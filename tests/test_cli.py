@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from selfaffine import affine, classifier, cli, pullback, series
+from selfaffine import affine, classifier, cli, moment, pullback, series
 from selfaffine.cli import main
 from selfaffine.moment import InvarianceReport
 
@@ -158,6 +158,26 @@ class TestBuildMoment:
         assert "above the guard 50000" in json.loads(err)["error"]
         assert len(err) < 100
         assert peak < 1_000_000
+
+    @pytest.mark.parametrize("argv", [
+        ("--dim", "14", "--c", "0", "--d", "1"),
+        ("--dim", "1000000000", "--c", "0", "--d", "1"),
+        ("--dim", "20", "--c", "0", "--d", "1/1000", "--lambda", "1/100000000"),
+        ("--dim", "14", "--c", "0", "--d", "1", "--lambda", "1/2", "--anchors", "0,1/2"),
+    ])
+    def test_dimension_guard_before_lambda_bound(self, argv, capsys, monkeypatch):
+        # every n ≥ 14 needs more than 50,000 maps, so lambda_bound's n-th powers never run
+        def refused(spec):
+            raise AssertionError(f"lambda_bound ran at n = {spec.dim}")
+
+        monkeypatch.setattr(moment, "lambda_bound", refused)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build-moment", *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "the map count ceil(1/lambda) is above the guard 50000"
+        }
 
     def test_empty_anchor_list_is_input_error(self, capsys):
         code, out, err = run(capsys, "build-moment", "--dim", "2", "--c", "0", "--d", "1",

@@ -18,7 +18,8 @@ from selfaffine.exactlinalg import (
     mat_vec,
     solve,
 )
-from selfaffine.moment import MomentCurveSpec, _built_map, _parameter_line, lambda_bound
+from selfaffine.affine import _line
+from selfaffine.moment import MomentCurveSpec, _built_map, lambda_bound
 
 
 def _random_matrix(rng, n, bound=5):
@@ -323,7 +324,7 @@ def _moment_matrices():
     count = 4580
     step = (spec.d - spec.c) * (1 - ratio) / (count - 1)
     return [
-        _built_map(None, 5, _parameter_line(ratio, spec.c, spec.c + i * step)).matrix
+        _built_map(None, 5, _line(ratio, spec.c + i * step - ratio * spec.c)).matrix
         for i in range(0, count, 23)
     ]
 

@@ -11,7 +11,7 @@ import pytest
 
 from selfaffine import affine, moment
 from selfaffine.affine import (
-    AffineMap, IteratedFunctionSystem, ifs_from_jsonable, is_contractive, max_row_sum
+    AffineMap, IteratedFunctionSystem, _line, ifs_from_jsonable, is_contractive, max_row_sum
 )
 from selfaffine.exactlinalg import determinant
 from selfaffine.moment import (
@@ -31,7 +31,6 @@ from selfaffine.moment import (
     InvarianceReport,
     _built_certificate,
     _built_map,
-    _parameter_line,
     _sampled_counterexamples,
 )
 from selfaffine.rationals import _clear_denominators
@@ -43,7 +42,7 @@ def _coefficient_mismatches(recipe):
     return [
         index
         for index, (anchor, f) in enumerate(zip(recipe.anchors, recipe.ifs.maps))
-        if f != _built_map(None, n, _parameter_line(recipe.ratio, recipe.spec.c, anchor))
+        if f != _built_map(None, n, _line(recipe.ratio, anchor - recipe.ratio * recipe.spec.c))
     ]
 
 
@@ -136,6 +135,31 @@ class TestChooseAnchors:
             choose_anchors(spec, too_big)
         with pytest.raises(ValueError):
             choose_anchors(spec, Fraction(0))
+
+
+class TestDimensionGuard:
+    def test_the_guard_is_the_least_dimension_above_the_map_guard(self):
+        # ⌈1/λ⌉ ≥ 1/lambda_bound > 2ⁿ√n, and 2ⁿ√n > _MAP_GUARD exactly when 4ⁿ·n > _MAP_GUARD²
+        n = moment._DIM_GUARD
+        assert 4**n * n > moment._MAP_GUARD**2 >= 4 ** (n - 1) * (n - 1)
+        # one dimension lower, a short arc still tiles with fewer maps than the guard
+        spec = MomentCurveSpec(n - 1, Fraction(0), Fraction(1, 10**6))
+        ratio = lambda_bound(spec)
+        assert len(choose_anchors(spec, ratio)) <= moment._MAP_GUARD
+        assert 1 / ratio > 2 ** (n - 1) * math.sqrt(n - 1)
+
+    @pytest.mark.parametrize("n", [14, 15, 10**9])
+    def test_refused_before_lambda_bound(self, n, monkeypatch):
+        def refused(spec):
+            raise AssertionError(f"lambda_bound ran at n = {spec.dim}")
+
+        monkeypatch.setattr(moment, "lambda_bound", refused)
+        spec = unit_spec(n)
+        message = "the map count ceil\\(1/lambda\\) is above the guard 50000"
+        with pytest.raises(ValueError, match=message):
+            choose_anchors(spec, Fraction(1, 10**9))
+        with pytest.raises(ValueError, match=message):
+            build_moment_ifs(spec, Fraction(1, 2), [Fraction(0), Fraction(1, 2)])
 
 
 class TestBuildMomentIfs:
@@ -336,6 +360,31 @@ class TestRecipeJson:
         with pytest.raises(ValueError, match="do not match"):
             recipe_from_jsonable(data)
 
+    def test_recipe_is_checked_once_per_build_and_read(self, monkeypatch):
+        calls = []
+        original = moment._check_recipe
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(moment, "_check_recipe", counted)
+        recipe = self._recipe()
+        assert len(calls) == 1
+        data = recipe_to_jsonable(recipe)
+        for reader in (read_recipe, recipe_from_jsonable):
+            calls.clear()
+            assert reader(data) == recipe
+            assert len(calls) == 1
+        # a recipe made directly is checked too, and numbers that break it raise
+        calls.clear()
+        assert MomentIfsRecipe(recipe.spec, recipe.ratio, recipe.anchors, recipe.ifs) == recipe
+        for ratio, message in [(Fraction(1, 50), "must reach both endpoints"),
+                               (Fraction(2), r"\(0, 1\)")]:
+            with pytest.raises(ValueError, match=message):
+                MomentIfsRecipe(recipe.spec, ratio, recipe.anchors, recipe.ifs)
+        assert len(calls) == 3
+
     def test_ratio_above_bound_rejected(self):
         # λ = 1/2 tiles [0, 1] with two certified maps but exceeds lambda_bound
         spec = unit_spec(2)
@@ -343,7 +392,7 @@ class TestRecipeJson:
         assert ratio > lambda_bound(spec)
         anchors = (Fraction(0), Fraction(1, 2))
         maps = tuple(
-            _built_map(None, 2, _parameter_line(ratio, spec.c, t)) for t in anchors
+            _built_map(None, 2, _line(ratio, t - ratio * spec.c)) for t in anchors
         )
         recipe = MomentIfsRecipe(spec, ratio, anchors, IteratedFunctionSystem(maps))
         assert not _coefficient_mismatches(recipe)
@@ -363,7 +412,7 @@ def _tiling_recipe(n, c, d, ratio):
     step = (spec.d - spec.c) * (1 - ratio) / (count - 1)
     anchors = [spec.c + i * step for i in range(count)]
     maps = tuple(
-        _built_map(None, n, _parameter_line(ratio, spec.c, t)) for t in anchors
+        _built_map(None, n, _line(ratio, t - ratio * spec.c)) for t in anchors
     )
     return MomentIfsRecipe(spec, ratio, anchors, IteratedFunctionSystem(maps))
 
@@ -547,7 +596,7 @@ class TestRecipeReader:
         # at λ = 0 the construction's maps are singular: the meta is rejected before any map
         spec, zero = MomentCurveSpec(2, Fraction(0), Fraction(1)), Fraction(0)
         anchors = [Fraction(0), Fraction(1)]
-        maps = [_built_map(None, 2, _parameter_line(zero, spec.c, t)) for t in anchors]
+        maps = [_built_map(None, 2, _line(zero, t - zero * spec.c)) for t in anchors]
         data = {"dim": 2, "maps": [affine.map_to_jsonable(f) for f in maps],
                 "meta": {"n": 2, "c": "0", "d": "1", "lambda": "0", "anchors": ["0", "1"]}}
         with pytest.raises(ValueError, match=r"contraction ratio must lie in \(0, 1\)"):
@@ -625,7 +674,8 @@ def _all_samples_counterexamples(recipe, samples, indices):
     ]
     found = []
     for index in indices:
-        alpha, beta, gamma = _parameter_line(recipe.ratio, recipe.spec.c, recipe.anchors[index])
+        ratio, anchor = recipe.ratio, recipe.anchors[index]
+        alpha, beta, gamma = _line(ratio, anchor - ratio * recipe.spec.c)
         gamma *= common
         rows = []
         f = recipe.ifs.maps[index]
@@ -708,7 +758,7 @@ class TestEarlyStop:
         recipe = _tiling_recipe(3, 0, 1, Fraction(1, 10))
         samples = [Fraction(k, 99) for k in (0, 0, 1, 1, 2, 3, *range(4, 99))]
         products = []
-        monkeypatch.setattr(moment, "operator",
+        monkeypatch.setattr(affine, "operator",
                             SimpleNamespace(mul=lambda a, b: products.append(1) or a * b))
         report = verify_moment_invariance(recipe, samples)
         assert report.ok and report.checks == len(samples) * len(recipe.ifs)
@@ -731,7 +781,7 @@ def contraction_calls(monkeypatch):
 
 def _built_document(n, c, d, ratio, anchors):
     """A recipe document of the construction's maps, written without building an IFS."""
-    lines = [_parameter_line(ratio, c, t) for t in anchors]
+    lines = [_line(ratio, t - ratio * c) for t in anchors]
     return {
         "dim": n,
         "maps": [affine.map_to_jsonable(_built_map(None, n, line)) for line in lines],
@@ -748,7 +798,7 @@ class TestBuiltCertificate:
                 spec = MomentCurveSpec(n, c, c + 1)
                 for ratio in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 13), lambda_bound(spec)):
                     for anchor in (c + Fraction(k, 8) for k in range(9)):
-                        line = _parameter_line(ratio, c, anchor)
+                        line = _line(ratio, anchor - ratio * c)
                         f = _built_map(None, n, line)
                         certificate = is_contractive(f)
                         routes.add(certificate.route)
@@ -786,7 +836,7 @@ class TestBuiltCertificate:
         assert determinant_calls == []
         assert read.ifs.certificates == recipe.ifs.certificates
         assert [c.route for c in read.ifs.certificates] == ["row-sum-bound", "spectral-norm"]
-        assert _built_certificate(2, _parameter_line(recipe.ratio, 0, recipe.anchors[1])) is None
+        assert _built_certificate(2, _line(recipe.ratio, recipe.anchors[1])) is None
         with pytest.raises(ValueError, match="lambda_bound"):
             recipe_from_jsonable(recipe_to_jsonable(recipe))
 

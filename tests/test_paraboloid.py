@@ -6,15 +6,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from selfaffine import paraboloid
+from selfaffine.affine import AffineMap
 from selfaffine.cloud import PointCloud
+from selfaffine.exactlinalg import determinant, solve
 from selfaffine.paraboloid import (
     ParaboloidSpec,
+    _conjugates,
     build_paraboloid_ifs,
     paraboloid_polynomial,
     surface_residual,
     verify_paraboloid_conjugation,
 )
-from selfaffine.polynomials import parse_polynomial
+from selfaffine.polynomials import MultiPoly, parse_polynomial
 
 
 def halves_spec(n=3):
@@ -22,6 +26,63 @@ def halves_spec(n=3):
         n, Fraction(0), Fraction(1),
         ((Fraction(1, 2), Fraction(0)), (Fraction(1, 2), Fraction(1, 2))),
     )
+
+
+def _reference_conjugates(spec, maps):
+    """f_i∘η = η∘(c_i·x + d_i) for every base map, as exact polynomial identities.
+
+    Both sides are expanded in the n−1 base variables x, with η(x) = (x, Σx_j²).
+    """
+    base_dim = spec.dim - 1
+    zero = MultiPoly.zero(base_dim)
+    coords = [MultiPoly(base_dim, {tuple(int(k == j) for k in range(base_dim)): 1})
+              for j in range(base_dim)]
+    eta = coords + [sum((x * x for x in coords), zero)]
+    for (c, d), f in zip(spec.base_maps, maps):
+        lhs = [
+            sum((a * e for a, e in zip(row, eta) if a != 0), MultiPoly.constant(base_dim, t))
+            for row, t in zip(f.matrix, f.translation)
+        ]
+        moved = [c * x + MultiPoly.constant(base_dim, d) for x in coords]
+        if lhs != moved + [sum((y * y for y in moved), zero)]:
+            return False
+    return True
+
+
+def _seeded_specs(n, seed):
+    """Five specs of two signed maps with weights (w, 1 − w) tiling [0, 1/8]."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(5):
+        w = Fraction(rng.randint(2, 6), 8)
+        signs = (rng.choice([1, -1]), rng.choice([1, -1]))
+        a, b = Fraction(0), Fraction(1, 8)
+        widths = (w * (b - a), (1 - w) * (b - a))
+        c1 = signs[0] * w
+        c2 = signs[1] * (1 - w)
+        d1 = a - c1 * (a if c1 > 0 else b)
+        d2 = (a + widths[0]) - c2 * (a if c2 > 0 else b)
+        specs.append(ParaboloidSpec(n, a, b, ((c1, d1), (c2, d2))))
+    return specs
+
+
+def _probe_points(spec, monkeypatch):
+    """The points the conjugation check compares at, and how many it needs to pass."""
+    seen = []
+    original = paraboloid._lift_failures
+
+    def recorded(lifts, form, degrees, points, common, proven):
+        seen.append(([tuple(Fraction(p, common) for p in point) for point in points], proven))
+        return original(lifts, form, degrees, points, common, proven)
+
+    monkeypatch.setattr(paraboloid, "_lift_failures", recorded)
+    assert verify_paraboloid_conjugation(spec)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def _eta(point):
+    return tuple(point) + (sum(x * x for x in point),)
 
 
 class TestSpecValidation:
@@ -79,18 +140,7 @@ class TestBuildAndConjugation:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_conjugation_random_bases(self, n):
-        rng = random.Random(n * 31)
-        for _ in range(5):
-            # two maps with weights (w, 1-w) tiling [0, 1/8]
-            w = Fraction(rng.randint(2, 6), 8)
-            signs = (rng.choice([1, -1]), rng.choice([1, -1]))
-            a, b = Fraction(0), Fraction(1, 8)
-            widths = (w * (b - a), (1 - w) * (b - a))
-            c1 = signs[0] * w
-            c2 = signs[1] * (1 - w)
-            d1 = a - c1 * (a if c1 > 0 else b)
-            d2 = (a + widths[0]) - c2 * (a if c2 > 0 else b)
-            spec = ParaboloidSpec(n, a, b, ((c1, d1), (c2, d2)))
+        for spec in _seeded_specs(n, n * 31):
             assert verify_paraboloid_conjugation(spec)
             ifs = build_paraboloid_ifs(spec)
             assert len(ifs) == 2
@@ -102,6 +152,68 @@ class TestBuildAndConjugation:
         # f_2(η(1,1)) = η(1,1) because c=1/2, d=1/2 fixes t=1
         eta_11 = (Fraction(1), Fraction(1), Fraction(2))
         assert ifs.maps[1](eta_11) == eta_11
+
+
+class TestConjugationCheck:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_shifted_entry_is_rejected(self, n, monkeypatch):
+        rng = random.Random(n * 997)
+        for spec in _seeded_specs(n, n * 53):
+            maps = build_paraboloid_ifs(spec).maps
+            assert _reference_conjugates(spec, maps) and _conjugates(spec, maps)
+            index = rng.randrange(len(maps))
+            f = maps[index]
+            positions = [(row, column) for row in range(n) for column in [*range(n), None]]
+            for row, column in positions:
+                matrix, translation = [list(r) for r in f.matrix], list(f.translation)
+                if column is None:
+                    translation[row] += Fraction(1, 997)
+                else:
+                    matrix[row][column] += Fraction(1, 997)
+                tampered = list(maps)
+                tampered[index] = AffineMap(matrix, translation)
+                assert not _reference_conjugates(spec, tampered)
+                assert not _conjugates(spec, tampered)
+            # the public check and the builder reject a wrong lift too
+            original = paraboloid._build_map
+
+            def build(n, c, d):
+                return tampered[index] if (c, d) == spec.base_maps[index] else original(n, c, d)
+
+            monkeypatch.setattr(paraboloid, "_build_map", build)
+            assert not verify_paraboloid_conjugation(spec)
+            with pytest.raises(ArithmeticError):
+                build_paraboloid_ifs(spec)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_points_have_affinely_independent_images(self, n, monkeypatch):
+        a, b, h = Fraction(-1, 3), Fraction(2, 5), Fraction(1, 2)
+        spec = ParaboloidSpec(n, a, b, ((h, a / 2), (-h, b + a / 2)))  # images meet at (a + b)/2
+        points, proven = _probe_points(spec, monkeypatch)
+        assert len(points) == proven == n + 1
+        assert all(spec.a <= x <= spec.b for point in points for x in point)
+        assert determinant([(1,) + _eta(point) for point in points]) != 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_agreeing_at_all_but_the_last_point_is_rejected(self, n, monkeypatch):
+        # f + ε·e₁·ℓ, with ℓ affine, zero at η of the first n points and 1 at the last
+        spec = _seeded_specs(n, n * 7)[0]
+        points, _ = _probe_points(spec, monkeypatch)
+        images = [_eta(point) for point in points]
+        ell = solve([(1,) + image for image in images], [0] * n + [1])
+        maps = build_paraboloid_ifs(spec).maps
+        f = maps[0]
+        epsilon = Fraction(1, 997)
+        matrix = [list(r) for r in f.matrix]
+        matrix[0] = [m + epsilon * w for m, w in zip(matrix[0], ell[1:])]
+        translation = list(f.translation)
+        translation[0] += epsilon * ell[0]
+        g = AffineMap(matrix, translation)
+        assert [g(y) == f(y) for y in images] == [True] * n + [False]
+        assert _reference_conjugates(spec, maps)
+        assert not _reference_conjugates(spec, [g, *maps[1:]])
+        assert not _conjugates(spec, [g, *maps[1:]])
 
 
 class TestSurfaceResidual:

@@ -41,8 +41,8 @@ def antidiagonal_line():
 
 class TestMultiPolyAlgebra:
     def test_binomial_square(self):
-        x = MultiPoly.variable(2, 0)
-        y = MultiPoly.variable(2, 1)
+        x = MultiPoly(2, {(1, 0): 1})
+        y = MultiPoly(2, {(0, 1): 1})
         left = (x + y) * (x + y)
         right = x * x + 2 * (x * y) + y * y
         assert left == right
