@@ -1,4 +1,4 @@
-"""Exact affine maps, their algebra, and contraction certificates.
+"""Exact affine maps, their algebra, contraction certificates, and the lift check f∘η = η∘φ.
 
 An affine map is f(x) = Mx + a with rational M and a.  Composition,
 inversion and fixed points are all exact.  Floating point enters through

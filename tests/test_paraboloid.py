@@ -177,8 +177,8 @@ class TestConjugationCheck:
             # the public check and the builder reject a wrong lift too
             original = paraboloid._build_map
 
-            def build(n, c, d):
-                return tampered[index] if (c, d) == spec.base_maps[index] else original(n, c, d)
+            def build(dim, c, d):
+                return tampered[index] if (c, d) == spec.base_maps[index] else original(dim, c, d)
 
             monkeypatch.setattr(paraboloid, "_build_map", build)
             assert not verify_paraboloid_conjugation(spec)
