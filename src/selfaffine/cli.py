@@ -20,7 +20,7 @@ from .affine import (
 )
 from .attractor import chaos_game
 from .classifier import classify_curve, germ_from_jsonable
-from .cloud import write_csv, write_svg
+from .cloud import PointCloud, _check_projection, write_csv, write_svg
 from .exactlinalg import identity
 from .moment import (
     MomentCurveSpec,
@@ -32,7 +32,6 @@ from .moment import (
     verify_moment_invariance,
 )
 from .paraboloid import ParaboloidSpec, build_paraboloid_ifs
-from .cloud import PointCloud
 from .polynomials import (
     format_polynomial,
     parse_polynomial,
@@ -163,8 +162,8 @@ def _cmd_paraboloid(args) -> int:
     return 0
 
 
-def _chaos_cloud(args):
-    """The chaos-game cloud that chaos and render write.
+def _chaos_cloud(args, projection=None):
+    """The chaos-game cloud that chaos and render write, `projection` checked before the game.
 
     A file that read_recipe rejects, moment meta or not, is read by ifs_from_jsonable.
     """
@@ -175,6 +174,8 @@ def _chaos_cloud(args):
         ifs = ifs_from_jsonable(data)
     if args.points <= 0:
         raise ValueError("--points must be positive")
+    if projection is not None:
+        _check_projection(projection, ifs.dim)
     return chaos_game(ifs, args.points + args.burn_in, args.burn_in, args.seed)
 
 
@@ -184,8 +185,8 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    cloud = _chaos_cloud(args)
-    write_svg(cloud, args.output if args.output else sys.stdout, projection=tuple(args.project))
+    projection = tuple(args.project)
+    write_svg(_chaos_cloud(args, projection), args.output or sys.stdout, projection=projection)
     return 0
 
 

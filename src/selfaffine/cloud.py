@@ -91,17 +91,23 @@ def read_csv(source: PathOrFile, dim: Optional[int] = None) -> PointCloud:
     return PointCloud(width, np.array(rows, dtype=float))
 
 
+def _check_projection(projection: tuple[int, int], dim: int) -> None:
+    """Raise ValueError unless projection names two different coordinates of dimension dim."""
+    i, j = projection
+    if not (0 <= i < dim and 0 <= j < dim):
+        raise ValueError("projection indices out of range")
+    if i == j:
+        raise ValueError("projection indices must differ")
+
+
 def write_svg(cloud: PointCloud, target: PathOrFile, projection: tuple[int, int] = (0, 1)) -> None:
     """Flat scatter plot of a 2-D coordinate projection of the cloud.
 
     projection picks the two 0-based coordinate indices drawn as x and
     y; the y axis points up.  Output is self-contained SVG.
     """
+    _check_projection(projection, cloud.dim)
     i, j = projection
-    if not (0 <= i < cloud.dim and 0 <= j < cloud.dim):
-        raise ValueError("projection indices out of range")
-    if i == j:
-        raise ValueError("projection indices must differ")
     if len(cloud) == 0:
         raise ValueError("cannot render an empty cloud")
     xs = cloud.points[:, i]

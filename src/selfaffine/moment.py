@@ -263,57 +263,37 @@ class InvarianceReport:
         return not self.counterexamples
 
 
-def _sampled_counterexamples(
-    recipe: MomentIfsRecipe, samples: Sequence[Fraction], indices: Sequence[int]
-) -> list[InvarianceCounterexample]:
-    """Both sides of the identity at each sample, for the maps at `indices`.
-
-    η of n + 1 distinct samples are affinely independent, so a map stops, proven,
-    once the first n + 1 distinct samples pass.  Only a failure is evaluated in Fractions.
-    """
-    n, ratio, start = recipe.spec.dim, recipe.ratio, recipe.ratio * recipe.spec.c
-    numerators, common = _clear_denominators(samples)
-    distinct = list(dict.fromkeys(numerators))
-    proven = numerators.index(distinct[n]) + 1 if len(distinct) > n else len(samples)
-    shifts = [recipe.anchors[index] - start for index in indices]  # λ(t − c) + t_i = λt + shift
-    lifts = [(recipe.ifs.maps[index], _line(ratio, shift)) for index, shift in zip(indices, shifts)]
-    points = [(p,) for p in numerators]
-    def form(point):  # component k of η(P/Q) is Pᵏ/Qᵏ
-        return list(accumulate(repeat(point[0], n), mul))
-    failures = _lift_failures(lifts, form, range(1, n + 1), points, common, proven)
-    return [
-        InvarianceCounterexample(indices[k], samples[j], lifts[k][0](eval_moment(n, samples[j])),
-                                 eval_moment(n, ratio * samples[j] + shifts[k]))
-        for k, j in failures
-    ]
-
-
 def verify_moment_invariance(
     recipe: MomentIfsRecipe, samples: Sequence[Fraction]
 ) -> InvarianceReport:
     """Check f_i(η(t)) = η(λ(t−c) + t_i) for every map, exactly, entries above the diagonal too.
 
-    A map that fails is reported at every sample; `checks` counts len(samples)
-    per map.  Only when the samples hold n or fewer distinct values, or none,
-    are the maps no sample caught also compared at the n + 1 points c + k(d − c)/n,
-    each that fails reported at the first of them where it does.  Violations are
-    collected in the report rather than raised.
+    One pass compares both sides on integers at the samples and, only when they hold n or
+    fewer distinct values, at the n + 1 points c + k(d − c)/n; η of n + 1 distinct points are
+    affinely independent, so a map is proven once the points up to the (n + 1)-th distinct one
+    pass.  A failing map is reported at every sample it fails, else at its first failing grid
+    point; `checks` counts len(samples) per map.  Violations are reported, not raised.
     """
-    spec = recipe.spec
-    sample_values = [Fraction(t) for t in samples]
-    if any(not spec.c <= t <= spec.d for t in sample_values):
+    spec, n, ratio = recipe.spec, recipe.spec.dim, recipe.ratio
+    points = [Fraction(t) for t in samples]
+    if any(not spec.c <= t <= spec.d for t in points):
         raise ValueError("samples must lie in [c, d]")
-    every_map = range(len(recipe.ifs.maps))
-    found = _sampled_counterexamples(recipe, sample_values, every_map)
-    if len(set(sample_values)) <= spec.dim:
-        caught = {bad.map_index for bad in found}
-        step = (spec.d - spec.c) / spec.dim
-        grid = [spec.c + k * step for k in range(spec.dim + 1)]
-        for index in every_map:
-            if index not in caught:
-                found += _sampled_counterexamples(recipe, grid, [index])[:1]
-        found.sort(key=lambda bad: bad.map_index)
-    return InvarianceReport(len(sample_values) * len(every_map), tuple(found))
+    sampled = len(points)
+    if len(set(points)) <= n:
+        points += [spec.c + k * (spec.d - spec.c) / n for k in range(n + 1)]
+    numerators, common = _clear_denominators(points)
+    proven = numerators.index(list(dict.fromkeys(numerators))[n]) + 1
+    lifts = [(f, _line(ratio, t - ratio * spec.c)) for f, t in zip(recipe.ifs, recipe.anchors)]
+    def form(point):  # component k of η(P/Q) is Pᵏ/Qᵏ
+        return list(accumulate(repeat(point[0], n), mul))
+    failures = _lift_failures(lifts, form, range(1, n + 1), [(p,) for p in numerators],
+                              common, proven)
+    first = dict(reversed(failures))  # each failing map's first failing point
+    return InvarianceReport(sampled * len(lifts), tuple(
+        InvarianceCounterexample(k, points[j], recipe.ifs[k](eval_moment(n, points[j])),
+                                 eval_moment(n, ratio * (points[j] - spec.c) + recipe.anchors[k]))
+        for k, j in failures if j < sampled or j == first[k]  # else only the first grid failure
+    ))
 
 
 def recipe_to_jsonable(recipe: MomentIfsRecipe) -> dict:

@@ -13,7 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .affine import AffineMap, IteratedFunctionSystem, _float_array, _lift_failures, _line
+from .affine import (
+    AffineMap, IteratedFunctionSystem, _certified_system, _certify_contraction, _float_array,
+    _lift_failures, _line,
+)
 from .cloud import PointCloud
 from .polynomials import MultiPoly
 from .rationals import _check_tiling, _clear_denominators
@@ -25,6 +28,10 @@ __all__ = [
     "verify_paraboloid_conjugation",
     "surface_residual",
 ]
+
+# Largest spec dimension: a map holds n² Fractions and the conjugation check compares n rows
+# of n entries at n + 1 points, so a build grows as n³, to about 2 s at 256 (CPython 3.11, 1 core).
+_MAX_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -39,6 +46,8 @@ class ParaboloidSpec:
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise ValueError("dimension must be at least 2")
+        if self.dim > _MAX_DIM:
+            raise ValueError(f"dimension {self.dim} is above the cap {_MAX_DIM}")
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
         base = tuple((Fraction(c), Fraction(d)) for c, d in self.base_maps)
@@ -100,7 +109,10 @@ def build_paraboloid_ifs(spec: ParaboloidSpec) -> IteratedFunctionSystem:
     maps = tuple(_build_map(spec.dim, c, d) for c, d in spec.base_maps)
     if not _conjugates(spec, maps):
         raise ArithmeticError("conjugation identity failed for a built map")
-    return IteratedFunctionSystem(maps)
+    # a lifted map is lower-triangular with diagonal (c, …, c, c²), nonzero as 0 < |c| < 1,
+    # so it needs only the contraction test, not the determinant
+    certificates = (_certify_contraction(f, f"map {index}") for index, f in enumerate(maps))
+    return _certified_system(maps, certificates)
 
 
 def verify_paraboloid_conjugation(spec: ParaboloidSpec) -> bool:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from selfaffine import affine, classifier, cli, moment, pullback, series
+from selfaffine import affine, classifier, cli, moment, paraboloid, pullback, series
 from selfaffine.cli import main
 from selfaffine.moment import InvarianceReport
 
@@ -244,6 +244,16 @@ class TestParaboloid:
         assert code == 0
         assert len(contraction_calls) == 2
 
+    def test_dimension_above_cap_refused_before_any_map(self, monkeypatch, capsys):
+        def refused(dim, c, d):
+            raise AssertionError(f"a map of dimension {dim} was built")
+
+        monkeypatch.setattr(paraboloid, "_build_map", refused)
+        code, out, err = run(capsys, "paraboloid", "--dim", "100000", "--c", "0",
+                             "--d", "1", "--base", "1/2:0,1/2:1/2")
+        assert (code, out) == (2, "")
+        assert err == '{"error": "dimension 100000 is above the cap 256"}\n'
+
     def test_bad_base_tiling_is_input_error(self, capsys):
         code, _, err = run(capsys, "paraboloid", "--dim", "3", "--c", "0",
                            "--d", "1", "--base", "1/2:0,1/4:3/4")
@@ -288,10 +298,18 @@ class TestChaosAndRender:
         assert text.startswith("<svg")
         assert text.count("<circle") == 100
 
-    def test_render_projection_out_of_range(self, moment_file, capsys):
-        code, _, err = run(capsys, "render", str(moment_file), "--points", "50",
-                           "--project", "0", "5")
-        assert code == 2
+    def test_render_projection_out_of_range(self, moment_file, monkeypatch, capsys):
+        def refused(*args):
+            raise AssertionError("chaos_game ran")
+
+        # the projection is checked against the system before the game runs
+        monkeypatch.setattr(cli, "chaos_game", refused)
+        for project, message in [(("0", "5"), "projection indices out of range"),
+                                 (("1", "1"), "projection indices must differ")]:
+            code, out, err = run(capsys, "render", str(moment_file), "--points", "2000000",
+                                 "--project", *project)
+            assert (code, out) == (2, "")
+            assert json.loads(err) == {"error": message}
 
     @pytest.mark.parametrize("command", ["chaos", "render"])
     def test_points_above_cap_rejected_before_sampling(self, moment_file, command, capsys):

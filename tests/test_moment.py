@@ -31,7 +31,6 @@ from selfaffine.moment import (
     InvarianceReport,
     _built_certificate,
     _built_map,
-    _sampled_counterexamples,
 )
 from selfaffine.rationals import _clear_denominators
 
@@ -228,6 +227,20 @@ class TestBuildMomentIfs:
         assert len(recipe.ifs) == math.ceil(1 / ratio)
 
 
+@pytest.fixture
+def lift_calls(monkeypatch):
+    """The points, as Fractions, of each call the moment verifier makes to _lift_failures."""
+    calls = []
+    original = moment._lift_failures
+
+    def recorded(lifts, form, degrees, points, common, proven):
+        calls.append([Fraction(p, common) for (p,) in points])
+        return original(lifts, form, degrees, points, common, proven)
+
+    monkeypatch.setattr(moment, "_lift_failures", recorded)
+    return calls
+
+
 class TestInvariance:
     def test_exact_for_built_systems(self):
         rng = random.Random(17)
@@ -282,20 +295,26 @@ class TestInvariance:
         return MomentIfsRecipe(recipe.spec, recipe.ratio, recipe.anchors,
                                IteratedFunctionSystem(tuple(maps)))
 
-    def test_every_tampered_position_caught_by_both_checks(self):
+    def test_every_tampered_position_caught_by_both_checks(self, lift_calls):
         recipe = self._small_recipe()
         spec, ratio = recipe.spec, recipe.ratio
         n = spec.dim
         count = len(recipe.ifs)
         assert _coefficient_mismatches(recipe) == []
         samples = [Fraction(-1, 8), Fraction(-3, 32), Fraction(-1, 20), Fraction(0)]
-        assert _sampled_counterexamples(recipe, samples, range(count)) == []
+        assert verify_moment_invariance(recipe, samples).ok
+        assert lift_calls == [samples]
         positions = [(row, column) for row in range(n) for column in [*range(n), None]]
         for number, (row, column) in enumerate(positions):
             index = (7 * number) % count
             tampered = self._tampered(recipe, index, row, column, Fraction(1, 997))
             assert _coefficient_mismatches(tampered) == [index]
-            found = _sampled_counterexamples(tampered, samples, range(count))
+            lift_calls.clear()
+            report = verify_moment_invariance(tampered, samples)
+            # four distinct samples prove a map of n = 3, so no grid point joins them
+            assert lift_calls == [samples]
+            found = list(report.counterexamples)
+            assert found == _plain_counterexamples(tampered, samples, index)
             assert {bad.map_index for bad in found} == {index}
             # t = 0 only exposes a tampered translation
             assert len(found) == (len(samples) if column is None else len(samples) - 1)
@@ -306,8 +325,6 @@ class TestInvariance:
                 assert bad.image == f(eval_moment(n, bad.sample))
                 assert bad.expected == eval_moment(n, ratio * (bad.sample - spec.c) + anchor)
                 assert bad.image != bad.expected
-            report = verify_moment_invariance(tampered, samples)
-            assert report.counterexamples == tuple(found)
             assert report.checks == len(samples) * count
 
     def test_mismatch_no_sample_exposes_is_reported(self):
@@ -480,23 +497,16 @@ class TestVerifierAgainstReference:
         assert tampered_reports > compared // 2
         assert gridded > 20
 
-    def test_grid_only_for_few_distinct_samples(self, monkeypatch):
+    def test_grid_only_for_few_distinct_samples(self, lift_calls):
         recipe = _tiling_recipe(3, 0, 1, Fraction(1, 10))
-        calls = []
-        original = moment._sampled_counterexamples
-
-        def counted(recipe, samples, indices):
-            calls.append(list(samples))
-            return original(recipe, samples, indices)
-
-        monkeypatch.setattr(moment, "_sampled_counterexamples", counted)
-        # n = 3: three distinct samples need the grid, four do not
-        for samples, gridded in [([0, 1, 1, 1], True), ([0, Fraction(1, 3), 1, 1], True),
+        grid = _grid(recipe.spec)
+        # n = 3: no sample or three distinct ones need the grid, four do not
+        for samples, gridded in [([], True), ([0, 1, 1, 1], True),
+                                 ([0, Fraction(1, 3), 1, 1], True),
                                  ([0, Fraction(1, 3), Fraction(1, 2), 1], False)]:
-            calls.clear()
+            lift_calls.clear()
             assert verify_moment_invariance(recipe, samples).ok
-            assert calls[0] == samples
-            assert calls[1:] == [_grid(recipe.spec)] * (len(recipe.ifs) if gridded else 0)
+            assert lift_calls == [samples + grid if gridded else samples]
 
 
 @pytest.fixture
@@ -722,7 +732,7 @@ def _vanishing_tamper(recipe, rng, roots):
 
 
 class TestEarlyStop:
-    def test_reports_equal_the_all_samples_reference(self):
+    def test_reports_equal_the_all_samples_reference(self, lift_calls):
         rng = random.Random(43)
         late_failures = 0
         for recipe in _seeded_recipes():
@@ -739,8 +749,10 @@ class TestEarlyStop:
                 for current, vanishing in cases:
                     every_map = range(len(current.ifs))
                     expected = _all_samples_counterexamples(current, samples, every_map)
-                    assert _sampled_counterexamples(current, samples, every_map) == expected
+                    lift_calls.clear()
                     report = verify_moment_invariance(current, samples)
+                    # more than n distinct samples: one pass over them, and no grid
+                    assert lift_calls == [samples]
                     assert report.checks == 100 * len(current.ifs)
                     assert report.counterexamples == tuple(expected)
                     assert report.ok == (current is recipe)

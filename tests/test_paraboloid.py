@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selfaffine import paraboloid
-from selfaffine.affine import AffineMap
+from selfaffine import affine, paraboloid
+from selfaffine.affine import AffineMap, is_contractive
 from selfaffine.cloud import PointCloud
 from selfaffine.exactlinalg import determinant, solve
 from selfaffine.paraboloid import (
@@ -214,6 +214,53 @@ class TestConjugationCheck:
         assert _reference_conjugates(spec, maps)
         assert not _reference_conjugates(spec, [g, *maps[1:]])
         assert not _conjugates(spec, [g, *maps[1:]])
+
+
+@pytest.fixture
+def determinant_calls(monkeypatch):
+    """The matrices the system certificate passes to determinant."""
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return determinant(matrix)
+
+    monkeypatch.setattr(affine, "determinant", counted)
+    return calls
+
+
+class TestBuilderCertificate:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_builder_skips_the_determinant(self, n, determinant_calls):
+        for spec in _seeded_specs(n, n * 31):
+            ifs = build_paraboloid_ifs(spec)
+            assert ifs.certificates == tuple(map(is_contractive, ifs.maps))
+            # the argument that replaces the determinant: lower-triangular, diagonal (c, …, c, c²)
+            for (c, _), f in zip(spec.base_maps, ifs.maps):
+                assert [f.matrix[k][k] for k in range(n)] == [c] * (n - 1) + [c * c]
+                assert not any(f.matrix[i][j] for i in range(n) for j in range(i + 1, n))
+                assert determinant(f.matrix) == c ** (n + 1) != 0
+        assert determinant_calls == []
+
+    def test_non_contractive_map_is_named(self, determinant_calls):
+        # c = d = 1/2 lifts to a last row (1/2, …, 1/2, 1/4), of norm above 1 from n = 4 on
+        with pytest.raises(ValueError, match="^map 1 is not strictly contractive$"):
+            build_paraboloid_ifs(halves_spec(4))
+        assert determinant_calls == []
+
+
+class TestDimensionCap:
+    @pytest.mark.parametrize("n", [257, 100_000, 10**9])
+    def test_refused_before_any_map(self, n, monkeypatch):
+        def refused(dim, c, d):
+            raise AssertionError(f"a map of dimension {dim} was built")
+
+        monkeypatch.setattr(paraboloid, "_build_map", refused)
+        with pytest.raises(ValueError, match=f"^dimension {n} is above the cap 256$"):
+            build_paraboloid_ifs(halves_spec(n))
+
+    def test_the_cap_itself_is_taken(self):
+        assert halves_spec(paraboloid._MAX_DIM).dim == 256
 
 
 class TestSurfaceResidual:
