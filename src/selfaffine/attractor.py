@@ -1,12 +1,8 @@
-"""Numerical attractor sampling and set-distance diagnostics.
+"""Numerical attractor sampling and the diameter of a cloud.
 
-Attractors are sampled in floating point, either by the random chaos
-game (PCG64 generator, so a seed fully determines the cloud) or by
-deterministic enumeration of all composition words to a fixed depth.
-Distances are exact scans.  diameter is a numpy scan that matches
-scipy's cdist bit for bit; one_sided_hausdorff queries scipy's KD-tree,
-which accelerates the scan without changing the result, and is the only
-code in the package that loads scipy.
+Attractors are sampled in floating point by the random chaos game
+(PCG64 generator, so a seed fully determines the cloud).  diameter is
+an exact numpy scan that matches scipy's cdist bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +12,7 @@ import numpy as np
 from .affine import _WORD_GUARD, IteratedFunctionSystem, _float_array, fixed_point
 from .cloud import PointCloud
 
-__all__ = ["chaos_game", "hutchinson_iterate", "diameter", "one_sided_hausdorff"]
+__all__ = ["chaos_game", "diameter"]
 
 _EXACT_DIAMETER_LIMIT = 10_000
 # Rows per block of the pairwise scan, few enough that a block stays in cache
@@ -55,27 +51,6 @@ def chaos_game(
     return PointCloud(ifs.dim, kept)
 
 
-def hutchinson_iterate(ifs: IteratedFunctionSystem, depth: int) -> PointCloud:
-    """Enumerate f_w(x₀) over every word w of the given length.
-
-    x₀ is the fixed point of the first map; the cloud has exactly
-    ℓ^depth points.  Depths with ℓ^depth above 10⁷ are rejected, and an
-    entry beyond the float range with ValueError.
-    """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    count = len(ifs.maps)
-    total = count**depth
-    if total > _WORD_GUARD:
-        raise ValueError(f"word count {total} exceeds the guard {_WORD_GUARD}")
-    points = _float_array([fixed_point(ifs.maps[0])])
-    matrices = [_float_array(m.matrix) for m in ifs.maps]
-    translations = [_float_array(m.translation) for m in ifs.maps]
-    for _ in range(depth):
-        points = np.vstack([points @ m.T + t for m, t in zip(matrices, translations)])
-    return PointCloud(ifs.dim, points)
-
-
 def diameter(cloud: PointCloud) -> float:
     """Largest pairwise distance in the cloud.
 
@@ -111,20 +86,3 @@ def diameter(cloud: PointCloud) -> float:
         return float(np.sqrt(worst))
     extents = points.max(axis=0) - points.min(axis=0)
     return float(np.sqrt(np.sum(extents**2)))
-
-
-def one_sided_hausdorff(source: PointCloud, target: PointCloud) -> float:
-    """sup over source points of the distance to the nearest target point.
-
-    Uses an exact nearest-neighbour tree; the result equals the brute
-    nested scan.
-    """
-    if source.dim != target.dim:
-        raise ValueError("clouds must share a dimension")
-    if len(source) == 0 or len(target) == 0:
-        raise ValueError("clouds must be nonempty")
-    from scipy.spatial import cKDTree  # imported here so only this function pays for scipy
-
-    tree = cKDTree(target.points)
-    distances, _ = tree.query(source.points, k=1)
-    return float(np.max(distances))

@@ -59,23 +59,16 @@ class InsufficientOrderError(ValueError):
     """The truncation order is too small to trust the extracted exponents."""
 
 
-def normalize_at_fixed_point(
-    curve: TruncatedSeries, j_matrix: Sequence[Sequence], value_at_t0: Sequence
-) -> TruncatedSeries:
-    """Apply γ̃ = J⁻¹(γ − γ(t₀)) coefficient-wise.
+def normalize_at_fixed_point(curve: TruncatedSeries, j_matrix: Sequence[Sequence]) -> TruncatedSeries:
+    """Apply γ̃ = J⁻¹(γ − γ(t₀)) coefficient-wise, γ(t₀) being the constant coefficients.
 
     The result has zero constant term; when J's first column is the
     tangent γ′(t₀), its first-order coefficient vector is (1, 0, …, 0).
     """
     matrix = as_matrix(j_matrix)
     inverse = mat_inverse(matrix)
-    value = as_vector(value_at_t0)
-    n = curve.dim
-    if len(matrix) != n or len(value) != n:
+    if len(matrix) != curve.dim:
         raise ValueError("matrix and value dimensions must match the curve")
-    for i in range(n):
-        if curve.coords[i][0] != value[i]:
-            raise ValueError("constant coefficients must equal the value at the base point")
     shifted = [(Fraction(0),) + row[1:] for row in curve.coords]
     rows = tuple(tuple(_combine(weights, shifted, curve.order)) for weights in inverse)
     return TruncatedSeries(curve.order, rows)
@@ -390,8 +383,7 @@ def classify_curve(
     if not 0 < abs(lam) < 1:
         raise ValueError(f"tangent eigenvalue must satisfy 0 < |λ| < 1, got {lam}")
     stages = [f"[tangent-eigenvalue] M fixes the tangent direction with λ = {lam}"]
-    value = tuple(row[0] for row in curve.coords)
-    normalized = normalize_at_fixed_point(curve, j, value)
+    normalized = normalize_at_fixed_point(curve, j)
     stages.append("[normalize] germ recentered, tangent aligned with the first axis")
     try:
         gf = graph_form(normalized)

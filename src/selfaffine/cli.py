@@ -39,6 +39,7 @@ from .polynomials import (
     scaling_constant,
 )
 from .pullback import (
+    _RESIDUAL_TOLERANCE,
     circle_polynomial,
     dependency_witness,
     diameter_decay_report,
@@ -222,11 +223,11 @@ def _cmd_scaling(args) -> int:
         print(f"[scaling-identity] absent: P∘f is not proportional to P "
               f"for P = {format_polynomial(poly)}")
         return 1
-    print(f"[scaling-identity] P∘f = C·P with C = {format_rational(constant)}")
+    # certified before anything is printed, so a map it rejects leaves stdout empty
     certificate = scaling_certificate(poly, f)
-    if certificate is not None:
-        print(f"[fixed-point-on-surface] P(fixed point of f) = "
-              f"{format_rational(certificate.fixed_point_value)}; |C| < 1")
+    print(f"[scaling-identity] P∘f = C·P with C = {format_rational(constant)}")
+    print(f"[fixed-point-on-surface] P(fixed point of f) = "
+          f"{format_rational(certificate.fixed_point_value)}; |C| < 1")
     return 0
 
 
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("map", help="single-map JSON file")
     p.add_argument("--depth", type=int, default=10, help="number of pullbacks m (at most 100)")
     p.add_argument("--points", type=int, default=64, help="circle sample count (at most 10000)")
-    p.add_argument("--tolerance", type=float, default=1e-9,
+    p.add_argument("--tolerance", type=float, default=_RESIDUAL_TOLERANCE,
                    help="relative residual tolerance")
     p.add_argument("--output", default=None)
     p.add_argument("--format", default="text")

@@ -10,11 +10,11 @@ from __future__ import annotations
 import contextlib
 import io
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO, Union
+from typing import TextIO, Union
 
 import numpy as np
 
-__all__ = ["PointCloud", "write_csv", "read_csv", "write_svg"]
+__all__ = ["PointCloud", "write_csv", "write_svg"]
 
 PathOrFile = Union[str, "io.TextIOBase", TextIO]
 
@@ -62,33 +62,6 @@ def write_csv(cloud: PointCloud, target: PathOrFile) -> None:
     with _open_for_write(target) as handle:
         for row in cloud.points:
             handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def read_csv(source: PathOrFile, dim: Optional[int] = None) -> PointCloud:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    else:
-        text = source.read()
-    rows = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            row = [float(field) for field in stripped.split(",")]
-        except ValueError:
-            raise ValueError(f"line {line_number}: not a comma-separated float row") from None
-        rows.append(row)
-    if not rows:
-        raise ValueError("cloud file contains no points")
-    widths = {len(row) for row in rows}
-    if len(widths) != 1:
-        raise ValueError("rows have inconsistent dimensions")
-    width = widths.pop()
-    if dim is not None and dim != width:
-        raise ValueError(f"expected dimension {dim}, file has {width}")
-    return PointCloud(width, np.array(rows, dtype=float))
 
 
 def _check_projection(projection: tuple[int, int], dim: int) -> None:

@@ -107,11 +107,12 @@ def build_paraboloid_ifs(spec: ParaboloidSpec) -> IteratedFunctionSystem:
     proven exactly before the system is returned.
     """
     maps = tuple(_build_map(spec.dim, c, d) for c, d in spec.base_maps)
+    # a lifted map is lower-triangular with diagonal (c, …, c, c²), nonzero as 0 < |c| < 1,
+    # so it needs only the contraction test, not the determinant; it runs before the proof,
+    # so a base that is not contractive fails without proving anything
+    certificates = [_certify_contraction(f, f"map {index}") for index, f in enumerate(maps)]
     if not _conjugates(spec, maps):
         raise ArithmeticError("conjugation identity failed for a built map")
-    # a lifted map is lower-triangular with diagonal (c, …, c, c²), nonzero as 0 < |c| < 1,
-    # so it needs only the contraction test, not the determinant
-    certificates = (_certify_contraction(f, f"map {index}") for index, f in enumerate(maps))
     return _certified_system(maps, certificates)
 
 

@@ -322,7 +322,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-def parse_polynomial(text: str, dim: Optional[int] = None) -> MultiPoly:
+def parse_polynomial(text: str) -> MultiPoly:
     """Parse "coef * x1^a1 * ... + ..." with rational coefficients.
 
     Whitespace is ignored, '*' between factors is optional, and terms
@@ -392,10 +392,7 @@ def parse_polynomial(text: str, dim: Optional[int] = None) -> MultiPoly:
         if pos >= len(tokens):
             raise ValueError("dangling sign at end of polynomial text")
     greatest = max((max(exps, default=-1) for _, exps in raw_terms), default=-1)
-    if dim is None:
-        dim = max(greatest + 1, 1)
-    elif greatest + 1 > dim:
-        raise ValueError(f"variable x{greatest + 1} exceeds dimension {dim}")
+    dim = max(greatest + 1, 1)
     terms: dict[tuple[int, ...], Fraction] = {}
     for coefficient, exponents in raw_terms:
         key = tuple(exponents.get(i, 0) for i in range(dim))

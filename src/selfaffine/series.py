@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = [
-    "TruncatedSeries",
-    "series_multiply",
-    "series_compose",
-    "series_reverse",
-]
+__all__ = ["TruncatedSeries", "series_compose", "series_reverse"]
 
 
 @dataclass(frozen=True)
@@ -117,15 +112,6 @@ def _powers(inner: Sequence[Fraction], order: int) -> list[list[Fraction]]:
     for _ in range(order):
         table.append(_mul(table[-1], inner, order))
     return table
-
-
-def series_multiply(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the shared order."""
-    left = _require_1d(a, "series_multiply")
-    right = _require_1d(b, "series_multiply")
-    if a.order != b.order:
-        raise ValueError("series orders differ")
-    return TruncatedSeries(a.order, (tuple(_mul(left, right, a.order)),))
 
 
 def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:

@@ -1,24 +1,14 @@
-"""Attractor sampling: chaos game, word enumeration, metric helpers."""
+"""Attractor sampling: the chaos game and the cloud diameter."""
 
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 from selfaffine.affine import AffineMap, IteratedFunctionSystem
-from selfaffine.attractor import (
-    _DIAMETER_BLOCK,
-    chaos_game,
-    diameter,
-    hutchinson_iterate,
-    one_sided_hausdorff,
-)
+from selfaffine.attractor import _DIAMETER_BLOCK, chaos_game, diameter
 from selfaffine.cloud import PointCloud
 from selfaffine.moment import MomentCurveSpec, build_moment_ifs, choose_anchors
 
@@ -96,33 +86,6 @@ class TestChaosGame:
         assert np.abs(cloud.points[:, 1] - t**2).max() <= 1e-12
 
 
-class TestHutchinson:
-    def test_exact_level_sets(self):
-        ifs = cantor_like_ifs()
-        cloud = hutchinson_iterate(ifs, 3)
-        # 2^3 words applied to the seed set
-        xs = sorted(set(np.round(cloud.points[:, 0], 12)))
-        # level-3 Cantor points: all sums of 2/3 * (e1/3^0 + e2/3 + e3/9) scaled
-        assert len(cloud) == 8 * (len(cloud) // 8)
-        assert cloud.points.min() >= 0.0 and cloud.points.max() <= 1.0
-        assert len(xs) >= 8
-
-    def test_word_budget_guard(self):
-        with pytest.raises(ValueError):
-            hutchinson_iterate(cantor_like_ifs(), 64)
-
-    def test_on_curve_exactly(self):
-        cloud = hutchinson_iterate(moment_ifs(2), 2)
-        t = cloud.points[:, 0]
-        assert np.abs(cloud.points[:, 1] - t**2).max() <= 1e-12
-
-    def test_translation_beyond_float_range_raises(self):
-        half = [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 2)]]
-        ifs = IteratedFunctionSystem((AffineMap(half, [Fraction(10**400), Fraction(0)]),))
-        with pytest.raises(ValueError, match="float range"):
-            hutchinson_iterate(ifs, 2)
-
-
 class TestDiameter:
     def test_two_points(self):
         cloud = PointCloud(2, [[0.0, 0.0], [3.0, 4.0]])
@@ -169,57 +132,3 @@ class TestDiameter:
         extents = pts.max(axis=0) - pts.min(axis=0)
         assert value == pytest.approx(float(np.hypot(*extents)), rel=1e-12)
 
-
-class TestOneSidedHausdorff:
-    def test_zero_for_identical(self):
-        pts = np.random.default_rng(1).normal(size=(40, 2))
-        cloud = PointCloud(2, pts)
-        assert one_sided_hausdorff(cloud, cloud) == 0.0
-
-    def test_hand_value(self):
-        a = PointCloud(1, [[0.0], [10.0]])
-        b = PointCloud(1, [[1.0], [10.0]])
-        assert one_sided_hausdorff(a, b) == 1.0
-        assert one_sided_hausdorff(b, a) == 1.0
-
-    def test_asymmetry(self):
-        a = PointCloud(1, [[0.0]])
-        b = PointCloud(1, [[0.0], [100.0]])
-        assert one_sided_hausdorff(a, b) == 0.0
-        assert one_sided_hausdorff(b, a) == 100.0
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(30, 3))
-        b = rng.normal(size=(25, 3))
-        mine = one_sided_hausdorff(PointCloud(3, a), PointCloud(3, b))
-        brute = max(min(float(np.linalg.norm(p - q)) for q in b) for p in a)
-        assert mine == pytest.approx(brute, rel=0, abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            one_sided_hausdorff(PointCloud(1, [[0.0]]), PointCloud(2, [[0.0, 0.0]]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            one_sided_hausdorff(PointCloud(1, []), PointCloud(1, [[0.0]]))
-
-
-class TestImports:
-    def test_scipy_loaded_only_by_one_sided_hausdorff(self):
-        source = str(Path(__file__).resolve().parent.parent / "src")
-        script = (
-            "import sys\n"
-            "import selfaffine, selfaffine.cli\n"
-            "print('scipy' in sys.modules)\n"
-            "cloud = selfaffine.PointCloud(1, [[0.0], [1.0]])\n"
-            "selfaffine.diameter(cloud)\n"
-            "print('scipy' in sys.modules)\n"
-            "selfaffine.one_sided_hausdorff(cloud, cloud)\n"
-            "print('scipy' in sys.modules)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=source)
-        result = subprocess.run([sys.executable, "-c", script], env=env,
-                                capture_output=True, text=True, timeout=60)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["False", "False", "True"]

@@ -493,6 +493,16 @@ class TestScaling:
         assert "C = 1/2" in out
         assert "[fixed-point-on-surface]" in out
 
+    def test_rejected_map_prints_nothing(self, tmp_path, capsys):
+        # P∘f = 2·P holds for f = 2·I, but f is no contraction: an input error, and no result
+        poly = tmp_path / "line.txt"
+        poly.write_text("x1 - x2")
+        double = tmp_path / "double.json"
+        double.write_text(json.dumps({"matrix": [["2", "0"], ["0", "2"]], "translation": ["0", "0"]}))
+        code, out, err = run(capsys, "scaling", str(poly), str(double))
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "map is not strictly contractive"}
+
     @pytest.mark.parametrize("text", ["x1000000000", "x1^1000000 + x2^2 - 1"])
     def test_polynomial_caps_are_input_errors(self, tmp_path, half_map_file, text, capsys):
         poly = tmp_path / "big.txt"

@@ -1,9 +1,16 @@
-"""The package namespace: every name each module lists in its __all__, and no other."""
+"""The package namespace, every name each module lists in its __all__ and no other,
+and the runtime dependencies: numpy alone."""
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import selfaffine
+from selfaffine.cli import build_parser
 
 # the modules whose names the package exports; cli is the command line, run as a script
 MODULES = ("affine", "attractor", "classifier", "cloud", "exactlinalg", "moment", "paraboloid",
@@ -29,3 +36,47 @@ def test_all_is_the_union_of_the_module_lists():
 def test_names_the_modules_declared_are_exported():
     assert {"read_recipe", "certify_admissible", "InvarianceCounterexample", "DecayRow",
             "NORM_TOLERANCE", "WordCheck", "identity"} <= set(selfaffine.__all__)
+
+
+# Runs each argv list of sys.argv[1] (JSON) through the command line with scipy blocked,
+# so that any import of it raises, and prints the exit codes.
+WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+import selfaffine
+from selfaffine.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    (tmp_path / "line.txt").write_text("x2 - x1\n")
+    (tmp_path / "circle.txt").write_text("x1^2 + x2^2 - 1\n")
+    (tmp_path / "half.json").write_text(json.dumps(
+        {"matrix": [["1/2", "0"], ["0", "1/2"]], "translation": ["0", "0"]}))
+    (tmp_path / "germ.json").write_text(json.dumps(
+        {"t0": "0", "order": 8, "coords": [["0", "1"] + ["0"] * 7, ["0", "0", "1"] + ["0"] * 6]}))
+    (tmp_path / "m.json").write_text(json.dumps({"matrix": [["1/2", "0"], ["0", "1/4"]]}))
+    commands = [
+        ["build-moment", "--dim", "2", "--c", "0", "--d", "1", "--lambda", "1/25",
+         "--output", "moment.json"],
+        ["verify", "moment.json", "--points", "5"],
+        ["chaos", "moment.json", "--points", "50", "--output", "chaos.csv"],
+        ["render", "moment.json", "--points", "50", "--output", "render.svg"],
+        ["paraboloid", "--dim", "3", "--c", "0", "--d", "1", "--base", "1/2:0,1/2:1/2"],
+        ["scaling", "line.txt", "half.json"],
+        ["classify", "germ.json", "m.json", "--t1", "1"],
+        ["compactness-demo", "circle.txt", "half.json", "--depth", "4", "--points", "8"],
+    ]
+    source = str(Path(selfaffine.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, json.dumps(commands)],
+                            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=source),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [0] * len(commands)
+    subcommands = next(a for a in build_parser()._actions if a.dest == "subcommand").choices
+    assert sorted(command[0] for command in commands) == sorted(subcommands)

@@ -248,6 +248,14 @@ class TestBuilderCertificate:
             build_paraboloid_ifs(halves_spec(4))
         assert determinant_calls == []
 
+    def test_certified_before_the_proof(self, monkeypatch):
+        # with every proof failing, only a certificate taken first can give this error
+        monkeypatch.setattr(paraboloid, "_lift_failures", lambda *args: ["failed"])
+        with pytest.raises(ValueError, match="^map 1 is not strictly contractive$"):
+            build_paraboloid_ifs(halves_spec(4))
+        with pytest.raises(ArithmeticError, match="conjugation identity failed"):
+            build_paraboloid_ifs(halves_spec(3))
+
 
 class TestDimensionCap:
     @pytest.mark.parametrize("n", [257, 100_000, 10**9])

@@ -77,10 +77,10 @@ class TestParseFormat:
         assert p.terms[(1, 3)] == Fraction(3, 2)
         assert p.terms[(0, 1)] == Fraction(-1)
 
-    def test_dim_inference_and_override(self):
-        p = parse_polynomial("x3", dim=5)
-        assert p.dim == 5
+    def test_dim_is_the_largest_variable_index(self):
+        assert parse_polynomial("x3").dim == 3
         assert parse_polynomial("x2 + x1").dim == 2
+        assert parse_polynomial("5").dim == 1
 
     @pytest.mark.parametrize("bad", ["x1^-2", "x0", "1 +", "* x1", "x1^", "y1", "x1^x2"])
     def test_rejects(self, bad):
