@@ -168,9 +168,8 @@ class ContractionCertificate:
         return self.contractive
 
 
-def _row_sum_certificate(n: int, row_sum: Fraction) -> Optional[ContractionCertificate]:
-    """The row-sum route's certificate for side n and max row sum, None when n·row_sum² ≥ 1."""
-    squared = n * row_sum * row_sum
+def _row_sum_certificate(squared: Fraction) -> Optional[ContractionCertificate]:
+    """The row-sum route's certificate for n·(max row sum)² = squared, None when squared ≥ 1."""
     if squared < 1:
         return ContractionCertificate(True, "row-sum-bound", math.sqrt(float(squared)), squared)
     return None
@@ -178,7 +177,7 @@ def _row_sum_certificate(n: int, row_sum: Fraction) -> Optional[ContractionCerti
 
 def is_contractive(f: AffineMap) -> ContractionCertificate:
     """Certified contraction test: exact row-sum route first, then numeric."""
-    certificate = _row_sum_certificate(f.dim, max_row_sum(f.matrix))
+    certificate = _row_sum_certificate(f.dim * max_row_sum(f.matrix) ** 2)
     if certificate:
         return certificate
     norm = operator_norm(f.matrix)
@@ -230,6 +229,12 @@ class IteratedFunctionSystem:
     def __getitem__(self, index: int) -> AffineMap:
         return self.maps[index]
 
+    def _float_rows(self):
+        """The float matrices, translations and fixed point of map 0 that chaos_game samples."""
+        return ([_float_array(f.matrix) for f in self.maps],
+                [_float_array(f.translation) for f in self.maps],
+                _float_array(fixed_point(self.maps[0])))
+
 
 def _certified_system(maps, certificates=(), ifs=None) -> IteratedFunctionSystem:
     """`maps` as a system, each map certified once, stored on `ifs` (by default a new one).
@@ -254,15 +259,21 @@ def _certified_system(maps, certificates=(), ifs=None) -> IteratedFunctionSystem
 
 
 def _line(scale: Fraction, shift: Fraction) -> tuple[int, int, int]:
-    """Integers (α, β, γ) with scale·x + shift = (α·x + β)/γ for every x."""
-    (p, q), (r, s) = scale.as_integer_ratio(), shift.as_integer_ratio()
-    return p * s, r * q, q * s
+    """Integers (α, β, γ) with scale·x + shift = (α·x + β)/γ for every x, γ the least."""
+    (alpha, beta), gamma = _clear_denominators((scale, shift))
+    return alpha, beta, gamma
+
+
+def _cleared_rows(f: AffineMap) -> list[tuple[list[int], int]]:
+    """Each row of f, its translation entry first, as integers over their least denominator."""
+    return [_clear_denominators((offset,) + row) for offset, row in zip(f.translation, f.matrix)]
 
 
 def _lift_failures(lifts, form, degrees, points, common: int, proven: int):
     """The (map index, point index) pairs where f(η(x)) ≠ η(φ(x)), compared on integers.
 
-    `lifts` holds pairs (f, (α, β, γ)) with φ(x) = (α·x + β)/γ in every coordinate.
+    `lifts` holds pairs (rows, (α, β, γ)) with φ(x) = (α·x + β)/γ in every coordinate;
+    rows[k] is row k of f, its translation entry first, as (integers, denominator).
     The points are x = P/Q for the integer tuples P in `points` and Q = `common`, and
     component k of η(P/Q) is form(P)[k]/Q^degrees[k].  A map stops once the first
     `proven` points pass, and one that fails is compared at every point.  Where
@@ -273,13 +284,11 @@ def _lift_failures(lifts, form, degrees, points, common: int, proven: int):
     table = [(scale, *(v * common ** (top - d) for v, d in zip(form(point), degrees)))
              for point in points]
     found = []
-    for index, (f, (alpha, beta, gamma)) in enumerate(lifts):
+    for index, (cleared, (alpha, beta, gamma)) in enumerate(lifts):
         # at x = P/Q, φ(x) = U/G with U = α·P + β·Q and G = γ·Q
         shift, gamma = beta * common, gamma * common
-        rows = []
-        for offset, row, d in zip(f.translation, f.matrix, degrees):
-            numerators, denominator = _clear_denominators((offset,) + row)
-            rows.append((numerators, denominator * scale, gamma**d))
+        rows = [(numerators, denominator * scale, gamma**d)
+                for (numerators, denominator), d in zip(cleared, degrees)]
         caught = len(found)
         for position, (point, powers) in enumerate(zip(points, table)):
             if position == proven and len(found) == caught:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .affine import _WORD_GUARD, IteratedFunctionSystem, _float_array, fixed_point
+from .affine import _WORD_GUARD
 from .cloud import PointCloud
 
 __all__ = ["chaos_game", "diameter"]
@@ -20,35 +20,36 @@ _EXACT_DIAMETER_LIMIT = 10_000
 _DIAMETER_BLOCK = 16
 
 
-def chaos_game(
-    ifs: IteratedFunctionSystem, iterations: int, burn_in: int, seed: int
-) -> PointCloud:
-    """Sample the attractor by iterating uniformly random maps.
-
-    Starts at the fixed point of the first map, applies `iterations`
-    random maps, and discards the first `burn_in` images.  The same
-    seed always yields the same cloud.  More than 10⁷ iterations are
-    rejected before anything is allocated, and an entry beyond the float
-    range with ValueError.
-    """
+def _check_steps(iterations: int, burn_in: int) -> None:
+    """Raise ValueError unless 0 ≤ burn_in < iterations ≤ 10⁷."""
     if burn_in < 0:
         raise ValueError("burn_in must be nonnegative")
     if iterations <= burn_in:
         raise ValueError("iterations must exceed burn_in")
     if iterations > _WORD_GUARD:
         raise ValueError(f"{iterations} iterations exceed the guard {_WORD_GUARD}")
+
+
+def chaos_game(ifs, iterations: int, burn_in: int, seed: int) -> PointCloud:
+    """Sample the attractor by iterating uniformly random maps.
+
+    `ifs` is an IteratedFunctionSystem or a MomentIfsRecipe, whose maps
+    need not be built.  Starts at the fixed point of the first map,
+    applies `iterations` random maps, and discards the first `burn_in`
+    images.  The same seed always yields the same cloud.  More than 10⁷
+    iterations are rejected before anything is allocated, and an entry
+    beyond the float range with ValueError.
+    """
+    _check_steps(iterations, burn_in)
     rng = np.random.Generator(np.random.PCG64(seed))
-    count = len(ifs.maps)
-    matrices = [_float_array(m.matrix) for m in ifs.maps]
-    translations = [_float_array(m.translation) for m in ifs.maps]
-    choices = rng.integers(0, count, size=iterations)
-    x = _float_array(fixed_point(ifs.maps[0]))
-    kept = np.empty((iterations - burn_in, ifs.dim))
+    matrices, translations, x = ifs._float_rows()
+    choices = rng.integers(0, len(matrices), size=iterations)
+    kept = np.empty((iterations - burn_in, len(x)))
     for step, index in enumerate(choices):
         x = matrices[index] @ x + translations[index]
         if step >= burn_in:
             kept[step - burn_in] = x
-    return PointCloud(ifs.dim, kept)
+    return PointCloud(len(x), kept)
 
 
 def diameter(cloud: PointCloud) -> float:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from .affine import (
     _WORD_GUARD, ifs_from_jsonable, ifs_to_jsonable, map_from_jsonable, matrix_from_jsonable
 )
-from .attractor import chaos_game
+from .attractor import _check_steps, chaos_game
 from .classifier import classify_curve, germ_from_jsonable
 from .cloud import PointCloud, _check_projection, write_csv, write_svg
 from .exactlinalg import identity
@@ -32,12 +32,7 @@ from .moment import (
     verify_moment_invariance,
 )
 from .paraboloid import ParaboloidSpec, build_paraboloid_ifs
-from .polynomials import (
-    format_polynomial,
-    parse_polynomial,
-    scaling_certificate,
-    scaling_constant,
-)
+from .polynomials import _scaling_certificate, format_polynomial, parse_polynomial, scaling_constant
 from .pullback import (
     _RESIDUAL_TOLERANCE,
     circle_polynomial,
@@ -109,7 +104,7 @@ def _cmd_build_moment(args) -> int:
     payload = _json_text(recipe_to_jsonable(recipe))
     report = sys.stdout if args.output else sys.stderr
     _emit(payload, args.output)
-    certificates = recipe.ifs.certificates
+    certificates = recipe._certificates
     worst = max(c.norm_bound for c in certificates)
     exact = sum(1 for c in certificates if c.route == "row-sum-bound")
     print(f"[lambda-bound] admissible ceiling {format_rational(ceiling)}, "
@@ -166,18 +161,22 @@ def _cmd_paraboloid(args) -> int:
 def _chaos_cloud(args, projection=None):
     """The chaos-game cloud that chaos and render write, `projection` checked before the game.
 
-    A file that read_recipe rejects, moment meta or not, is read by ifs_from_jsonable.
+    The sampling options are checked before the file is loaded.  A file that
+    read_recipe rejects, moment meta or not, is read by ifs_from_jsonable.
     """
-    data = _load_json(args.ifs)
-    try:
-        ifs = read_recipe(data).ifs
-    except ValueError:
-        ifs = ifs_from_jsonable(data)
     if args.points <= 0:
         raise ValueError("--points must be positive")
+    _check_steps(args.points + args.burn_in, args.burn_in)
+    if args.seed < 0:
+        raise ValueError("--seed must be a nonnegative integer")
+    data = _load_json(args.ifs)
+    try:
+        system = read_recipe(data)
+    except ValueError:
+        system = ifs_from_jsonable(data)
     if projection is not None:
-        _check_projection(projection, ifs.dim)
-    return chaos_game(ifs, args.points + args.burn_in, args.burn_in, args.seed)
+        _check_projection(projection, data["dim"])  # both readers checked it
+    return chaos_game(system, args.points + args.burn_in, args.burn_in, args.seed)
 
 
 def _cmd_chaos(args) -> int:
@@ -195,9 +194,9 @@ def _cmd_verify(args) -> int:
     if args.points < 2:
         raise ValueError("--points must be at least 2")
     recipe = read_recipe(_load_json(args.ifs))
-    checks = args.points * len(recipe.ifs)
+    checks = args.points * len(recipe.anchors)
     if checks > _WORD_GUARD:
-        raise ValueError(f"--points {args.points} on {len(recipe.ifs)} maps gives "
+        raise ValueError(f"--points {args.points} on {len(recipe.anchors)} maps gives "
                          f"{checks} checks, above the guard {_WORD_GUARD}")
     spec = recipe.spec
     step = (spec.d - spec.c) / (args.points - 1)
@@ -224,7 +223,7 @@ def _cmd_scaling(args) -> int:
               f"for P = {format_polynomial(poly)}")
         return 1
     # certified before anything is printed, so a map it rejects leaves stdout empty
-    certificate = scaling_certificate(poly, f)
+    certificate = _scaling_certificate(poly, f, lambda: constant)
     print(f"[scaling-identity] P∘f = C·P with C = {format_rational(constant)}")
     print(f"[fixed-point-on-surface] P(fixed point of f) = "
           f"{format_rational(certificate.fixed_point_value)}; |C| < 1")

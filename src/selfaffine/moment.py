@@ -16,17 +16,12 @@ from itertools import accumulate, groupby, repeat
 from operator import mul
 from typing import Sequence
 
+import numpy as np
+
 from .affine import (
-    AffineMap,
-    IteratedFunctionSystem,
-    _certified_system,
-    _certify_contraction,
-    _ifs_header,
-    _lift_failures,
-    _line,
-    _row_sum_certificate,
-    ifs_to_jsonable,
-    map_from_jsonable,
+    AffineMap, IteratedFunctionSystem, _certified_system, _certify_contraction, _cleared_rows,
+    _float_array, _ifs_header, _lift_failures, _line, _row_sum_certificate, certify_admissible,
+    fixed_point, map_from_jsonable,
 )
 from .exactlinalg import as_vector
 from .rationals import (
@@ -119,7 +114,11 @@ def choose_anchors(spec: MomentCurveSpec, ratio: Fraction) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class MomentIfsRecipe:
-    """A verified construction: spec, ratio λ, anchors, and the maps."""
+    """A verified construction: spec, ratio λ, anchors, and the maps.
+
+    Each map is kept as its rows, translation entry first, as integers over a denominator
+    (_moment_rows for a built map); a recipe of _recipe builds `ifs` only when asked.
+    """
 
     spec: MomentCurveSpec
     ratio: Fraction
@@ -130,6 +129,41 @@ class MomentIfsRecipe:
         object.__setattr__(self, "ratio", Fraction(self.ratio))
         object.__setattr__(self, "anchors", as_vector(self.anchors))
         _check_recipe(self.spec, self.ratio, self.anchors, self.ifs.dim, len(self.ifs.maps))
+        self.__dict__.update(_lines=_lines(self.spec, self.ratio, self.anchors),
+                             _rows=[*map(_cleared_rows, self.ifs)], _certificates=self.ifs.certificates)
+
+    def __getattr__(self, name: str):
+        if name != "ifs":
+            raise AttributeError(name)
+        ifs = _certified_system(map(self._map, range(len(self._rows))), self._certificates)
+        object.__setattr__(self, "ifs", ifs)
+        return ifs
+
+    def _map(self, index: int) -> AffineMap:
+        rows = [[Fraction(x, scale) for x in row] for row, scale in self._rows[index]]
+        return AffineMap([row[1:] for row in rows], [row[0] for row in rows])
+
+    def _float_rows(self):
+        """chaos_game's float matrices, translations and start, the fixed point of map 0.
+
+        Int true division is correctly rounded, so it equals _float_array of the Fractions.
+        A built map 0 fixes η(t*), t* = β/(γ − α) the fixed point of its line (αt + β)/γ.
+        """
+        n, (alpha, beta, gamma) = self.spec.dim, self._lines[0]
+        try:
+            floats = [[[x / scale for x in row] for row, scale in rows] for rows in self._rows]
+        except OverflowError:
+            raise ValueError("an entry lies beyond the float range") from None
+        start = ([Fraction(beta, gamma - alpha) ** k for k in range(1, n + 1)]
+                 if self._rows[0] == list(_moment_rows(n, self._lines[0])) else fixed_point(self._map(0)))
+        return ([np.array([row[1:] for row in rows]) for rows in floats],
+                [np.array([row[0] for row in rows]) for rows in floats], _float_array(start))
+
+
+def _lines(spec: MomentCurveSpec, ratio: Fraction, anchors) -> list[tuple[int, int, int]]:
+    """Each map's parameter line λ(t − c) + t_i as integers (α, β, γ): (αt + β)/γ."""
+    shift = ratio * spec.c
+    return [_line(ratio, anchor - shift) for anchor in anchors]
 
 
 def _check_recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, dim, count) -> None:
@@ -156,21 +190,27 @@ def _check_recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, dim, count) -
 
 
 def _moment_rows(n: int, line: tuple[int, int, int]):
-    """Translation entry k and matrix row k of the construction's map, k = 1..n.
+    """Row k = 1..n of the construction's map at `line`, translation entry first, over γᵏ.
 
-    They are the constant term and the tʲ coefficients (zero for j > k) of
-    (λt + s)ᵏ, s = t_i − λc: the integer coefficients of (αt + β)ᵏ over γᵏ.
+    Its n + 1 integers are the coefficients of (αt + β)ᵏ, constant term first:
+    (λt + s)ᵏ, s = t_i − λc, is (αt + β)ᵏ/γᵏ.
     """
     alpha, beta, gamma = line
-    coefficients, scale, zero = [1], 1, Fraction(0)
-    for k in range(1, n + 1):
-        coefficients = [
-            beta * lower + alpha * upper
-            for lower, upper in zip(coefficients + [0], [0] + coefficients)
-        ]
+    coefficients, scale = [1] + [0] * n, 1
+    for _ in range(n):
+        coefficients = [beta * lower + alpha * upper
+                        for lower, upper in zip(coefficients, [0] + coefficients)]
         scale *= gamma
-        row = tuple(Fraction(x, scale) for x in coefficients[1:]) + (zero,) * (n - k)
-        yield Fraction(coefficients[0], scale), row
+        yield coefficients, scale
+
+
+def _texts(row: list[int], scale: int) -> list[str]:
+    """format_rational(x/scale) for each x of an integer row, with one gcd per nonzero entry."""
+    texts = []
+    for x in row:
+        common = math.gcd(x, scale) if x else scale
+        texts.append(str(x // common) if common == scale else f"{x // common}/{scale // common}")
+    return texts
 
 
 def _built_certificate(n: int, line: tuple[int, int, int]):
@@ -180,31 +220,30 @@ def _built_certificate(n: int, line: tuple[int, int, int]):
     """
     alpha, beta, gamma = map(abs, line)
     top = max(((alpha + beta) ** k - beta**k) * gamma ** (n - k) for k in range(1, n + 1))
-    return _row_sum_certificate(n, Fraction(top, gamma**n))
+    return _row_sum_certificate(Fraction(n * top * top, gamma ** (2 * n)))
 
 
-def _built_map(entry, n: int, line: tuple[int, int, int]):
-    """The construction's map at `line`; given a stored `entry`, None unless it matches.
+def _built_rows(entry, n: int, line: tuple[int, int, int]):
+    """The construction's rows at `line`; given a stored `entry`, None unless it matches.
 
     A stored entry must hold exactly the canonical strings ("2/4" for 1/2, or
     an integer 0, differs).  Rows are built only while the stored ones match,
     so a differing entry costs no more than it stores.
     """
+    rows = _moment_rows(n, line)
     if entry is None:
-        rows = list(_moment_rows(n, line))
-    elif isinstance(entry, dict) and all(
+        return list(rows)
+    if not isinstance(entry, dict) or not all(
         isinstance(entry.get(key), list) and len(entry[key]) == n for key in ("translation", "matrix")
     ):
-        rows = []
-        stored = zip(_moment_rows(n, line), entry["translation"], entry["matrix"])
-        for (offset, row), stored_offset, stored_row in stored:
-            if stored_offset != format_rational(offset) or stored_row != [*map(format_rational, row)]:
-                return None
-            rows.append((offset, row))
-    else:
         return None
-    translation, matrix = zip(*rows)
-    return AffineMap(matrix, translation)
+    built = []
+    for (row, scale), stored_offset, stored_row in zip(rows, entry["translation"], entry["matrix"]):
+        offset, *texts = _texts(row, scale)
+        if stored_offset != offset or stored_row != texts:
+            return None
+        built.append((row, scale))
+    return built
 
 
 def _recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, entries) -> MomentIfsRecipe:
@@ -212,17 +251,18 @@ def _recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, entries) -> MomentI
 
     A construction map, whose diagonal λᵏ > 0 keeps it from the determinant, is not certified in full.
     """
-    lines = [_line(ratio, anchor - ratio * spec.c) for anchor in anchors]
-    built = [_built_map(entry, spec.dim, line) for entry, line in zip(entries, lines)]
-    maps = [f or map_from_jsonable(entry, spec.dim, where=f"map {index}")
-            for index, (f, entry) in enumerate(zip(built, entries))]
-    certificates = (
-        f and (_built_certificate(spec.dim, line) or _certify_contraction(f, f"map {index}"))
-        for index, (line, f) in enumerate(zip(lines, built))
-    )
+    n = spec.dim
+    lines = _lines(spec, ratio, anchors)
+    rows = [_built_rows(entry, n, line) for entry, line in zip(entries, lines)]
+    stored = {index: map_from_jsonable(entry, n, where=f"map {index}")
+              for index, (built, entry) in enumerate(zip(rows, entries)) if built is None}
     recipe = object.__new__(MomentIfsRecipe)
-    recipe.__dict__.update(spec=spec, ratio=ratio, anchors=tuple(anchors),
-                           ifs=_certified_system(maps, certificates))
+    recipe.__dict__.update(spec=spec, ratio=ratio, anchors=tuple(anchors), _lines=lines, _rows=[
+        _cleared_rows(stored[index]) if built is None else built for index, built in enumerate(rows)])
+    recipe.__dict__["_certificates"] = tuple(
+        certify_admissible(stored[index], f"map {index}") if index in stored
+        else _built_certificate(n, line) or _certify_contraction(recipe._map(index), f"map {index}")
+        for index, line in enumerate(lines))
     return recipe
 
 
@@ -283,22 +323,25 @@ def verify_moment_invariance(
         points += [spec.c + k * (spec.d - spec.c) / n for k in range(n + 1)]
     numerators, common = _clear_denominators(points)
     proven = numerators.index(list(dict.fromkeys(numerators))[n]) + 1
-    lifts = [(f, _line(ratio, t - ratio * spec.c)) for f, t in zip(recipe.ifs, recipe.anchors)]
+    lifts = list(zip(recipe._rows, recipe._lines))
     def form(point):  # component k of η(P/Q) is Pᵏ/Qᵏ
         return list(accumulate(repeat(point[0], n), mul))
     failures = _lift_failures(lifts, form, range(1, n + 1), [(p,) for p in numerators],
                               common, proven)
     first = dict(reversed(failures))  # each failing map's first failing point
     return InvarianceReport(sampled * len(lifts), tuple(
-        InvarianceCounterexample(k, points[j], recipe.ifs[k](eval_moment(n, points[j])),
+        InvarianceCounterexample(k, points[j], recipe._map(k)(eval_moment(n, points[j])),
                                  eval_moment(n, ratio * (points[j] - spec.c) + recipe.anchors[k]))
         for k, j in failures if j < sampled or j == first[k]  # else only the first grid failure
     ))
 
 
 def recipe_to_jsonable(recipe: MomentIfsRecipe) -> dict:
-    """IFS interchange dict extended with a construction-describing meta."""
-    data = ifs_to_jsonable(recipe.ifs)
+    """IFS interchange dict extended with a construction-describing meta, strings from the rows."""
+    texts = [[_texts(row, scale) for row, scale in rows] for rows in recipe._rows]
+    data = {"dim": recipe.spec.dim, "maps": [
+        {"matrix": [row[1:] for row in map_texts], "translation": [row[0] for row in map_texts]}
+        for map_texts in texts]}
     data["meta"] = {
         "n": recipe.spec.dim,
         "c": format_rational(recipe.spec.c),
@@ -315,7 +358,7 @@ def read_recipe(data) -> MomentIfsRecipe:
     The meta is read first, and checked as MomentIfsRecipe checks it, before
     any map is read.  A stored map equal to the construction's is taken as
     built, with its construction certificate; any other is parsed and certified
-    as by ifs_from_jsonable and kept as stored, so that verify_moment_invariance
+    as by ifs_from_jsonable and kept, in cleared rows, so that verify_moment_invariance
     can name it.  Every entry is read before any map is certified.
     """
     meta = data.get("meta") if isinstance(data, dict) else None

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .affine import (
-    AffineMap, IteratedFunctionSystem, _certified_system, _certify_contraction, _float_array,
-    _lift_failures, _line,
+    AffineMap, IteratedFunctionSystem, _certified_system, _certify_contraction, _cleared_rows,
+    _float_array, _lift_failures, _line,
 )
 from .cloud import PointCloud
 from .polynomials import MultiPoly
@@ -91,7 +91,7 @@ def _conjugates(spec: ParaboloidSpec, maps) -> bool:
     corner = (a,) * (spec.dim - 1)
     points = [corner, *(corner[:j] + (a + h,) + corner[j + 1:] for j in range(spec.dim - 1))]
     points.append((a + 2 * h,) + corner[1:])
-    lifts = [(f, _line(c, d)) for (c, d), f in zip(spec.base_maps, maps)]
+    lifts = [(_cleared_rows(f), _line(c, d)) for (c, d), f in zip(spec.base_maps, maps)]
     def form(point):  # η(P/Q) = (P/Q, ΣP_j²/Q²)
         return (*point, sum(p * p for p in point))
     degrees = (1,) * (spec.dim - 1) + (2,)

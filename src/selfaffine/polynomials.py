@@ -213,10 +213,15 @@ def scaling_certificate(poly: MultiPoly, f: AffineMap) -> Optional[ScalingCertif
     Rejects constant polynomials and non-contractive or singular maps;
     returns None when f is simply not a scaling factor for poly.
     """
+    return _scaling_certificate(poly, f, lambda: scaling_constant(poly, f))
+
+
+def _scaling_certificate(poly: MultiPoly, f: AffineMap, find_constant) -> Optional[ScalingCertificate]:
+    """scaling_certificate(poly, f), find_constant() giving scaling_constant(poly, f) once f is certified."""
     if poly.degree < 1:
         raise ValueError("polynomial must be non-constant")
     certify_admissible(f)
-    constant = scaling_constant(poly, f)
+    constant = find_constant()
     if constant is None:
         return None
     if not abs(constant) < 1:

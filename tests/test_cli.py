@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from selfaffine import affine, classifier, cli, moment, paraboloid, pullback, series
+from selfaffine import affine, classifier, cli, moment, paraboloid, polynomials, pullback, series
 from selfaffine.cli import main
 from selfaffine.moment import InvarianceReport
 
@@ -328,6 +328,27 @@ class TestChaosAndRender:
         assert out == ""
         assert "float range" in json.loads(err.strip().splitlines()[-1])["error"]
 
+    @pytest.mark.parametrize("command", ["chaos", "render"])
+    @pytest.mark.parametrize("options, message", [
+        (["--points", "0"], "--points must be positive"),
+        (["--points", "-3", "--burn-in", "-1"], "--points must be positive"),
+        (["--burn-in", "-1"], "burn_in must be nonnegative"),
+        (["--points", "20000000"], "20000100 iterations exceed the guard 10000000"),
+        (["--points", "9999900", "--burn-in", "101"],
+         "10000001 iterations exceed the guard 10000000"),
+        (["--seed", "-1"], "--seed must be a nonnegative integer"),
+    ])
+    def test_sampling_options_checked_before_loading(
+        self, command, options, message, monkeypatch, capsys
+    ):
+        def refused(path):
+            raise AssertionError(f"{path} was loaded")
+
+        monkeypatch.setattr(cli, "_load_json", refused)
+        code, out, err = run(capsys, command, "never-read.json", *options)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": message}
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "chaos", "no-such-file.json")
         assert code == 2
@@ -442,6 +463,40 @@ class TestRecipeReading:
             named = {line.split(",")[0] for line in out.splitlines() if line.startswith("  map")}
             assert named == ({"  map 6"} if code == 1 else set())
 
+    @pytest.mark.parametrize("kind, named", [
+        ("above-diagonal", {4}), ("translation", {4}), ("non-canonical", {4}), ("two-maps", {4, 9}),
+    ])
+    def test_tampered_file_is_named(self, tmp_path, kind, named, capsys):
+        # c < 0; "non-canonical" writes 2/4 over the diagonal entry λ², whose value is not 1/2
+        path = tmp_path / "moment3.json"
+        assert main(["build-moment", "--dim", "3", "--c=-1/4", "--d", "1/4",
+                     "--output", str(path)]) == 0
+        data = json.loads(path.read_text())
+        entry = data["maps"][4]
+        if kind == "above-diagonal":
+            entry["matrix"][0][2] = "1/1000"
+        elif kind == "translation":
+            entry["translation"][2] = "1/997"
+        elif kind == "non-canonical":
+            entry["matrix"][1][1] = "2/4"
+        else:
+            entry["matrix"][2][0] = "1/999"
+            data["maps"][9]["translation"][0] = "0"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        # verify prints the first five violations, so at most three points show both maps
+        for points in ("2", "3", "100"):
+            code, out, _ = run(capsys, "verify", str(path), "--points", points)
+            shown = {int(line.split(",")[0].split()[1])
+                     for line in out.splitlines() if line.startswith("  map ")}
+            assert code == 1
+            assert shown == (named if points != "100" else {min(named)})
+
+    def test_committed_fixture_verifies(self, capsys):
+        code, out, err = run(capsys, "verify", str(DATA / "build_moment_dim3.json"), "--points", "20")
+        assert (code, err) == (0, "")
+        assert "0 violations" in out
+
     def test_intact_file_skips_the_determinant(self, moment_file, determinant_calls, capsys):
         for argv in (["verify", str(moment_file)], ["chaos", str(moment_file), "--points", "20"],
                      ["render", str(moment_file), "--points", "20"]):
@@ -502,6 +557,35 @@ class TestScaling:
         code, out, err = run(capsys, "scaling", str(poly), str(double))
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "map is not strictly contractive"}
+
+    @pytest.mark.parametrize("text, code", [("x2 - x1", 0), ("x1^2 + x2^2 - 1", 1)])
+    def test_one_expansion_per_run(self, tmp_path, half_map_file, text, code, monkeypatch,
+                                   capsys):
+        calls = []
+        original = polynomials.scaling_constant
+
+        def counted(poly, f):
+            calls.append(f)
+            return original(poly, f)
+
+        for module in (cli, polynomials):
+            monkeypatch.setattr(module, "scaling_constant", counted)
+        poly = tmp_path / "poly.txt"
+        poly.write_text(text)
+        assert run(capsys, "scaling", str(poly), str(half_map_file))[0] == code
+        assert len(calls) == 1
+
+    def test_absent_constant_certifies_nothing(self, tmp_path, circle_file, monkeypatch, capsys):
+        # f = 2·I is no contraction, but P∘f is not proportional to P: exit 1, as before
+        def refused(f, where="map"):
+            raise AssertionError("the map was certified")
+
+        monkeypatch.setattr(polynomials, "certify_admissible", refused)
+        double = tmp_path / "double.json"
+        double.write_text(json.dumps({"matrix": [["2", "0"], ["0", "2"]], "translation": ["0", "0"]}))
+        code, out, _ = run(capsys, "scaling", str(circle_file), str(double))
+        assert code == 1
+        assert "absent" in out
 
     @pytest.mark.parametrize("text", ["x1000000000", "x1^1000000 + x2^2 - 1"])
     def test_polynomial_caps_are_input_errors(self, tmp_path, half_map_file, text, capsys):

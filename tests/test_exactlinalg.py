@@ -18,8 +18,7 @@ from selfaffine.exactlinalg import (
     mat_vec,
     solve,
 )
-from selfaffine.affine import _line
-from selfaffine.moment import MomentCurveSpec, _built_map, lambda_bound
+from selfaffine.moment import MomentCurveSpec, build_moment_ifs, choose_anchors, lambda_bound
 
 
 def _random_matrix(rng, n, bound=5):
@@ -321,12 +320,9 @@ def _moment_matrices():
     """Every 23rd of the 4,580 lower-triangular maps of the n = 5 system on [0, 1]."""
     spec = MomentCurveSpec(5, Fraction(0), Fraction(1))
     ratio = lambda_bound(spec) / 2
-    count = 4580
-    step = (spec.d - spec.c) * (1 - ratio) / (count - 1)
-    return [
-        _built_map(None, 5, _line(ratio, spec.c + i * step - ratio * spec.c)).matrix
-        for i in range(0, count, 23)
-    ]
+    recipe = build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))
+    assert len(recipe.anchors) == 4580
+    return [recipe._map(i).matrix for i in range(0, 4580, 23)]
 
 
 class TestAgainstReference:

@@ -11,8 +11,10 @@ import pytest
 
 from selfaffine import affine, moment
 from selfaffine.affine import (
-    AffineMap, IteratedFunctionSystem, _line, ifs_from_jsonable, is_contractive, max_row_sum
+    AffineMap, IteratedFunctionSystem, _float_array, _line, fixed_point, ifs_from_jsonable,
+    is_contractive, map_to_jsonable, max_row_sum
 )
+from selfaffine.attractor import chaos_game
 from selfaffine.exactlinalg import determinant
 from selfaffine.moment import (
     MomentCurveSpec,
@@ -30,9 +32,23 @@ from selfaffine.moment import (
     InvarianceCounterexample,
     InvarianceReport,
     _built_certificate,
-    _built_map,
 )
-from selfaffine.rationals import _clear_denominators
+from selfaffine.rationals import _clear_denominators, format_rational
+
+
+def _plain_map(n, line):
+    """The construction's map at φ(t) = (αt + β)/γ in plain Fractions.
+
+    Translation entry k and matrix row k are the coefficients of φ(t)ᵏ, constant term first.
+    """
+    alpha, beta, gamma = line
+    power, matrix, translation = [Fraction(1)], [], []
+    for k in range(1, n + 1):
+        power = [Fraction(beta, gamma) * lower + Fraction(alpha, gamma) * upper
+                 for lower, upper in zip(power + [0], [0] + power)]
+        translation.append(power[0])
+        matrix.append(power[1:] + [Fraction(0)] * (n - k))
+    return AffineMap(matrix, translation)
 
 
 def _coefficient_mismatches(recipe):
@@ -41,7 +57,7 @@ def _coefficient_mismatches(recipe):
     return [
         index
         for index, (anchor, f) in enumerate(zip(recipe.anchors, recipe.ifs.maps))
-        if f != _built_map(None, n, _line(recipe.ratio, anchor - recipe.ratio * recipe.spec.c))
+        if f != _plain_map(n, _line(recipe.ratio, anchor - recipe.ratio * recipe.spec.c))
     ]
 
 
@@ -409,7 +425,7 @@ class TestRecipeJson:
         assert ratio > lambda_bound(spec)
         anchors = (Fraction(0), Fraction(1, 2))
         maps = tuple(
-            _built_map(None, 2, _line(ratio, t - ratio * spec.c)) for t in anchors
+            _plain_map(2, _line(ratio, t - ratio * spec.c)) for t in anchors
         )
         recipe = MomentIfsRecipe(spec, ratio, anchors, IteratedFunctionSystem(maps))
         assert not _coefficient_mismatches(recipe)
@@ -429,7 +445,7 @@ def _tiling_recipe(n, c, d, ratio):
     step = (spec.d - spec.c) * (1 - ratio) / (count - 1)
     anchors = [spec.c + i * step for i in range(count)]
     maps = tuple(
-        _built_map(None, n, _line(ratio, t - ratio * spec.c)) for t in anchors
+        _plain_map(n, _line(ratio, t - ratio * spec.c)) for t in anchors
     )
     return MomentIfsRecipe(spec, ratio, anchors, IteratedFunctionSystem(maps))
 
@@ -606,7 +622,7 @@ class TestRecipeReader:
         # at λ = 0 the construction's maps are singular: the meta is rejected before any map
         spec, zero = MomentCurveSpec(2, Fraction(0), Fraction(1)), Fraction(0)
         anchors = [Fraction(0), Fraction(1)]
-        maps = [_built_map(None, 2, _line(zero, t - zero * spec.c)) for t in anchors]
+        maps = [_plain_map(2, _line(zero, t - zero * spec.c)) for t in anchors]
         data = {"dim": 2, "maps": [affine.map_to_jsonable(f) for f in maps],
                 "meta": {"n": 2, "c": "0", "d": "1", "lambda": "0", "anchors": ["0", "1"]}}
         with pytest.raises(ValueError, match=r"contraction ratio must lie in \(0, 1\)"):
@@ -796,7 +812,7 @@ def _built_document(n, c, d, ratio, anchors):
     lines = [_line(ratio, t - ratio * c) for t in anchors]
     return {
         "dim": n,
-        "maps": [affine.map_to_jsonable(_built_map(None, n, line)) for line in lines],
+        "maps": [affine.map_to_jsonable(_plain_map(n, line)) for line in lines],
         "meta": {"n": n, "c": str(c), "d": str(d), "lambda": str(ratio),
                  "anchors": [str(t) for t in anchors]},
     }
@@ -811,7 +827,7 @@ class TestBuiltCertificate:
                 for ratio in (Fraction(1, 2), Fraction(1, 5), Fraction(1, 13), lambda_bound(spec)):
                     for anchor in (c + Fraction(k, 8) for k in range(9)):
                         line = _line(ratio, anchor - ratio * c)
-                        f = _built_map(None, n, line)
+                        f = _plain_map(n, line)
                         certificate = is_contractive(f)
                         routes.add(certificate.route)
                         if certificate.route == "row-sum-bound":
@@ -901,3 +917,97 @@ class TestBuiltCertificate:
         assert determinant_calls == [read.ifs.maps[5].matrix]
         assert contraction_calls == [read.ifs.maps[5]]
         assert read.ifs.certificates == tuple(map(is_contractive, read.ifs.maps))
+
+
+def _row_recipes():
+    """Recipes on integer rows, with the plain Fraction maps of the same construction.
+
+    n = 2..6 on intervals with c = 0 and c < 0: ten maps at λ = 1/10, read by
+    read_recipe, and build_moment_ifs at half the admissible ratio for n = 2, 3.
+    """
+    for n in range(2, 7):
+        for c, width in [(Fraction(0), Fraction(1, 2)), (Fraction(-1, 2), Fraction(1, 2)),
+                         (Fraction(-1, 3), Fraction(1, 4))]:
+            ratio = Fraction(1, 10)
+            anchors = [c + i * width * (1 - ratio) / 9 for i in range(10)]
+            yield read_recipe(_built_document(n, c, c + width, ratio, anchors)), [
+                _plain_map(n, _line(ratio, t - ratio * c)) for t in anchors]
+    for spec in [MomentCurveSpec(2, Fraction(-1, 2), Fraction(1, 2)),
+                 MomentCurveSpec(3, Fraction(-1, 4), Fraction(1, 4))]:
+        ratio = lambda_bound(spec) / 2
+        recipe = build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))
+        yield recipe, [_plain_map(spec.dim, _line(ratio, t - ratio * spec.c)) for t in recipe.anchors]
+
+
+def _bits(array):
+    """The array's dtype, shape and bytes: equal only when every float is, signed zeros included."""
+    return array.dtype, array.shape, array.tobytes()
+
+
+class TestIntegerRows:
+    """Each consumer of the integer rows against the plain Fraction maps."""
+
+    def test_float_rows_equal_the_fraction_floats(self):
+        dims = set()
+        for recipe, maps in _row_recipes():
+            matrices, translations, start = recipe._float_rows()
+            assert [_bits(m) for m in matrices] == [_bits(_float_array(f.matrix)) for f in maps]
+            assert [_bits(t) for t in translations] == [
+                _bits(_float_array(f.translation)) for f in maps]
+            assert _bits(start) == _bits(_float_array(fixed_point(maps[0])))
+            dims.add(recipe.spec.dim)
+        assert dims == {2, 3, 4, 5, 6}
+
+    def test_written_strings_are_format_rational(self):
+        for recipe, maps in _row_recipes():
+            assert recipe_to_jsonable(recipe)["maps"] == [map_to_jsonable(f) for f in maps]
+            assert recipe.ifs.maps == tuple(maps)
+
+    def test_texts_of_single_entries(self):
+        rng = random.Random(3)
+        for _ in range(2000):
+            x, scale = rng.randint(-10**6, 10**6) * rng.choice([0, 1, 7, 12]), rng.randint(1, 10**4)
+            assert moment._texts([x], scale) == [format_rational(Fraction(x, scale))]
+
+    def test_seeded_chaos_equals_the_fraction_path(self):
+        for seed, (recipe, maps) in enumerate(_row_recipes()):
+            cloud = chaos_game(recipe, 700, 100, seed)
+            reference = chaos_game(IteratedFunctionSystem(tuple(maps)), 700, 100, seed)
+            assert cloud.dim == reference.dim == recipe.spec.dim
+            assert _bits(cloud.points) == _bits(reference.points)
+
+    @pytest.mark.parametrize("kind", ["above-diagonal", "translation", "map-0"])
+    def test_a_stored_map_is_sampled_as_stored(self, kind):
+        recipe = TestRecipeReader._half_recipe()
+        data = recipe_to_jsonable(recipe)
+        index = 0 if kind == "map-0" else 5
+        entry = data["maps"][index]
+        if kind == "above-diagonal":
+            entry["matrix"][0][2] = "1/997"
+        elif kind == "translation":
+            entry["translation"][1] = "1/997"
+        else:
+            entry["matrix"][1][0] = "1/50"
+        read = read_recipe(copy.deepcopy(data))
+        parsed = ifs_from_jsonable(data)
+        assert read.ifs.maps[index] != recipe.ifs.maps[index]
+        assert _bits(chaos_game(read, 500, 50, 9).points) == _bits(chaos_game(parsed, 500, 50, 9).points)
+        # the start point of a stored map 0 is its own fixed point
+        assert _bits(read._float_rows()[2]) == _bits(_float_array(fixed_point(parsed.maps[0])))
+
+    def test_subnormal_entries_round_as_the_fractions_do(self):
+        # on [0, 10⁻³¹⁰] the anchors are subnormal floats and their squares round to zero
+        d = Fraction(1, 10**310)
+        data = _built_document(2, Fraction(0), d, Fraction(1, 2), [Fraction(0), d / 2])
+        read, maps = read_recipe(data), [_plain_map(2, _line(Fraction(1, 2), t)) for t in (0, d / 2)]
+        translations = read._float_rows()[1]
+        assert [_bits(t) for t in translations] == [_bits(_float_array(f.translation)) for f in maps]
+        assert 0 < translations[1][0] < 2.3e-308 and translations[1][1] == 0
+
+    def test_stored_entry_beyond_float_range_keeps_its_error(self):
+        # a translation entry does not touch the certificate, so the file reads
+        data = recipe_to_jsonable(TestRecipeReader._half_recipe())
+        data["maps"][3]["translation"][0] = "1" + "0" * 400
+        read = read_recipe(data)
+        with pytest.raises(ValueError, match="an entry lies beyond the float range"):
+            chaos_game(read, 10, 1, 0)

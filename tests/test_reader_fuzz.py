@@ -187,14 +187,14 @@ def test_cli_on_replaced_field_exits_cleanly(
     name, document, argv, files, tmp_path, capsys, monkeypatch
 ):
     built = []
-    original = moment._built_map
+    original = moment._built_rows
 
     def counted(entry, n, line):
-        f = original(entry, n, line)
-        built.append(f is not None)
-        return f
+        rows = original(entry, n, line)
+        built.append(rows is not None)
+        return rows
 
-    monkeypatch.setattr(moment, "_built_map", counted)
+    monkeypatch.setattr(moment, "_built_rows", counted)
     # the unfuzzed document is read, whatever its verdict
     assert _exit_code(tmp_path, capsys, argv, json.dumps(document), files) in (0, 1)
     paths = list(_paths(document))
