@@ -18,34 +18,14 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .exactlinalg import (
-    Matrix,
-    Vector,
-    as_matrix,
-    as_vector,
-    determinant,
-    mat_inverse,
-    mat_mul,
-    mat_vec,
-    solve,
+    Matrix, Vector, as_matrix, as_vector, determinant, mat_inverse, mat_mul, mat_vec, solve,
 )
 from .rationals import _clear_denominators, format_rational, parse_rational
 
 __all__ = [
-    "NORM_TOLERANCE",
-    "AffineMap",
-    "ContractionCertificate",
-    "IteratedFunctionSystem",
-    "compose",
-    "invert",
-    "fixed_point",
-    "operator_norm",
-    "max_row_sum",
-    "is_contractive",
-    "certify_admissible",
-    "ifs_to_jsonable",
-    "ifs_from_jsonable",
-    "map_from_jsonable",
-    "map_to_jsonable",
+    "NORM_TOLERANCE", "AffineMap", "ContractionCertificate", "IteratedFunctionSystem", "compose",
+    "invert", "fixed_point", "operator_norm", "max_row_sum", "is_contractive", "certify_admissible",
+    "ifs_to_jsonable", "ifs_from_jsonable", "map_from_jsonable", "map_to_jsonable",
     "matrix_from_jsonable",
 ]
 

@@ -23,23 +23,14 @@ from .classifier import classify_curve, germ_from_jsonable
 from .cloud import PointCloud, _check_projection, write_csv, write_svg
 from .exactlinalg import identity
 from .moment import (
-    MomentCurveSpec,
-    _guarded_lambda_bound,
-    build_moment_ifs,
-    choose_anchors,
-    read_recipe,
-    recipe_to_jsonable,
-    verify_moment_invariance,
+    MomentCurveSpec, _guarded_lambda_bound, build_moment_ifs, choose_anchors, read_recipe,
+    recipe_to_jsonable, verify_moment_invariance,
 )
 from .paraboloid import ParaboloidSpec, build_paraboloid_ifs
 from .polynomials import _scaling_certificate, format_polynomial, parse_polynomial, scaling_constant
 from .pullback import (
-    _RESIDUAL_TOLERANCE,
-    circle_polynomial,
-    dependency_witness,
-    diameter_decay_report,
-    pullback_sequence,
-    rational_circle_points,
+    _RESIDUAL_TOLERANCE, circle_polynomial, dependency_witness, diameter_decay_report,
+    pullback_sequence, rational_circle_points,
 )
 from .rationals import format_rational, parse_rational
 

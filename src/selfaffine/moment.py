@@ -29,18 +29,9 @@ from .rationals import (
 )
 
 __all__ = [
-    "MomentCurveSpec",
-    "MomentIfsRecipe",
-    "InvarianceCounterexample",
-    "InvarianceReport",
-    "eval_moment",
-    "lambda_bound",
-    "choose_anchors",
-    "build_moment_ifs",
-    "verify_moment_invariance",
-    "recipe_to_jsonable",
-    "read_recipe",
-    "recipe_from_jsonable",
+    "MomentCurveSpec", "MomentIfsRecipe", "InvarianceCounterexample", "InvarianceReport",
+    "eval_moment", "lambda_bound", "choose_anchors", "build_moment_ifs", "verify_moment_invariance",
+    "recipe_to_jsonable", "read_recipe", "recipe_from_jsonable",
 ]
 
 # Most maps choose_anchors builds: the n = 5 system on [0, 1] has 4,580,
@@ -147,17 +138,14 @@ class MomentIfsRecipe:
         """chaos_game's float matrices, translations and start, the fixed point of map 0.
 
         Int true division is correctly rounded, so it equals _float_array of the Fractions.
-        A built map 0 fixes η(t*), t* = β/(γ − α) the fixed point of its line (αt + β)/γ.
         """
-        n, (alpha, beta, gamma) = self.spec.dim, self._lines[0]
         try:
             floats = [[[x / scale for x in row] for row, scale in rows] for rows in self._rows]
         except OverflowError:
             raise ValueError("an entry lies beyond the float range") from None
-        start = ([Fraction(beta, gamma - alpha) ** k for k in range(1, n + 1)]
-                 if self._rows[0] == list(_moment_rows(n, self._lines[0])) else fixed_point(self._map(0)))
         return ([np.array([row[1:] for row in rows]) for rows in floats],
-                [np.array([row[0] for row in rows]) for rows in floats], _float_array(start))
+                [np.array([row[0] for row in rows]) for rows in floats],
+                _float_array(fixed_point(self._map(0))))
 
 
 def _lines(spec: MomentCurveSpec, ratio: Fraction, anchors) -> list[tuple[int, int, int]]:
@@ -206,11 +194,8 @@ def _moment_rows(n: int, line: tuple[int, int, int]):
 
 def _texts(row: list[int], scale: int) -> list[str]:
     """format_rational(x/scale) for each x of an integer row, with one gcd per nonzero entry."""
-    texts = []
-    for x in row:
-        common = math.gcd(x, scale) if x else scale
-        texts.append(str(x // common) if common == scale else f"{x // common}/{scale // common}")
-    return texts
+    commons = [math.gcd(x, scale) if x else scale for x in row]
+    return [str(x // c) if c == scale else f"{x // c}/{scale // c}" for x, c in zip(row, commons)]
 
 
 def _built_certificate(n: int, line: tuple[int, int, int]):

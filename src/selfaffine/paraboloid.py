@@ -22,11 +22,8 @@ from .polynomials import MultiPoly
 from .rationals import _check_tiling, _clear_denominators
 
 __all__ = [
-    "ParaboloidSpec",
-    "paraboloid_polynomial",
-    "build_paraboloid_ifs",
-    "verify_paraboloid_conjugation",
-    "surface_residual",
+    "ParaboloidSpec", "paraboloid_polynomial", "build_paraboloid_ifs",
+    "verify_paraboloid_conjugation", "surface_residual",
 ]
 
 # Largest spec dimension: a map holds n² Fractions and the conjugation check compares n rows

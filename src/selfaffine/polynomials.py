@@ -15,24 +15,13 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .affine import (
-    _WORD_GUARD, AffineMap, certify_admissible, compose, fixed_point, is_contractive
-)
+from .affine import _WORD_GUARD, AffineMap, certify_admissible, compose, fixed_point, is_contractive
 from .rationals import format_rational, parse_rational
 
 __all__ = [
-    "MultiPoly",
-    "ScalingCertificate",
-    "FixedPointReport",
-    "WordCheck",
-    "evaluate",
-    "compose_affine",
-    "scaling_constant",
-    "scaling_certificate",
-    "is_self_affine_pair",
-    "verify_fixed_points_on_surface",
-    "parse_polynomial",
-    "format_polynomial",
+    "MultiPoly", "ScalingCertificate", "FixedPointReport", "WordCheck", "evaluate",
+    "compose_affine", "scaling_constant", "scaling_certificate", "is_self_affine_pair",
+    "verify_fixed_points_on_surface", "parse_polynomial", "format_polynomial",
 ]
 
 
@@ -310,7 +299,7 @@ _MAX_VARIABLES = 64
 _MAX_EXPONENT = 64
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+\s*/\s*\d+|\d+)|(?P<variable>x\d+)|(?P<op>[-+*^]))\s*"
+    r"\s*(?:(?P<number>\d+\s*/\s*\d+|\d+)|(?P<variable>x\d+)|(?P<op>[-+*^]))\s*",
 )
 
 
