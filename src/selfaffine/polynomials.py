@@ -299,7 +299,7 @@ _MAX_VARIABLES = 64
 _MAX_EXPONENT = 64
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+\s*/\s*\d+|\d+)|(?P<variable>x\d+)|(?P<op>[-+*^]))\s*",
+    r"\s*(?:(?P<number>\d+\s*/\s*\d+|\d+)|(?P<variable>x\d+)|(?P<op>[-+*^]))\s*"
 )
 
 
