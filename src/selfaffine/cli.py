@@ -157,6 +157,8 @@ def _chaos_cloud(args, projection=None):
     """
     if args.points <= 0:
         raise ValueError("--points must be positive")
+    if args.burn_in < 0:
+        raise ValueError("--burn-in must be nonnegative")
     _check_steps(args.points + args.burn_in, args.burn_in)
     if args.seed < 0:
         raise ValueError("--seed must be a nonnegative integer")

@@ -21,6 +21,8 @@ PathOrFile = Union[str, "io.TextIOBase", TextIO]
 # write_svg's square canvas side and point radius, in SVG user units
 _SVG_SIZE = 800
 _SVG_RADIUS = 1.0
+# rows per % call of the writers: one call over a whole cloud holds all its text and floats
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -57,11 +59,17 @@ def _open_for_write(target: PathOrFile):
     return contextlib.nullcontext(target)
 
 
+def _write_rows(handle, rows: np.ndarray, row_format: str) -> None:
+    """Write row_format % row for each row of a 2-D array, one % call per _BLOCK_ROWS rows."""
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[start:start + _BLOCK_ROWS]
+        handle.write(row_format * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_csv(cloud: PointCloud, target: PathOrFile) -> None:
     """One point per line, comma-separated, 17 significant digits, no header."""
     with _open_for_write(target) as handle:
-        for row in cloud.points:
-            handle.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        _write_rows(handle, cloud.points, ",".join(["%.17g"] * cloud.dim) + "\n")
 
 
 def _check_projection(projection: tuple[int, int], dim: int) -> None:
@@ -98,8 +106,7 @@ def write_svg(cloud: PointCloud, target: PathOrFile, projection: tuple[int, int]
             f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">\n'
         )
         handle.write(f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>\n')
-        for x, y in zip(xs, ys):
-            px = margin + (x - x_min) * scale
-            py = _SVG_SIZE - margin - (y - y_min) * scale
-            handle.write(f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{_SVG_RADIUS}" fill="black"/>\n')
+        centres = np.column_stack((margin + (xs - x_min) * scale,
+                                   _SVG_SIZE - margin - (ys - y_min) * scale))
+        _write_rows(handle, centres, f'<circle cx="%.3f" cy="%.3f" r="{_SVG_RADIUS}" fill="black"/>\n')
         handle.write("</svg>\n")

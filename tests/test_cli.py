@@ -332,7 +332,7 @@ class TestChaosAndRender:
     @pytest.mark.parametrize("options, message", [
         (["--points", "0"], "--points must be positive"),
         (["--points", "-3", "--burn-in", "-1"], "--points must be positive"),
-        (["--burn-in", "-1"], "burn_in must be nonnegative"),
+        (["--burn-in", "-1"], "--burn-in must be nonnegative"),
         (["--points", "20000000"], "20000100 iterations exceed the guard 10000000"),
         (["--points", "9999900", "--burn-in", "101"],
          "10000001 iterations exceed the guard 10000000"),
