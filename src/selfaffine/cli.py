@@ -23,11 +23,11 @@ from .classifier import classify_curve, germ_from_jsonable
 from .cloud import PointCloud, _check_projection, write_csv, write_svg
 from .exactlinalg import identity
 from .moment import (
-    MomentCurveSpec, _guarded_lambda_bound, build_moment_ifs, choose_anchors, read_recipe,
+    MomentCurveSpec, build_moment_ifs, choose_anchors, lambda_bound, read_recipe,
     recipe_to_jsonable, verify_moment_invariance,
 )
 from .paraboloid import ParaboloidSpec, build_paraboloid_ifs
-from .polynomials import _scaling_certificate, format_polynomial, parse_polynomial, scaling_constant
+from .polynomials import format_polynomial, parse_polynomial, scaling_certificate
 from .pullback import (
     _RESIDUAL_TOLERANCE, circle_polynomial, dependency_witness, diameter_decay_report,
     pullback_sequence, rational_circle_points,
@@ -51,7 +51,10 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nesting is too deep") from None
 
 
 def _parse_anchor_list(text: str) -> list[Fraction]:
@@ -88,7 +91,7 @@ def _check_format(value: str, allowed: Sequence[str], subcommand: str) -> None:
 
 def _cmd_build_moment(args) -> int:
     spec = MomentCurveSpec(args.dim, parse_rational(args.c), parse_rational(args.d))
-    ceiling = _guarded_lambda_bound(spec)
+    ceiling = lambda_bound(spec)
     ratio = parse_rational(args.ratio) if args.ratio else ceiling / 2
     anchors = _parse_anchor_list(args.anchors) if args.anchors else choose_anchors(spec, ratio)
     recipe = build_moment_ifs(spec, ratio, anchors)
@@ -209,15 +212,13 @@ def _cmd_verify(args) -> int:
 def _cmd_scaling(args) -> int:
     with open(args.polynomial, "r", encoding="utf-8") as handle:
         poly = parse_polynomial(handle.read())
-    f = _load_single_map(args.map)
-    constant = scaling_constant(poly, f)
-    if constant is None:
+    # certified before anything is printed, so a map it rejects leaves stdout empty
+    certificate = scaling_certificate(poly, _load_single_map(args.map))
+    if certificate is None:
         print(f"[scaling-identity] absent: P∘f is not proportional to P "
               f"for P = {format_polynomial(poly)}")
         return 1
-    # certified before anything is printed, so a map it rejects leaves stdout empty
-    certificate = _scaling_certificate(poly, f, lambda: constant)
-    print(f"[scaling-identity] P∘f = C·P with C = {format_rational(constant)}")
+    print(f"[scaling-identity] P∘f = C·P with C = {format_rational(certificate.constant)}")
     print(f"[fixed-point-on-surface] P(fixed point of f) = "
           f"{format_rational(certificate.fixed_point_value)}; |C| < 1")
     return 0
@@ -248,6 +249,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_compactness_demo(args) -> int:
+    if args.depth < 0:
+        raise ValueError("--depth must be nonnegative")
     with open(args.polynomial, "r", encoding="utf-8") as handle:
         poly = parse_polynomial(handle.read())
     f = _load_single_map(args.map)

@@ -10,7 +10,8 @@ checked in exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, groupby, repeat
 from operator import mul
@@ -31,7 +32,7 @@ from .rationals import (
 __all__ = [
     "MomentCurveSpec", "MomentIfsRecipe", "InvarianceCounterexample", "InvarianceReport",
     "eval_moment", "lambda_bound", "choose_anchors", "build_moment_ifs", "verify_moment_invariance",
-    "recipe_to_jsonable", "read_recipe", "recipe_from_jsonable",
+    "recipe_to_jsonable", "read_recipe",
 ]
 
 # Most maps choose_anchors builds: the n = 5 system on [0, 1] has 4,580,
@@ -71,19 +72,16 @@ def lambda_bound(spec: MomentCurveSpec) -> Fraction:
 
     The true ceiling is (2ⁿ√n·max{(2|c|+1)ⁿ, (|c|+|d|+1)ⁿ})⁻¹; the
     square root is replaced by a strictly larger rational, so every
-    λ ≤ the returned value sits strictly below the true ceiling.
+    λ ≤ the returned value sits strictly below the true ceiling.  From
+    n = _DIM_GUARD on, that ceiling needs more than _MAP_GUARD maps, so
+    such n is rejected before any n-th power is taken.
     """
     n = spec.dim
+    if n >= _DIM_GUARD:
+        raise ValueError(f"the map count ceil(1/lambda) is above the guard {_MAP_GUARD}")
     root = sqrt_upper_bound(Fraction(n))
     scale = max((2 * abs(spec.c) + 1) ** n, (abs(spec.c) + abs(spec.d) + 1) ** n)
     return 1 / (Fraction(2) ** n * root * scale)
-
-
-def _guarded_lambda_bound(spec: MomentCurveSpec) -> Fraction:
-    """lambda_bound(spec), once spec.dim is checked to need at most _MAP_GUARD maps."""
-    if spec.dim >= _DIM_GUARD:
-        raise ValueError(f"the map count ceil(1/lambda) is above the guard {_MAP_GUARD}")
-    return lambda_bound(spec)
 
 
 def choose_anchors(spec: MomentCurveSpec, ratio: Fraction) -> list[Fraction]:
@@ -94,7 +92,7 @@ def choose_anchors(spec: MomentCurveSpec, ratio: Fraction) -> list[Fraction]:
     _MAP_GUARD anchors are rejected before any is built; λ and ℓ are not printed.
     """
     ratio = Fraction(ratio)
-    if not 0 < ratio <= _guarded_lambda_bound(spec):
+    if not 0 < ratio <= lambda_bound(spec):
         raise ValueError("ratio must lie in (0, lambda_bound]")
     count = math.ceil(1 / ratio)
     if count > _MAP_GUARD:
@@ -107,32 +105,24 @@ def choose_anchors(spec: MomentCurveSpec, ratio: Fraction) -> list[Fraction]:
 class MomentIfsRecipe:
     """A verified construction: spec, ratio λ, anchors, and the maps.
 
-    Each map is kept as its rows, translation entry first, as integers over a denominator
-    (_moment_rows for a built map); a recipe of _recipe builds `ifs` only when asked.
+    Made by build_moment_ifs and read_recipe only.  Each map is kept as its rows,
+    translation entry first, as integers over their least denominator (_cleared_rows;
+    _moment_rows for a built map), so equal maps have equal rows; `ifs` is built when asked.
     """
 
     spec: MomentCurveSpec
     ratio: Fraction
     anchors: tuple[Fraction, ...]
-    ifs: IteratedFunctionSystem
+    _rows: list = field(repr=False, hash=False)
+    _lines: list = field(repr=False, compare=False)
+    _certificates: tuple = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ratio", Fraction(self.ratio))
-        object.__setattr__(self, "anchors", as_vector(self.anchors))
-        _check_recipe(self.spec, self.ratio, self.anchors, self.ifs.dim, len(self.ifs.maps))
-        self.__dict__.update(_lines=_lines(self.spec, self.ratio, self.anchors),
-                             _rows=[*map(_cleared_rows, self.ifs)], _certificates=self.ifs.certificates)
-
-    def __getattr__(self, name: str):
-        if name != "ifs":
-            raise AttributeError(name)
-        ifs = _certified_system(map(self._map, range(len(self._rows))), self._certificates)
-        object.__setattr__(self, "ifs", ifs)
-        return ifs
+    @cached_property
+    def ifs(self) -> IteratedFunctionSystem:
+        return _certified_system(map(_row_map, self._rows), self._certificates)
 
     def _map(self, index: int) -> AffineMap:
-        rows = [[Fraction(x, scale) for x in row] for row, scale in self._rows[index]]
-        return AffineMap([row[1:] for row in rows], [row[0] for row in rows])
+        return _row_map(self._rows[index])
 
     def _float_rows(self):
         """chaos_game's float matrices, translations and start, the fixed point of map 0.
@@ -146,6 +136,12 @@ class MomentIfsRecipe:
         return ([np.array([row[1:] for row in rows]) for rows in floats],
                 [np.array([row[0] for row in rows]) for rows in floats],
                 _float_array(fixed_point(self._map(0))))
+
+
+def _row_map(rows) -> AffineMap:
+    """The map whose rows, translation entry first, are (integers, denominator) pairs."""
+    rows = [[Fraction(x, scale) for x in row] for row, scale in rows]
+    return AffineMap([row[1:] for row in rows], [row[0] for row in rows])
 
 
 def _lines(spec: MomentCurveSpec, ratio: Fraction, anchors) -> list[tuple[int, int, int]]:
@@ -241,14 +237,13 @@ def _recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, entries) -> MomentI
     rows = [_built_rows(entry, n, line) for entry, line in zip(entries, lines)]
     stored = {index: map_from_jsonable(entry, n, where=f"map {index}")
               for index, (built, entry) in enumerate(zip(rows, entries)) if built is None}
-    recipe = object.__new__(MomentIfsRecipe)
-    recipe.__dict__.update(spec=spec, ratio=ratio, anchors=tuple(anchors), _lines=lines, _rows=[
-        _cleared_rows(stored[index]) if built is None else built for index, built in enumerate(rows)])
-    recipe.__dict__["_certificates"] = tuple(
+    rows = [_cleared_rows(stored[index]) if built is None else built
+            for index, built in enumerate(rows)]
+    certificates = tuple(
         certify_admissible(stored[index], f"map {index}") if index in stored
-        else _built_certificate(n, line) or _certify_contraction(recipe._map(index), f"map {index}")
+        else _built_certificate(n, line) or _certify_contraction(_row_map(rows[index]), f"map {index}")
         for index, line in enumerate(lines))
-    return recipe
+    return MomentIfsRecipe(spec, ratio, tuple(anchors), rows, lines, certificates)
 
 
 def build_moment_ifs(
@@ -263,7 +258,7 @@ def build_moment_ifs(
     recipe is checked before any map is built.
     """
     ratio = Fraction(ratio)
-    if not 0 < ratio <= _guarded_lambda_bound(spec):
+    if not 0 < ratio <= lambda_bound(spec):
         raise ValueError("ratio must lie in (0, lambda_bound]")
     anchors = as_vector(anchors)
     _check_recipe(spec, ratio, anchors, spec.dim, len(anchors))
@@ -340,7 +335,7 @@ def recipe_to_jsonable(recipe: MomentIfsRecipe) -> dict:
 def read_recipe(data) -> MomentIfsRecipe:
     """A recipe document: the construction its meta records, and its maps.
 
-    The meta is read first, and checked as MomentIfsRecipe checks it, before
+    The meta is read first, and checked as build_moment_ifs checks it, before
     any map is read.  A stored map equal to the construction's is taken as
     built, with its construction certificate; any other is parsed and certified
     as by ifs_from_jsonable and kept, in cleared rows, so that verify_moment_invariance
@@ -364,13 +359,3 @@ def read_recipe(data) -> MomentIfsRecipe:
     dim, entries = _ifs_header(data)
     _check_recipe(spec, ratio, anchors, dim, len(entries))
     return _recipe(spec, ratio, anchors, entries)
-
-
-def recipe_from_jsonable(data) -> MomentIfsRecipe:
-    """Parse a recipe and confirm that its stored maps are the recorded construction."""
-    recipe = read_recipe(data)
-    if recipe.ratio > lambda_bound(recipe.spec):
-        raise ValueError("ratio must lie in (0, lambda_bound]")
-    if not verify_moment_invariance(recipe, ()).ok:  # every map, on the n + 1 point grid
-        raise ValueError("stored maps do not match the recorded construction")
-    return recipe

@@ -199,20 +199,16 @@ class ScalingCertificate:
 def scaling_certificate(poly: MultiPoly, f: AffineMap) -> Optional[ScalingCertificate]:
     """Build the certificate for a contractive invertible scaling factor.
 
-    Rejects constant polynomials and non-contractive or singular maps;
-    returns None when f is simply not a scaling factor for poly.
+    Returns None, without certifying f, when f is not a scaling factor for
+    poly; otherwise rejects constant polynomials and non-contractive or
+    singular maps.
     """
-    return _scaling_certificate(poly, f, lambda: scaling_constant(poly, f))
-
-
-def _scaling_certificate(poly: MultiPoly, f: AffineMap, find_constant) -> Optional[ScalingCertificate]:
-    """scaling_certificate(poly, f), find_constant() giving scaling_constant(poly, f) once f is certified."""
+    constant = scaling_constant(poly, f)
+    if constant is None:
+        return None
     if poly.degree < 1:
         raise ValueError("polynomial must be non-constant")
     certify_admissible(f)
-    constant = find_constant()
-    if constant is None:
-        return None
     if not abs(constant) < 1:
         raise ArithmeticError("contractive scaling factor with |C| >= 1")
     value = evaluate(poly, fixed_point(f))

@@ -167,10 +167,10 @@ class TestBuildMoment:
     ])
     def test_dimension_guard_before_lambda_bound(self, argv, capsys, monkeypatch):
         # every n ≥ 14 needs more than 50,000 maps, so lambda_bound's n-th powers never run
-        def refused(spec):
-            raise AssertionError(f"lambda_bound ran at n = {spec.dim}")
+        def refused(value):
+            raise AssertionError("lambda_bound took a square root")
 
-        monkeypatch.setattr(moment, "lambda_bound", refused)
+        monkeypatch.setattr(moment, "sqrt_upper_bound", refused)
         start = time.perf_counter()
         code, out, err = run(capsys, "build-moment", *argv)
         assert time.perf_counter() - start < 1
@@ -568,8 +568,7 @@ class TestScaling:
             calls.append(f)
             return original(poly, f)
 
-        for module in (cli, polynomials):
-            monkeypatch.setattr(module, "scaling_constant", counted)
+        monkeypatch.setattr(polynomials, "scaling_constant", counted)
         poly = tmp_path / "poly.txt"
         poly.write_text(text)
         assert run(capsys, "scaling", str(poly), str(half_map_file))[0] == code
@@ -768,6 +767,7 @@ class TestCompactnessDemo:
     @pytest.mark.parametrize("surface, depth, message", [
         ("x1^2 + x2^2 - 2", "10", "only for the unit circle"),
         ("x1^2 + x2^2 - 1", "101", "101 pullbacks are above the cap 100"),
+        ("x1^2 + x2^2 - 1", "-1", "--depth must be nonnegative"),
     ])
     def test_rejected_before_any_pullback(
         self, tmp_path, half_map_file, monkeypatch, surface, depth, message, capsys
@@ -847,6 +847,28 @@ class TestArgumentErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out, calls) == (2, "", [])
         assert json.loads(err) == {"error": message}
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "nested.json"],
+        ["render", "nested.json"],
+        ["verify", "nested.json"],
+        ["classify", "nested.json", "map.json", "--t1", "1"],
+        ["classify", "germ.json", "nested.json", "--t1", "1"],
+        ["scaling", "circle.txt", "nested.json"],
+        ["compactness-demo", "circle.txt", "nested.json"],
+    ], ids=["chaos", "render", "verify", "classify-germ", "classify-map", "scaling",
+            "compactness-demo"])
+    def test_deeply_nested_json_is_input_error(self, argv, tmp_path, capsys):
+        # json parses nested arrays by recursion, so this file exhausts the recursion limit
+        (tmp_path / "nested.json").write_text("[" * 100_000 + "]" * 100_000)
+        coords = [["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"]]
+        (tmp_path / "germ.json").write_text(json.dumps({"t0": "0", "order": 4, "coords": coords}))
+        (tmp_path / "map.json").write_text(json.dumps({"matrix": [["1/2", "0"], ["0", "1/4"]]}))
+        (tmp_path / "circle.txt").write_text("x1^2 + x2^2 - 1\n")
+        paths = [str(tmp_path / a) if a.endswith((".json", ".txt")) else a for a in argv]
+        code, out, err = run(capsys, *paths)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"{tmp_path / 'nested.json'}: JSON nesting is too deep"}
 
     def test_every_subcommand_declares_its_formats(self):
         parser = cli.build_parser()

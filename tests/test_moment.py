@@ -11,20 +11,18 @@ import pytest
 
 from selfaffine import affine, moment
 from selfaffine.affine import (
-    AffineMap, IteratedFunctionSystem, _float_array, _line, fixed_point, ifs_from_jsonable,
-    is_contractive, map_to_jsonable, max_row_sum
+    AffineMap, IteratedFunctionSystem, _cleared_rows, _float_array, _line, fixed_point,
+    ifs_from_jsonable, is_contractive, map_to_jsonable, max_row_sum
 )
 from selfaffine.attractor import chaos_game
 from selfaffine.exactlinalg import determinant
 from selfaffine.moment import (
     MomentCurveSpec,
-    MomentIfsRecipe,
     build_moment_ifs,
     choose_anchors,
     eval_moment,
     lambda_bound,
     read_recipe,
-    recipe_from_jsonable,
     recipe_to_jsonable,
     verify_moment_invariance,
 )
@@ -49,6 +47,16 @@ def _plain_map(n, line):
         translation.append(power[0])
         matrix.append(power[1:] + [Fraction(0)] * (n - k))
     return AffineMap(matrix, translation)
+
+
+def _recipe_of(spec, ratio, anchors, maps):
+    """The recipe read_recipe reads from a document of these maps under the construction's meta."""
+    return read_recipe({
+        "dim": spec.dim,
+        "maps": [map_to_jsonable(f) for f in maps],
+        "meta": {"n": spec.dim, "c": format_rational(spec.c), "d": format_rational(spec.d),
+                 "lambda": format_rational(ratio), "anchors": [format_rational(t) for t in anchors]},
+    })
 
 
 def _coefficient_mismatches(recipe):
@@ -165,10 +173,10 @@ class TestDimensionGuard:
 
     @pytest.mark.parametrize("n", [14, 15, 10**9])
     def test_refused_before_lambda_bound(self, n, monkeypatch):
-        def refused(spec):
-            raise AssertionError(f"lambda_bound ran at n = {spec.dim}")
+        def refused(value):
+            raise AssertionError("lambda_bound took a square root")
 
-        monkeypatch.setattr(moment, "lambda_bound", refused)
+        monkeypatch.setattr(moment, "sqrt_upper_bound", refused)
         spec = unit_spec(n)
         message = "the map count ceil\\(1/lambda\\) is above the guard 50000"
         with pytest.raises(ValueError, match=message):
@@ -280,8 +288,7 @@ class TestInvariance:
         broken = maps[4]
         maps[4] = AffineMap(broken.matrix,
                             (broken.translation[0], broken.translation[1] + 1))
-        tampered = MomentIfsRecipe(spec, ratio, recipe.anchors,
-                                   IteratedFunctionSystem(tuple(maps)))
+        tampered = _recipe_of(spec, ratio, recipe.anchors, maps)
         report = verify_moment_invariance(tampered, [Fraction(0), Fraction(1, 2)])
         assert not report.ok
         assert {bad.map_index for bad in report.counterexamples} == {4}
@@ -308,8 +315,7 @@ class TestInvariance:
             matrix[row][column] += delta
         maps = list(recipe.ifs.maps)
         maps[index] = AffineMap(matrix, translation)
-        return MomentIfsRecipe(recipe.spec, recipe.ratio, recipe.anchors,
-                               IteratedFunctionSystem(tuple(maps)))
+        return _recipe_of(recipe.spec, recipe.ratio, recipe.anchors, maps)
 
     def test_every_tampered_position_caught_by_both_checks(self, lift_calls):
         recipe = self._small_recipe()
@@ -375,7 +381,8 @@ class TestRecipeJson:
     def test_round_trip(self):
         recipe = self._recipe()
         data = recipe_to_jsonable(recipe)
-        rebuilt = recipe_from_jsonable(data)
+        rebuilt = read_recipe(data)
+        assert verify_moment_invariance(rebuilt, ()).ok
         assert rebuilt.ifs == recipe.ifs
         assert rebuilt.spec == recipe.spec
         assert rebuilt.ratio == recipe.ratio
@@ -390,8 +397,8 @@ class TestRecipeJson:
     def test_tampered_maps_rejected(self):
         data = recipe_to_jsonable(self._recipe())
         data["maps"][0]["translation"][1] = "9/7"
-        with pytest.raises(ValueError, match="do not match"):
-            recipe_from_jsonable(data)
+        report = verify_moment_invariance(read_recipe(data), ())
+        assert {bad.map_index for bad in report.counterexamples} == {0}
 
     def test_recipe_is_checked_once_per_build_and_read(self, monkeypatch):
         calls = []
@@ -405,38 +412,15 @@ class TestRecipeJson:
         recipe = self._recipe()
         assert len(calls) == 1
         data = recipe_to_jsonable(recipe)
-        for reader in (read_recipe, recipe_from_jsonable):
-            calls.clear()
-            assert reader(data) == recipe
-            assert len(calls) == 1
-        # a recipe made directly is checked too, and numbers that break it raise
         calls.clear()
-        assert MomentIfsRecipe(recipe.spec, recipe.ratio, recipe.anchors, recipe.ifs) == recipe
-        for ratio, message in [(Fraction(1, 50), "must reach both endpoints"),
-                               (Fraction(2), r"\(0, 1\)")]:
-            with pytest.raises(ValueError, match=message):
-                MomentIfsRecipe(recipe.spec, ratio, recipe.anchors, recipe.ifs)
-        assert len(calls) == 3
-
-    def test_ratio_above_bound_rejected(self):
-        # λ = 1/2 tiles [0, 1] with two certified maps but exceeds lambda_bound
-        spec = unit_spec(2)
-        ratio = Fraction(1, 2)
-        assert ratio > lambda_bound(spec)
-        anchors = (Fraction(0), Fraction(1, 2))
-        maps = tuple(
-            _plain_map(2, _line(ratio, t - ratio * spec.c)) for t in anchors
-        )
-        recipe = MomentIfsRecipe(spec, ratio, anchors, IteratedFunctionSystem(maps))
-        assert not _coefficient_mismatches(recipe)
-        with pytest.raises(ValueError, match="lambda_bound"):
-            recipe_from_jsonable(recipe_to_jsonable(recipe))
+        assert read_recipe(data) == recipe
+        assert len(calls) == 1
 
 
 def _tiling_recipe(n, c, d, ratio):
     """The construction on [c, d] at ratio λ, on choose_anchors' uniform grid.
 
-    λ need not lie below lambda_bound: MomentIfsRecipe asks only for a
+    λ need not lie below lambda_bound: read_recipe asks only for a
     tiling and for invertible, contractive maps, so that n = 5 with c < 0
     stays at a handful of maps.
     """
@@ -447,7 +431,7 @@ def _tiling_recipe(n, c, d, ratio):
     maps = tuple(
         _plain_map(n, _line(ratio, t - ratio * spec.c)) for t in anchors
     )
-    return MomentIfsRecipe(spec, ratio, anchors, IteratedFunctionSystem(maps))
+    return _recipe_of(spec, ratio, anchors, maps)
 
 
 def _seeded_recipes():
@@ -477,8 +461,7 @@ def _tamper(recipe, rng, kind):
         matrix[row][column] += delta
     maps = list(recipe.ifs.maps)
     maps[index] = AffineMap(matrix, translation)
-    return MomentIfsRecipe(recipe.spec, recipe.ratio, recipe.anchors,
-                           IteratedFunctionSystem(tuple(maps)))
+    return _recipe_of(recipe.spec, recipe.ratio, recipe.anchors, maps)
 
 
 class TestVerifierAgainstReference:
@@ -489,7 +472,7 @@ class TestVerifierAgainstReference:
             spec, n = recipe.spec, recipe.spec.dim
             # sample values: the proof grid, so that samples can coincide with it, and others
             values = [*_grid(spec), spec.c + (spec.d - spec.c) / 7, spec.d]
-            # no samples at all is the check recipe_from_jsonable makes
+            # no samples at all checks every map on the n + 1 point grid alone
             for size in range(n + 3):
                 for tampers in range(4):
                     current = recipe
@@ -743,8 +726,7 @@ def _vanishing_tamper(recipe, rng, roots):
         matrix[row][j] += coefficient
     maps = list(recipe.ifs.maps)
     maps[index] = AffineMap(matrix, translation)
-    return MomentIfsRecipe(recipe.spec, recipe.ratio, recipe.anchors,
-                           IteratedFunctionSystem(tuple(maps))), index
+    return _recipe_of(recipe.spec, recipe.ratio, recipe.anchors, maps), index
 
 
 class TestEarlyStop:
@@ -865,8 +847,8 @@ class TestBuiltCertificate:
         assert read.ifs.certificates == recipe.ifs.certificates
         assert [c.route for c in read.ifs.certificates] == ["row-sum-bound", "spectral-norm"]
         assert _built_certificate(2, _line(recipe.ratio, recipe.anchors[1])) is None
-        with pytest.raises(ValueError, match="lambda_bound"):
-            recipe_from_jsonable(recipe_to_jsonable(recipe))
+        assert read.ratio > lambda_bound(read.spec)
+        assert verify_moment_invariance(read, ()).ok
 
     def test_not_contractive_built_map_keeps_its_error(self, contraction_calls):
         # on [0, 4] at λ = 1/2, map 1 (anchor 2) has matrix [[1/2, 0], [2, 1/4]]
@@ -962,6 +944,55 @@ class TestIntegerRows:
         for recipe, maps in _row_recipes():
             assert recipe_to_jsonable(recipe)["maps"] == [map_to_jsonable(f) for f in maps]
             assert recipe.ifs.maps == tuple(maps)
+
+    def test_built_rows_are_the_cleared_rows(self):
+        # recipes compare their rows, so a built map's rows must be the Fraction map's cleared rows
+        for n in range(2, 7):
+            for c in (Fraction(0), Fraction(-1, 2), Fraction(-1, 3)):
+                for ratio in (Fraction(1, 10), Fraction(2, 9)):
+                    for anchor in (c + Fraction(k, 6) for k in range(4)):
+                        line = _line(ratio, anchor - ratio * c)
+                        assert list(moment._moment_rows(n, line)) == _cleared_rows(_plain_map(n, line))
+
+    def test_recipes_are_equal_when_their_maps_are(self, determinant_calls):
+        spec, ratio = unit_spec(2), Fraction(1, 25)
+        recipe = build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))
+        data = recipe_to_jsonable(recipe)
+        entry = data["maps"][2]
+
+        def doubled(text):  # the same value, not in lowest terms
+            x = Fraction(text)
+            return f"{2 * x.numerator}/{2 * x.denominator}"
+
+        entry["translation"] = [*map(doubled, entry["translation"])]
+        entry["matrix"] = [[*map(doubled, row)] for row in entry["matrix"]]
+        assert entry["translation"][0] == "4/50"
+        determinant_calls.clear()
+        read = read_recipe(copy.deepcopy(data))
+        assert len(determinant_calls) == 1  # map 2 was parsed, not taken as built
+        assert read == recipe
+        assert hash(read) == hash(recipe)
+        assert len({recipe, read}) == 1
+        entry["translation"][0] = "1/997"
+        tampered = read_recipe(data)
+        assert tampered != recipe
+        assert len({recipe, tampered}) == 2
+
+    def test_ifs_is_built_once_and_only_on_access(self, monkeypatch):
+        calls = []
+        original = moment._certified_system
+        monkeypatch.setattr(moment, "_certified_system",
+                            lambda *args: calls.append(args) or original(*args))
+        spec, ratio = unit_spec(2), Fraction(1, 25)
+        recipe = build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))
+        read = read_recipe(recipe_to_jsonable(recipe))
+        assert verify_moment_invariance(read, [Fraction(1, 2)]).ok
+        chaos_game(read, 10, 0, 0)
+        assert calls == []
+        assert recipe.ifs is recipe.ifs
+        assert len(calls) == 1
+        assert read.ifs.maps == recipe.ifs.maps
+        assert len(calls) == 2
 
     def test_texts_of_single_entries(self):
         rng = random.Random(3)

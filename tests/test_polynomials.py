@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from selfaffine import polynomials
 from selfaffine.affine import AffineMap, compose
 from selfaffine.polynomials import (
     MultiPoly,
@@ -211,13 +212,28 @@ class TestScalingCertificate:
             scaling_certificate(p, double)
 
     def test_requires_invertible(self):
+        # f(x) = (x1/2, x1/2) is a singular scaling factor of x2 − x1, with C = 0
         p = antidiagonal_line()
         flat = AffineMap(
-            [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(0)]],
+            [[Fraction(1, 2), Fraction(0)], [Fraction(1, 2), Fraction(0)]],
             [Fraction(0), Fraction(0)],
         )
-        with pytest.raises(ValueError):
+        assert scaling_constant(p, flat) == 0
+        with pytest.raises(ValueError, match="map is not invertible"):
             scaling_certificate(p, flat)
+
+    def test_only_a_factor_is_certified(self, monkeypatch):
+        # 2·I is no contraction, but the circle has no scaling factor 2·I to certify
+        def refused(f, where="map"):
+            raise AssertionError("the map was certified")
+
+        monkeypatch.setattr(polynomials, "certify_admissible", refused)
+        circle = parse_polynomial("x1^2 + x2^2 - 1")
+        double = AffineMap(
+            [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]],
+            [Fraction(0), Fraction(0)],
+        )
+        assert scaling_certificate(circle, double) is None
 
 
 class TestSelfAffinePair:

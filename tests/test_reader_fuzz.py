@@ -22,7 +22,7 @@ from selfaffine.moment import (
     MomentCurveSpec,
     build_moment_ifs,
     choose_anchors,
-    recipe_from_jsonable,
+    read_recipe,
     recipe_to_jsonable,
 )
 from selfaffine.polynomials import MultiPoly, parse_polynomial
@@ -56,7 +56,7 @@ GERM_DOCUMENT = {
 
 READERS = [
     (ifs_from_jsonable, IFS_DOCUMENT),
-    (recipe_from_jsonable, _recipe_document()),
+    (read_recipe, _recipe_document()),
     (germ_from_jsonable, GERM_DOCUMENT),
 ]
 READER_IDS = [reader.__name__ for reader, _ in READERS]
