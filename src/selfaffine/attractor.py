@@ -43,12 +43,16 @@ def chaos_game(ifs, iterations: int, burn_in: int, seed: int) -> PointCloud:
     _check_steps(iterations, burn_in)
     rng = np.random.Generator(np.random.PCG64(seed))
     matrices, translations, x = ifs._float_rows()
-    choices = rng.integers(0, len(matrices), size=iterations)
+    # a view of the drawn indices iterates as Python ints, with no list of them held
+    choices = memoryview(rng.integers(0, len(matrices), size=iterations))
     kept = np.empty((iterations - burn_in, len(x)))
-    for step, index in enumerate(choices):
+    for index in choices[:burn_in]:
         x = matrices[index] @ x + translations[index]
-        if step >= burn_in:
-            kept[step - burn_in] = x
+    # each kept step is written straight into its row, with the same float operations
+    for row, index in zip(kept, choices[burn_in:]):
+        np.matmul(matrices[index], x, out=row)
+        row += translations[index]
+        x = row
     return PointCloud(len(x), kept)
 
 

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 
 from .exactlinalg import Matrix, as_matrix, as_vector, mat_inverse
 from .rationals import _clear_denominators, parse_rational
-from .series import TruncatedSeries, _combine, _powers, _reverse_powers
+from .series import TruncatedSeries, _combine, _powers, _reverse_powers, _table
 
 __all__ = [
     "VERDICT_MOMENT",
@@ -69,9 +69,8 @@ def normalize_at_fixed_point(curve: TruncatedSeries, j_matrix: Sequence[Sequence
     inverse = mat_inverse(matrix)
     if len(matrix) != curve.dim:
         raise ValueError("matrix and value dimensions must match the curve")
-    shifted = [(Fraction(0),) + row[1:] for row in curve.coords]
-    rows = tuple(tuple(_combine(weights, shifted, curve.order)) for weights in inverse)
-    return TruncatedSeries(curve.order, rows)
+    shifted = _table((0,) + row[1:] for row in curve.coords)
+    return TruncatedSeries(curve.order, [_combine(weights, shifted) for weights in inverse])
 
 
 def tangent_eigenvalue(matrix: Sequence[Sequence], tangent: Sequence) -> Optional[Fraction]:
@@ -142,7 +141,7 @@ def graph_form(normalized: TruncatedSeries) -> GraphForm:
     powers = _reverse_powers(normalized.coords[0], order)
     extracted = []
     for k in range(1, n):
-        row = tuple(_combine(normalized.coords[k], powers, order))
+        row = tuple(_combine(normalized.coords[k], powers))
         exponent = next((i for i in range(1, order + 1) if row[i] != 0), None)
         if exponent is None:
             raise HyperplaneDegeneracyError(
@@ -188,14 +187,6 @@ class ConjugationReport:
     monomial: Optional[bool] = None
 
 
-def _first_mismatch(k: int, left: Sequence[Fraction], right: Sequence[Fraction]) -> Optional[str]:
-    """The line naming the first degree where two coefficient rows differ, or None."""
-    for degree, (a, b) in enumerate(zip(left, right)):
-        if a != b:
-            return f"coordinate {k}: identity fails first at degree {degree} ({a} vs {b})"
-    return None
-
-
 def _check_diagonal(gf: GraphForm, diagonal: Sequence[Fraction]) -> ConjugationReport:
     values = [Fraction(x) for x in diagonal]
     n = len(gf.exponents) + 1
@@ -211,47 +202,43 @@ def _check_diagonal(gf: GraphForm, diagonal: Sequence[Fraction]) -> ConjugationR
     for position, (p, c, row) in enumerate(zip(gf.exponents, gf.leading, gf.series)):
         k = position + 2
         scale = values[position + 1]
-        # x_k*(λ₁·u) against λ_k·x_k*(u), coefficient by coefficient
-        mismatch = _first_mismatch(
-            k, [x * step for x, step in zip(row, lam_powers)], [scale * x for x in row]
-        )
-        if mismatch:
-            mismatches.append(mismatch)
+        # x_k*(λ₁·u) = λ_k·x_k*(u) at a degree d exactly when the coefficient is 0 or λ₁^d = λ_k
+        degree = next((d for d, x in enumerate(row) if x and lam_powers[d] != scale), None)
+        if degree is not None:
+            x = row[degree]
+            mismatches.append(f"coordinate {k}: identity fails first at degree {degree} "
+                              f"({x * lam_powers[degree]} vs {scale * x})")
         if scale != lam_powers[p]:
             eigen_ok = False
             mismatches.append(
                 f"coordinate {k}: λ_k = {scale} differs from λ₁^{p} = {lam_powers[p]}"
             )
-        for degree in range(gf.order + 1):
-            expected = c if degree == p else Fraction(0)
-            if row[degree] != expected:
-                monomial_ok = False
-                mismatches.append(
-                    f"coordinate {k}: not monomial, extra term at degree {degree}"
-                )
-                break
+        extra = next((d for d, x in enumerate(row) if x != (c if d == p else 0)), None)
+        if extra is not None:
+            monomial_ok = False
+            mismatches.append(f"coordinate {k}: not monomial, extra term at degree {extra}")
     # every failed identity, eigenvalue or monomial check leaves a mismatch
     return ConjugationReport(not mismatches, "diagonal", tuple(mismatches), eigen_ok, monomial_ok)
 
 
 def _check_matrix(gf: GraphForm, matrix: Matrix) -> ConjugationReport:
     n = len(gf.exponents) + 1
-    m = as_matrix(matrix)
-    if len(m) != n or len(m[0]) != n:
+    if len(matrix) != n or len(matrix[0]) != n:
         raise ValueError(f"expected a {n}×{n} matrix")
-    order = gf.order
-    xi = [TruncatedSeries.identity(order).coefficients(), *gf.series]
-    images = [_combine(weights, xi, order) for weights in m]
+    xi = [TruncatedSeries.identity(gf.order).coefficients(), *gf.series]
+    table = _table(xi)
+    images = [_combine(weights, table) for weights in matrix]
     if images[0][0] != 0:
         raise ValueError("transformed first coordinate must vanish at 0")
     # ξ_k∘Y = Σⱼ ξ_k[j]·Yʲ, every coordinate over one table of powers of Y = images[0]
-    powers = _powers(images[0], order)
+    powers = _powers(images[0], gf.order)
     mismatches = []
     for position in range(1, n):
-        composed = _combine(xi[position], powers, order)
-        mismatch = _first_mismatch(position + 1, images[position], composed)
-        if mismatch:
-            mismatches.append(mismatch)
+        image, composed = images[position], _combine(xi[position], powers)
+        degree = next((d for d, (x, y) in enumerate(zip(image, composed)) if x != y), None)
+        if degree is not None:
+            mismatches.append(f"coordinate {position + 1}: identity fails first at degree {degree} "
+                              f"({image[degree]} vs {composed[degree]})")
     return ConjugationReport(not mismatches, "matrix", tuple(mismatches))
 
 
@@ -302,18 +289,19 @@ def _check_recenter(profile, t1, rows, index, missing) -> None:
     zero in every span vector and nonzero in the failing row's target.
     """
     top = profile[-1]
-    span = [[-(t1**q)] + [int(m == q) for m in range(1, top + 1)] for q in profile]
     a, b = t1.numerator, t1.denominator
+    # the span vectors t^q − t1^q as a table: the constants over b^top, then the unit entries
+    span = [([-(a**q) * b ** (top - q) for q in profile], b**top)]
+    span += [([int(m == q) for q in profile], 1) for m in range(1, top + 1)]
     scaled = [[1]]
     for _ in range(top):
         scaled.append([b * x - a * y for x, y in zip([0] + scaled[-1], scaled[-1] + [0])])
     for p, row in zip(profile, rows):
-        expanded = _combine(row, span, top)
-        if [value * b**p for value in expanded] != scaled[p] + [0] * (top - p):
+        if _combine(row, span) != [Fraction(x, b**p) for x in scaled[p]] + [0] * (top - p):
             raise ArithmeticError(f"row {p} does not re-expand to (t - t1)^{p}")
     if index is not None:
         p = profile[index - 1]
-        if not 0 < missing <= p or any(v[missing] for v in span) or not scaled[p][missing]:
+        if not 0 < missing <= p or any(span[missing][0]) or not scaled[p][missing]:
             raise ArithmeticError(f"t^{missing} does not witness infeasibility at index {index}")
 
 
@@ -336,13 +324,12 @@ def solve_recenter(exponents: Sequence[int], t1: Fraction) -> RecenterResult:
     if t1 == 0:
         raise ValueError("t1 must be nonzero")
     degrees = set(profile)
-    rows = []
     for index, p in enumerate(profile, start=1):
         missing = next((m for m in range(1, p + 1) if m not in degrees), None)
         if missing is not None:
             _check_recenter(profile, t1, (), index, missing)
             return RecenterResult(False, profile, None, index, missing)
-        rows.append(tuple(math.comb(p, q) * (-t1) ** (p - q) for q in profile))
+    rows = [tuple(math.comb(p, q) * (-t1) ** (p - q) for q in profile) for p in profile]
     _check_recenter(profile, t1, rows, None, None)
     return RecenterResult(True, profile, tuple(rows))
 

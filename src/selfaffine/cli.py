@@ -29,8 +29,8 @@ from .moment import (
 from .paraboloid import ParaboloidSpec, build_paraboloid_ifs
 from .polynomials import format_polynomial, parse_polynomial, scaling_certificate
 from .pullback import (
-    _RESIDUAL_TOLERANCE, circle_polynomial, dependency_witness, diameter_decay_report,
-    pullback_sequence, rational_circle_points,
+    _MAX_CIRCLE_POINTS, _RESIDUAL_TOLERANCE, circle_polynomial, dependency_witness,
+    diameter_decay_report, pullback_sequence, rational_circle_points,
 )
 from .rationals import format_rational, parse_rational
 
@@ -251,6 +251,12 @@ def _cmd_classify(args) -> int:
 def _cmd_compactness_demo(args) -> int:
     if args.depth < 0:
         raise ValueError("--depth must be nonnegative")
+    if args.points < 4:
+        raise ValueError("--points must be at least 4")
+    if args.points > _MAX_CIRCLE_POINTS:
+        raise ValueError(f"--points {args.points} is above the cap {_MAX_CIRCLE_POINTS}")
+    if not args.tolerance > 0:  # NaN is refused too
+        raise ValueError("--tolerance must be positive")
     with open(args.polynomial, "r", encoding="utf-8") as handle:
         poly = parse_polynomial(handle.read())
     f = _load_single_map(args.map)

@@ -1,8 +1,8 @@
 """Truncated power series with exact rational coefficients.
 
 A series keeps coefficients of t⁰ through t^N for a fixed truncation
-order N.  Multiplication, composition, and reversion are exact on the
-kept coefficients; everything beyond order N is deliberately dropped.
+order N.  Composition and reversion are exact on the kept coefficients,
+on integers over one denominator per column; beyond order N is dropped.
 Multi-coordinate series represent curve germs, one coefficient row per
 coordinate, all sharing the same variable and order.
 """
@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
+
+from .rationals import _clear_denominators
 
 __all__ = ["TruncatedSeries", "series_compose", "series_reverse"]
 
@@ -83,35 +87,39 @@ def _require_1d(series: TruncatedSeries, name: str) -> tuple[Fraction, ...]:
     return series.coords[0]
 
 
-def _mul(a: Sequence[Fraction], b: Sequence[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai == 0:
-            continue
-        top = order - i
-        for j, bj in enumerate(b[: top + 1]):
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
+def _grades(dens: Sequence[int], count: int) -> list[int]:
+    """g₀ = 1, g_w = lcm dens[i]·g_{w−1−i}: g_w clears any product of weight w, dens[i] weighing i + 1.
+
+    g_v divides g_w for v ≤ w, so of equal denominators only the lightest counts.
+    """
+    grades = [1]
+    for w in range(1, count + 1):
+        lightest = {den: i for i, den in reversed(list(enumerate(dens[:w])))}
+        grades.append(lcm(*[den * grades[w - 1 - i] for den, i in lightest.items()]))
+    return grades
 
 
-def _combine(weights: Sequence[Fraction], rows: Sequence[Sequence], order: int) -> list[Fraction]:
-    """Σⱼ weights[j]·rows[j] on coefficients 0..order, skipping zero weights and entries."""
-    out = [Fraction(0)] * (order + 1)
-    for weight, row in zip(weights, rows):
-        if weight:
-            for m, x in enumerate(row[: order + 1]):
-                if x:
-                    out[m] += weight * x
-    return out
+def _table(rows: Sequence[Sequence]) -> list[tuple[Sequence[int], int]]:
+    """rows as a table for `_combine`: each column cleared to integers over one denominator."""
+    return [_clear_denominators(column) for column in zip(*rows)]
 
 
-def _powers(inner: Sequence[Fraction], order: int) -> list[list[Fraction]]:
-    """The table innerʲ, j = 0..order, each truncated at order."""
-    table = [[Fraction(1)] + [Fraction(0)] * order]
+def _combine(weights: Sequence, table: Sequence[tuple[Sequence[int], int]]) -> list[Fraction]:
+    """Σⱼ weights[j]·row j of a table: one integer dot product and one Fraction per column."""
+    cleared, scale = _clear_denominators(weights)
+    return [Fraction(sum(map(mul, cleared, column)), scale * den) for column, den in table]
+
+
+def _powers(inner: Sequence[Fraction], order: int) -> list[tuple[Sequence[int], int]]:
+    """The table of innerʲ, j = 0..order (inner₀ = 0): [tᵐ]innerʲ weighs m, so column m is over g_m."""
+    terms = inner[1 : order + 1]
+    grades = _grades([x.denominator for x in terms], order)
+    gains = [[x.numerator * (grades[m] // (x.denominator * grades[m - i]))
+              for i, x in enumerate(terms[:m], 1)] for m in range(1, order + 1)]
+    rows = [[1] + [0] * order]
     for _ in range(order):
-        table.append(_mul(table[-1], inner, order))
-    return table
+        rows.append([0] + [sum(map(mul, gain, rows[-1][m::-1])) for m, gain in enumerate(gains)])
+    return list(zip(zip(*rows), grades))
 
 
 def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -123,39 +131,42 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     if inn[0] != 0:
         raise ValueError("inner series must have zero constant term")
     # outer∘inner = Σⱼ outer_j·innerʲ
-    powers = _powers(inn, outer.order)
-    return TruncatedSeries(outer.order, (tuple(_combine(out, powers, outer.order)),))
+    return TruncatedSeries(outer.order, (_combine(out, _powers(inn, outer.order)),))
 
 
-def _reverse_powers(coeffs: Sequence[Fraction], order: int) -> list[list[Fraction]]:
-    """Table P[k][m] = [tᵐ] rᵏ (k, m ≤ order) of the reversion r = P[1] of coeffs.
+def _reverse_powers(coeffs: Sequence[Fraction], order: int) -> list[tuple[Sequence[int], int]]:
+    """The table of rᵏ, k = 0..order, for the reversion r of coeffs (c₀ = 0 ≠ c₁ = p/q).
 
-    For k ≥ 2, P[k][m] = Σᵢ rᵢ·P[k−1][m−i] needs only r₁..r_{m−1}: column m
-    is filled first, then [tᵐ] s(r) = a₁·r_m + Σ_{k≥2} a_k·P[k][m] = 0 fixes r_m.
+    r(t) = ρ(t/c₁) for the reversion ρ of t + Σ bⱼ·tʲ, bⱼ = cⱼ/c₁ of weight j − 1; [tᵐ]ρᵏ has
+    weight m − k and is kept over g_{m−k}.  For k ≥ 2 it is Σᵢ ρᵢ·[t^{m−i}]ρ^{k−1}, of ρ₁..ρ_{m−1},
+    and then ρ_m = −Σ_{k≥2} bₖ·[tᵐ]ρᵏ; every division is exact.  Column m ≥ 1 is over p^m·g_{m−1}.
     """
-    powers = [[Fraction(0)] * (order + 1) for _ in range(order + 1)]
-    powers[0][0], powers[1][1] = Fraction(1), 1 / coeffs[1]
-    r = powers[1]
+    monic = [x / coeffs[1] for x in coeffs[2 : order + 1]]
+    grades = _grades([x.denominator for x in monic], order - 1)
+    table = [[0] * (order + 1) for _ in range(order + 1)]
+    table[0][0] = table[1][1] = 1
+    rho, gains = table[1], []
     for m in range(2, order + 1):
+        gains.append([rho[i] * (grades[m - 2] // (grades[i - 1] * grades[m - 1 - i]))
+                      for i in range(1, m)])
         for k in range(2, m + 1):
-            terms = (r[i] * powers[k - 1][m - i] for i in range(1, m - k + 2))
-            powers[k][m] = sum(terms, Fraction(0))
-        residual = sum((coeffs[k] * powers[k][m] for k in range(2, m + 1)), Fraction(0))
-        r[m] = -residual / coeffs[1]
-    return powers
+            table[k][m] = sum(map(mul, gains[m - k], table[k - 1][m - 1 : k - 2 : -1]))
+        rho[m] = -sum(b.numerator * table[k][m] * (grades[m - 1] // (b.denominator * grades[m - k]))
+                      for k, b in enumerate(monic[: m - 1], 2))
+    p, q = coeffs[1].numerator, coeffs[1].denominator
+    return [([q**m * row[m] * (grades[m - 1] // grades[m - k]) if 0 < k <= m else row[m]
+              for k, row in enumerate(table)], p**m * grades[m - 1] if m else 1)
+            for m in range(order + 1)]
 
 
 def series_reverse(series: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse: compose(series, result) = t up to the order.
 
-    Coefficients come one order at a time from the power table of
-    `_reverse_powers`, O(N³) in all: at order m the powers rᵏ, k ≥ 2, need
-    only lower coefficients, and the composition's coefficient at tᵐ then
-    fixes r_m through the (nonzero) linear coefficient of the input.
+    The result is row 1 of `_reverse_powers`' table, O(N³) in all.
     """
     coeffs = _require_1d(series, "series_reverse")
     if coeffs[0] != 0:
         raise ValueError("series must vanish at 0 to be reversed")
     if coeffs[1] == 0:
         raise ValueError("series needs a nonzero linear coefficient to be reversed")
-    return TruncatedSeries(series.order, (tuple(_reverse_powers(coeffs, series.order)[1]),))
+    return TruncatedSeries(series.order, (_combine((0, 1), _reverse_powers(coeffs, series.order)),))

@@ -1,6 +1,7 @@
 """Attractor sampling: the chaos game and the cloud diameter."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from selfaffine.affine import AffineMap, IteratedFunctionSystem
 from selfaffine.attractor import _DIAMETER_BLOCK, chaos_game, diameter
 from selfaffine.cloud import PointCloud
 from selfaffine.moment import MomentCurveSpec, build_moment_ifs, choose_anchors
+from selfaffine.paraboloid import ParaboloidSpec, build_paraboloid_ifs
 
 
 def cantor_like_ifs():
@@ -30,11 +32,39 @@ def reference_diameter(points):
     return worst
 
 
-def moment_ifs(n=2):
-    spec = MomentCurveSpec(n, Fraction(0), Fraction(1))
+def reference_chaos_game(ifs, iterations, burn_in, seed):
+    """The chaos game's loop before it wrote each kept step into its row: one new vector a step."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    matrices, translations, x = ifs._float_rows()
+    choices = rng.integers(0, len(matrices), size=iterations)
+    kept = np.empty((iterations - burn_in, len(x)))
+    for step, index in enumerate(choices):
+        x = matrices[index] @ x + translations[index]
+        if step >= burn_in:
+            kept[step - burn_in] = x
+    return kept
+
+
+def dense_ifs(dim, seed):
+    """Three dense contractive maps in dimension dim: every entry nonzero, row sums below 1/√dim."""
+    rng = random.Random(f"dense:{dim}:{seed}")
+    def entry():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 3), 4 * dim * dim)
+    return IteratedFunctionSystem(tuple(
+        AffineMap([[entry() for _ in range(dim)] for _ in range(dim)],
+                  [Fraction(rng.randint(-9, 9), 7) for _ in range(dim)])
+        for _ in range(3)))
+
+
+def moment_recipe(n=2, c=0, d=1):
+    spec = MomentCurveSpec(n, Fraction(c), Fraction(d))
     from selfaffine.moment import lambda_bound
     ratio = Fraction(1, math.ceil(1 / lambda_bound(spec)))
-    return build_moment_ifs(spec, ratio, choose_anchors(spec, ratio)).ifs
+    return build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))
+
+
+def moment_ifs(n=2):
+    return moment_recipe(n).ifs
 
 
 class TestChaosGame:
@@ -79,6 +109,22 @@ class TestChaosGame:
             chaos_game(ifs, 10, 10, 0)
         with pytest.raises(ValueError):
             chaos_game(ifs, 10, -1, 0)
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 100])
+    def test_equals_reference_loop(self, burn_in):
+        recipes = [moment_recipe(n) for n in (2, 3, 4)]
+        recipes.append(moment_recipe(3, Fraction(-1, 2), Fraction(1, 2)))
+        systems = recipes + [recipe.ifs for recipe in recipes]
+        third = Fraction(1, 3)
+        base = ((third, 0), (third, Fraction(1, 12)), (third, Fraction(1, 6)))
+        systems += [build_paraboloid_ifs(ParaboloidSpec(n, 0, Fraction(1, 4), base))
+                    for n in range(2, 9)]
+        systems += [dense_ifs(dim, seed) for dim in range(1, 9) for seed in (1, 2)]
+        for system in systems:
+            for seed in (0, 5):
+                cloud = chaos_game(system, 1_000, burn_in, seed)
+                expected = reference_chaos_game(system, 1_000, burn_in, seed)
+                assert cloud.points.tobytes() == expected.tobytes()
 
     def test_moment_graph_residual(self):
         cloud = chaos_game(moment_ifs(2), 5000, 100, 3)

@@ -289,6 +289,22 @@ class TestCheckConjugation:
         report = check_conjugation(gf, [lam, lam**2])
         assert not report.passed
 
+    def test_diagonal_names_an_extra_term_at_the_top_degree(self):
+        curve = TruncatedSeries.from_rows([[0, 1], [0, 0, 1] + [0] * 13 + [Fraction(-3, 5)]], ORDER)
+        report = check_conjugation(graph_form(curve), [Fraction(1, 2), Fraction(1, 4)])
+        assert report.mismatches == (
+            "coordinate 2: identity fails first at degree 16 (-3/327680 vs -3/20)",
+            "coordinate 2: not monomial, extra term at degree 16",
+        )
+        assert (report.eigenvalue_relation, report.monomial) == (True, False)
+
+    def test_diagonal_checks_the_leading_coefficient_given(self):
+        # a graph form built by hand whose leading coefficient is not its row's
+        row = (Fraction(0), Fraction(0), Fraction(1)) + (Fraction(0),) * 4
+        gf = GraphForm(6, (2,), (Fraction(3),), (row,), (1,))
+        report = check_conjugation(gf, [Fraction(1, 2), Fraction(1, 4)])
+        assert report.mismatches == ("coordinate 2: not monomial, extra term at degree 2",)
+
     def test_matrix_mode_passes_on_diagonal_matrix(self):
         gf = graph_form(moment_germ(2))
         lam = Fraction(1, 3)

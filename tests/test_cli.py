@@ -784,6 +784,25 @@ class TestCompactnessDemo:
         assert composed == []
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--points", "3", "--points must be at least 4"),
+        ("--points", "10001", "--points 10001 is above the cap 10000"),
+        ("--tolerance", "0", "--tolerance must be positive"),
+        ("--tolerance", "-1e-9", "--tolerance must be positive"),
+        ("--tolerance", "nan", "--tolerance must be positive"),
+    ])
+    def test_points_and_tolerance_checked_before_any_read(
+        self, tmp_path, monkeypatch, option, value, message, capsys
+    ):
+        def pullbacks(*args):
+            raise AssertionError("a pullback was computed")
+        monkeypatch.setattr(cli, "pullback_sequence", pullbacks)
+        # neither file exists, so reading either would end in another error
+        code, out, err = run(capsys, "compactness-demo", str(tmp_path / "missing.txt"),
+                             str(tmp_path / "missing.json"), f"{option}={value}")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == message
+
     def test_non_circle_polynomial_rejected(self, tmp_path, half_map_file, capsys):
         poly = tmp_path / "sphere.txt"
         poly.write_text("x1^2 + x2^2 - 2")
