@@ -1,10 +1,11 @@
 """Exact affine maps, their algebra, contraction certificates, and the lift check f∘η = η∘φ.
 
 An affine map is f(x) = Mx + a with rational M and a.  Composition,
-inversion and fixed points are all exact.  Floating point enters through
-the spectral norm, which numpy's SVD computes when the exact row-sum
-bound cannot certify contraction, and through _float_array, the one
-exact-to-float conversion that the numeric samplers use.
+inversion and fixed points are all exact.  Floating point enters only
+through the spectral norm, which numpy's SVD computes when the exact
+row-sum bound cannot certify contraction, and through _float_array, the
+exact-to-float conversion of the numeric samplers.  numpy is imported
+inside these two alone, so exact work never loads it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .exactlinalg import (
     Matrix, Vector, as_matrix, as_vector, determinant, mat_inverse, mat_mul, mat_vec, solve,
@@ -101,11 +100,12 @@ def max_row_sum(matrix: Matrix) -> Fraction:
     return max(Fraction(sum(map(abs, numerators)), scale) for numerators, scale in rows)
 
 
-def _float_array(entries) -> np.ndarray:
-    """A float array of an exact matrix or vector.
+def _float_array(entries):
+    """A float numpy array of an exact matrix or vector.
 
     Raises ValueError when an entry lies beyond the float range.
     """
+    import numpy as np
     try:
         return np.array(entries, dtype=float)
     except OverflowError:
@@ -118,6 +118,7 @@ def operator_norm(matrix: Sequence[Sequence]) -> float:
     An entry beyond the float range gives inf, since the norm is at least
     the largest entry.
     """
+    import numpy as np
     mat = as_matrix(matrix)
     n = len(mat)
     if any(len(row) != n for row in mat):

@@ -2,12 +2,11 @@
 
 Attractors are sampled in floating point by the random chaos game
 (PCG64 generator, so a seed fully determines the cloud).  diameter is
-an exact numpy scan that matches scipy's cdist bit for bit.
+an exact numpy scan that matches scipy's cdist bit for bit.  Each
+imports numpy when it runs, so importing the package does not.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .affine import _WORD_GUARD
 from .cloud import PointCloud
@@ -40,6 +39,7 @@ def chaos_game(ifs, iterations: int, burn_in: int, seed: int) -> PointCloud:
     iterations are rejected before anything is allocated, and an entry
     beyond the float range with ValueError.
     """
+    import numpy as np
     _check_steps(iterations, burn_in)
     rng = np.random.Generator(np.random.PCG64(seed))
     matrices, translations, x = ifs._float_rows()
@@ -64,6 +64,7 @@ def diameter(cloud: PointCloud) -> float:
     diagonal is returned, an upper bound exceeding the true diameter by
     at most a factor of √dim.
     """
+    import numpy as np
     if len(cloud) == 0:
         raise ValueError("diameter of an empty cloud is undefined")
     points = cloud.points

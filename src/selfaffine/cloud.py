@@ -1,8 +1,8 @@
 """Float point clouds: the numerical face of attractor computations.
 
-Everything exact lives elsewhere; a cloud is plain double-precision
-data plus CSV and SVG output.  CSV carries 17 significant digits so
-clouds round-trip bit-for-bit through text.
+Everything exact lives elsewhere; a cloud is a numpy array of doubles
+plus CSV and SVG output, and numpy is imported only once a cloud is
+made.  CSV carries 17 significant digits, so a cloud round-trips bit for bit.
 """
 
 from __future__ import annotations
@@ -10,9 +10,10 @@ from __future__ import annotations
 import contextlib
 import io
 from dataclasses import dataclass
-from typing import TextIO, Union
+from typing import TYPE_CHECKING, TextIO, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["PointCloud", "write_csv", "write_svg"]
 
@@ -33,6 +34,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         if self.dim < 1:
             raise ValueError("cloud dimension must be positive")
         array = np.array(self.points, dtype=float, copy=True)
@@ -49,6 +51,7 @@ class PointCloud:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointCloud):
             return NotImplemented
+        import numpy as np
         return self.dim == other.dim and np.array_equal(self.points, other.points)
 
 
@@ -87,6 +90,7 @@ def write_svg(cloud: PointCloud, target: PathOrFile, projection: tuple[int, int]
     projection picks the two 0-based coordinate indices drawn as x and
     y; the y axis points up.  Output is self-contained SVG.
     """
+    import numpy as np
     _check_projection(projection, cloud.dim)
     i, j = projection
     if len(cloud) == 0:

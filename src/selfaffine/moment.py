@@ -17,8 +17,6 @@ from itertools import accumulate, groupby, repeat
 from operator import mul
 from typing import Sequence
 
-import numpy as np
-
 from .affine import (
     AffineMap, IteratedFunctionSystem, _certified_system, _certify_contraction, _cleared_rows,
     _float_array, _ifs_header, _lift_failures, _line, _row_sum_certificate, certify_admissible,
@@ -129,6 +127,7 @@ class MomentIfsRecipe:
 
         Int true division is correctly rounded, so it equals _float_array of the Fractions.
         """
+        import numpy as np
         try:
             floats = [[[x / scale for x in row] for row, scale in rows] for rows in self._rows]
         except OverflowError:

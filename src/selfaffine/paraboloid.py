@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .affine import (
     AffineMap, IteratedFunctionSystem, _certified_system, _certify_contraction, _cleared_rows,
     _float_array, _lift_failures, _line,
@@ -123,6 +121,7 @@ def surface_residual(poly: MultiPoly, cloud: PointCloud) -> float:
 
     A coefficient beyond the float range raises ValueError.
     """
+    import numpy as np
     if poly.dim != cloud.dim:
         raise ValueError("polynomial and cloud dimensions differ")
     if len(cloud) == 0:

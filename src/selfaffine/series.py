@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -143,20 +144,23 @@ def _reverse_powers(coeffs: Sequence[Fraction], order: int) -> list[tuple[Sequen
     """
     monic = [x / coeffs[1] for x in coeffs[2 : order + 1]]
     grades = _grades([x.denominator for x in monic], order - 1)
+    # lifts[m][k] = g_{m−1}/g_{m−k} for 0 < k ≤ m (lifts[m][0] = 0), running products of g_j/g_{j−1}
+    steps = [high // low for low, high in zip(grades, grades[1:])]
+    lifts = [[0]] + [[0, *accumulate(reversed(steps[: m - 1]), mul, initial=1)]
+                     for m in range(1, order + 1)]
     table = [[0] * (order + 1) for _ in range(order + 1)]
     table[0][0] = table[1][1] = 1
     rho, gains = table[1], []
     for m in range(2, order + 1):
-        gains.append([rho[i] * (grades[m - 2] // (grades[i - 1] * grades[m - 1 - i]))
-                      for i in range(1, m)])
+        gains.append([rho[i] * (lifts[m - 1][i] // grades[i - 1]) for i in range(1, m)])
         for k in range(2, m + 1):
             table[k][m] = sum(map(mul, gains[m - k], table[k - 1][m - 1 : k - 2 : -1]))
-        rho[m] = -sum(b.numerator * table[k][m] * (grades[m - 1] // (b.denominator * grades[m - k]))
+        rho[m] = -sum(b.numerator * table[k][m] * (lifts[m][k] // b.denominator)
                       for k, b in enumerate(monic[: m - 1], 2))
     p, q = coeffs[1].numerator, coeffs[1].denominator
-    return [([q**m * row[m] * (grades[m - 1] // grades[m - k]) if 0 < k <= m else row[m]
-              for k, row in enumerate(table)], p**m * grades[m - 1] if m else 1)
-            for m in range(order + 1)]
+    return [([1] + [0] * order, 1)] + [
+        ([q**m * row[m] * lift for row, lift in zip(table, lifts[m])] + [0] * (order - m),
+         p**m * grades[m - 1]) for m in range(1, order + 1)]
 
 
 def series_reverse(series: TruncatedSeries) -> TruncatedSeries:
