@@ -3,9 +3,11 @@
 An affine map is f(x) = Mx + a with rational M and a.  Composition,
 inversion and fixed points are all exact.  Floating point enters only
 through the spectral norm, which numpy's SVD computes when the exact
-row-sum bound cannot certify contraction, and through _float_array, the
-exact-to-float conversion of the numeric samplers.  numpy is imported
-inside these two alone, so exact work never loads it.
+row-sum bound cannot certify contraction, and through _float_array and
+_float_map, the exact-to-float conversions of the numeric samplers.
+numpy is imported inside these alone, so exact work never loads it.  A
+map leaves the exact core as its cleared rows, which _float_map turns
+into floats and _rows_to_jsonable into strings, for every system alike.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterator, Optional, Sequence
 from .exactlinalg import (
     Matrix, Vector, as_matrix, as_vector, determinant, mat_inverse, mat_mul, mat_vec, solve,
 )
-from .rationals import _clear_denominators, format_rational, parse_rational
+from .rationals import _clear_denominators, parse_rational
 
 __all__ = [
     "NORM_TOLERANCE", "AffineMap", "ContractionCertificate", "IteratedFunctionSystem", "compose",
@@ -110,6 +112,19 @@ def _float_array(entries):
         return np.array(entries, dtype=float)
     except OverflowError:
         raise ValueError("an entry lies beyond the float range") from None
+
+
+def _float_map(rows):
+    """The float matrix and translation of a map's cleared rows, x/scale correctly rounded.
+
+    Raises ValueError when an entry lies beyond the float range.
+    """
+    import numpy as np
+    try:
+        floats = [[x / scale for x in row] for row, scale in rows]
+    except OverflowError:
+        raise ValueError("an entry lies beyond the float range") from None
+    return np.array([row[1:] for row in floats]), np.array([row[0] for row in floats])
 
 
 def operator_norm(matrix: Sequence[Sequence]) -> float:
@@ -210,11 +225,10 @@ class IteratedFunctionSystem:
     def __getitem__(self, index: int) -> AffineMap:
         return self.maps[index]
 
-    def _float_rows(self):
-        """The float matrices, translations and fixed point of map 0 that chaos_game samples."""
-        return ([_float_array(f.matrix) for f in self.maps],
-                [_float_array(f.translation) for f in self.maps],
-                _float_array(fixed_point(self.maps[0])))
+    @property
+    def _rows(self) -> list:
+        """Each map's _cleared_rows, computed on each call, as a MomentIfsRecipe holds them."""
+        return [_cleared_rows(f) for f in self.maps]
 
 
 def _certified_system(maps, certificates=(), ifs=None) -> IteratedFunctionSystem:
@@ -248,6 +262,24 @@ def _line(scale: Fraction, shift: Fraction) -> tuple[int, int, int]:
 def _cleared_rows(f: AffineMap) -> list[tuple[list[int], int]]:
     """Each row of f, its translation entry first, as integers over their least denominator."""
     return [_clear_denominators((offset,) + row) for offset, row in zip(f.translation, f.matrix)]
+
+
+def _row_map(rows) -> AffineMap:
+    """The map whose rows, translation entry first, are (integers, denominator) pairs."""
+    rows = [[Fraction(x, scale) for x in row] for row, scale in rows]
+    return AffineMap([row[1:] for row in rows], [row[0] for row in rows])
+
+
+def _texts(row: list[int], scale: int) -> list[str]:
+    """format_rational(x/scale) for each x of an integer row, with one gcd per nonzero entry."""
+    commons = [math.gcd(x, scale) if x else scale for x in row]
+    return [str(x // c) if c == scale else f"{x // c}/{scale // c}" for x, c in zip(row, commons)]
+
+
+def _rows_to_jsonable(rows) -> dict:
+    """{"matrix", "translation"} of a map given as its cleared rows, each entry a rational string."""
+    texts = [_texts(row, scale) for row, scale in rows]
+    return {"matrix": [row[1:] for row in texts], "translation": [row[0] for row in texts]}
 
 
 def _lift_failures(lifts, form, degrees, points, common: int, proven: int):
@@ -284,7 +316,7 @@ def _lift_failures(lifts, form, degrees, points, common: int, proven: int):
 
 def ifs_to_jsonable(ifs: IteratedFunctionSystem) -> dict:
     """Plain-dict form of an IFS, with every entry a rational string."""
-    return {"dim": ifs.dim, "maps": [map_to_jsonable(m) for m in ifs.maps]}
+    return {"dim": ifs.dim, "maps": [_rows_to_jsonable(rows) for rows in ifs._rows]}
 
 
 def _parse_entry(value, where: str) -> Fraction:
@@ -327,10 +359,7 @@ def map_from_jsonable(entry, dim: Optional[int] = None, where: str = "map") -> A
 
 
 def map_to_jsonable(f: AffineMap) -> dict:
-    return {
-        "matrix": [[format_rational(x) for x in row] for row in f.matrix],
-        "translation": [format_rational(x) for x in f.translation],
-    }
+    return _rows_to_jsonable(_cleared_rows(f))
 
 
 def _ifs_header(data) -> tuple[int, list]:

@@ -8,7 +8,7 @@ imports numpy when it runs, so importing the package does not.
 
 from __future__ import annotations
 
-from .affine import _WORD_GUARD
+from .affine import _WORD_GUARD, _float_array, _float_map, _row_map, fixed_point
 from .cloud import PointCloud
 
 __all__ = ["chaos_game", "diameter"]
@@ -32,17 +32,19 @@ def _check_steps(iterations: int, burn_in: int) -> None:
 def chaos_game(ifs, iterations: int, burn_in: int, seed: int) -> PointCloud:
     """Sample the attractor by iterating uniformly random maps.
 
-    `ifs` is an IteratedFunctionSystem or a MomentIfsRecipe, whose maps
-    need not be built.  Starts at the fixed point of the first map,
-    applies `iterations` random maps, and discards the first `burn_in`
-    images.  The same seed always yields the same cloud.  More than 10⁷
-    iterations are rejected before anything is allocated, and an entry
-    beyond the float range with ValueError.
+    `ifs` is an IteratedFunctionSystem or a MomentIfsRecipe, sampled
+    from its cleared rows through _float_map.  Starts at the fixed point
+    of the first map, applies `iterations` random maps, and discards the
+    first `burn_in` images.  The same seed always yields the same cloud.
+    More than 10⁷ iterations are rejected before anything is allocated,
+    and an entry beyond the float range with ValueError.
     """
     import numpy as np
     _check_steps(iterations, burn_in)
     rng = np.random.Generator(np.random.PCG64(seed))
-    matrices, translations, x = ifs._float_rows()
+    rows = ifs._rows
+    matrices, translations = zip(*map(_float_map, rows))
+    x = _float_array(fixed_point(_row_map(rows[0])))
     # a view of the drawn indices iterates as Python ints, with no list of them held
     choices = memoryview(rng.integers(0, len(matrices), size=iterations))
     kept = np.empty((iterations - burn_in, len(x)))

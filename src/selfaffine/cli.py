@@ -16,11 +16,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .affine import (
-    _WORD_GUARD, ifs_from_jsonable, ifs_to_jsonable, map_from_jsonable, matrix_from_jsonable
+    _WORD_GUARD, _ifs_header, ifs_from_jsonable, ifs_to_jsonable, map_from_jsonable,
+    matrix_from_jsonable,
 )
 from .attractor import _check_steps, chaos_game
 from .classifier import classify_curve, germ_from_jsonable
-from .cloud import PointCloud, _check_projection, write_csv, write_svg
+from .cloud import PointCloud, _check_projection, _open_for_write, write_csv, write_svg
 from .exactlinalg import identity
 from .moment import (
     MomentCurveSpec, build_moment_ifs, choose_anchors, lambda_bound, read_recipe,
@@ -42,11 +43,8 @@ def _json_text(data) -> str:
 
 
 def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _open_for_write(output or sys.stdout) as handle:
+        handle.write(text)
 
 
 def _load_json(path: str):
@@ -65,14 +63,13 @@ def _parse_anchor_list(text: str) -> list[Fraction]:
 
 
 def _single_map_entry(data, path: str):
-    """The map object of a single-map file, and the "dim" of its {"maps": [map]} form."""
+    """The map object of a single-map file, and the "dim" of its one-map IFS form."""
+    entry, dim = data, None
     if isinstance(data, dict) and "maps" in data:
-        entries = data["maps"]
-        if not isinstance(entries, list) or len(entries) != 1:
+        dim, entries = _ifs_header(data)
+        if len(entries) != 1:
             raise ValueError(f"{path}: expected exactly one map")
-        entry, dim = entries[0], data.get("dim")
-    else:
-        entry, dim = data, None
+        entry = entries[0]
     if not isinstance(entry, dict):
         raise ValueError(f"{path}: the map must be a JSON object")
     return entry, dim

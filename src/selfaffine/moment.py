@@ -18,9 +18,9 @@ from operator import mul
 from typing import Sequence
 
 from .affine import (
-    AffineMap, IteratedFunctionSystem, _certified_system, _certify_contraction, _cleared_rows,
-    _float_array, _ifs_header, _lift_failures, _line, _row_sum_certificate, certify_admissible,
-    fixed_point, map_from_jsonable,
+    IteratedFunctionSystem, _certified_system, _certify_contraction, _cleared_rows, _ifs_header,
+    _lift_failures, _line, _row_map, _row_sum_certificate, _rows_to_jsonable, _texts,
+    certify_admissible, map_from_jsonable,
 )
 from .exactlinalg import as_vector
 from .rationals import (
@@ -119,29 +119,6 @@ class MomentIfsRecipe:
     def ifs(self) -> IteratedFunctionSystem:
         return _certified_system(map(_row_map, self._rows), self._certificates)
 
-    def _map(self, index: int) -> AffineMap:
-        return _row_map(self._rows[index])
-
-    def _float_rows(self):
-        """chaos_game's float matrices, translations and start, the fixed point of map 0.
-
-        Int true division is correctly rounded, so it equals _float_array of the Fractions.
-        """
-        import numpy as np
-        try:
-            floats = [[[x / scale for x in row] for row, scale in rows] for rows in self._rows]
-        except OverflowError:
-            raise ValueError("an entry lies beyond the float range") from None
-        return ([np.array([row[1:] for row in rows]) for rows in floats],
-                [np.array([row[0] for row in rows]) for rows in floats],
-                _float_array(fixed_point(self._map(0))))
-
-
-def _row_map(rows) -> AffineMap:
-    """The map whose rows, translation entry first, are (integers, denominator) pairs."""
-    rows = [[Fraction(x, scale) for x in row] for row, scale in rows]
-    return AffineMap([row[1:] for row in rows], [row[0] for row in rows])
-
 
 def _lines(spec: MomentCurveSpec, ratio: Fraction, anchors) -> list[tuple[int, int, int]]:
     """Each map's parameter line λ(t − c) + t_i as integers (α, β, γ): (αt + β)/γ."""
@@ -185,12 +162,6 @@ def _moment_rows(n: int, line: tuple[int, int, int]):
                         for lower, upper in zip(coefficients, [0] + coefficients)]
         scale *= gamma
         yield coefficients, scale
-
-
-def _texts(row: list[int], scale: int) -> list[str]:
-    """format_rational(x/scale) for each x of an integer row, with one gcd per nonzero entry."""
-    commons = [math.gcd(x, scale) if x else scale for x in row]
-    return [str(x // c) if c == scale else f"{x // c}/{scale // c}" for x, c in zip(row, commons)]
 
 
 def _built_certificate(n: int, line: tuple[int, int, int]):
@@ -309,7 +280,7 @@ def verify_moment_invariance(
                               common, proven)
     first = dict(reversed(failures))  # each failing map's first failing point
     return InvarianceReport(sampled * len(lifts), tuple(
-        InvarianceCounterexample(k, points[j], recipe._map(k)(eval_moment(n, points[j])),
+        InvarianceCounterexample(k, points[j], _row_map(recipe._rows[k])(eval_moment(n, points[j])),
                                  eval_moment(n, ratio * (points[j] - spec.c) + recipe.anchors[k]))
         for k, j in failures if j < sampled or j == first[k]  # else only the first grid failure
     ))
@@ -317,10 +288,7 @@ def verify_moment_invariance(
 
 def recipe_to_jsonable(recipe: MomentIfsRecipe) -> dict:
     """IFS interchange dict extended with a construction-describing meta, strings from the rows."""
-    texts = [[_texts(row, scale) for row, scale in rows] for rows in recipe._rows]
-    data = {"dim": recipe.spec.dim, "maps": [
-        {"matrix": [row[1:] for row in map_texts], "translation": [row[0] for row in map_texts]}
-        for map_texts in texts]}
+    data = {"dim": recipe.spec.dim, "maps": [_rows_to_jsonable(rows) for rows in recipe._rows]}
     data["meta"] = {
         "n": recipe.spec.dim,
         "c": format_rational(recipe.spec.c),

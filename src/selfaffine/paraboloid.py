@@ -27,6 +27,8 @@ __all__ = [
 # Largest spec dimension: a map holds n² Fractions and the conjugation check compares n rows
 # of n entries at n + 1 points, so a build grows as n³, to about 2 s at 256 (CPython 3.11, 1 core).
 _MAX_DIM = 256
+# Most matrix entries of one build, at about 250 bytes each: 16 maps at the dimension cap.
+_ENTRY_GUARD = 2**20
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,9 @@ class ParaboloidSpec:
             raise ValueError("dimension must be at least 2")
         if self.dim > _MAX_DIM:
             raise ValueError(f"dimension {self.dim} is above the cap {_MAX_DIM}")
+        if len(self.base_maps) * self.dim**2 > _ENTRY_GUARD:
+            raise ValueError(f"{len(self.base_maps)} maps of dimension {self.dim} are above the "
+                             f"guard of {_ENTRY_GUARD} matrix entries")
         object.__setattr__(self, "a", Fraction(self.a))
         object.__setattr__(self, "b", Fraction(self.b))
         base = tuple((Fraction(c), Fraction(d)) for c, d in self.base_maps)

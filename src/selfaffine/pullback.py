@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .affine import AffineMap, _float_array, certify_admissible, invert, operator_norm
+from .affine import AffineMap, _cleared_rows, _float_map, certify_admissible, invert, operator_norm
 from .attractor import diameter
 from .cloud import PointCloud
 from .exactlinalg import express_in_span, greedy_independent
@@ -183,8 +183,7 @@ def diameter_decay_report(
     base_scale = _poly_scale(seq.base)
     if surface_residual(seq.base, zero_samples) > tolerance * base_scale:
         raise ValueError(f"zero samples must lie on S(P) within {tolerance}")
-    matrix = _float_array(seq.map.matrix)
-    translation = _float_array(seq.map.translation)
+    matrix, translation = _float_map(_cleared_rows(seq.map))
     norm = operator_norm(seq.map.matrix)
     # the earliest independent set of P₀..P_m, cut to P₀..P_j, is that of P₀..P_j
     basis = coefficient_span_dimension(seq)[1]

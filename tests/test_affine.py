@@ -1,5 +1,6 @@
 """Affine maps: algebra, contraction certificates, JSON interchange."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,11 @@ import pytest
 from selfaffine.affine import (
     AffineMap,
     IteratedFunctionSystem,
+    _cleared_rows,
+    _float_array,
+    _float_map,
+    _row_map,
+    _rows_to_jsonable,
     compose,
     fixed_point,
     ifs_from_jsonable,
@@ -20,6 +26,7 @@ from selfaffine.affine import (
     max_row_sum,
     operator_norm,
 )
+from selfaffine.rationals import format_rational
 
 
 def _random_map(rng, n, scale=Fraction(1, 3)):
@@ -253,3 +260,83 @@ class TestJsonInterchange:
         mutate(data)
         with pytest.raises(ValueError):
             ifs_from_jsonable(data)
+
+
+def _wide_entry(rng):
+    """A rational of 1- to 40-digit numerator and denominator, or zero, an integer, or one near
+    the largest float (about 1.7e308) or the least subnormal (5e-324), of either sign."""
+    sign = rng.choice([-1, 1])
+    kind = rng.randrange(6)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(sign * rng.randint(1, 10**rng.randint(1, 40)))
+    if kind == 2:
+        return sign * Fraction(1.7e308) * Fraction(rng.randint(1, 10**6), 10**6 + 57)
+    if kind == 3:
+        return sign * Fraction(5e-324) * Fraction(rng.randint(0, 7), rng.randint(1, 4))
+    return Fraction(sign * rng.randint(1, 10 ** rng.randint(1, 40)),
+                    rng.randint(1, 10 ** rng.randint(1, 40)))
+
+
+def _wide_map(rng, n):
+    return AffineMap([[_wide_entry(rng) for _ in range(n)] for _ in range(n)],
+                     [_wide_entry(rng) for _ in range(n)])
+
+
+def _bits(array):
+    """The array's dtype, shape and bytes: equal only when every float is, signed zeros included."""
+    return array.dtype, array.shape, array.tobytes()
+
+
+def _reference_map_to_jsonable(f):
+    """The map writer before it went through the cleared rows: format_rational of each entry."""
+    return {
+        "matrix": [[format_rational(x) for x in row] for row in f.matrix],
+        "translation": [format_rational(x) for x in f.translation],
+    }
+
+
+class TestRowConversions:
+    """_float_map and _rows_to_jsonable of the cleared rows against the Fraction entries."""
+
+    def test_float_map_equals_the_fraction_floats(self):
+        rng = random.Random(22)
+        for _ in range(400):
+            f = _wide_map(rng, rng.randint(1, 8))
+            matrix, translation = _float_map(_cleared_rows(f))
+            assert _bits(matrix) == _bits(_float_array(f.matrix))
+            assert _bits(translation) == _bits(_float_array(f.translation))
+
+    def test_an_entry_beyond_float_range_raises_on_both_paths(self):
+        rng = random.Random(23)
+        message = "^an entry lies beyond the float range$"
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            entries = [[_wide_entry(rng) for _ in range(n)] for _ in range(n + 1)]
+            far = rng.choice([Fraction(2**1024), Fraction(-(10**400), 3), Fraction(18 * 10**307)])
+            entries[rng.randrange(n + 1)][rng.randrange(n)] = far
+            f = AffineMap(entries[1:], entries[0])
+            with pytest.raises(ValueError, match=message):
+                _float_map(_cleared_rows(f))
+            with pytest.raises(ValueError, match=message):
+                _float_array(f.translation + tuple(x for row in f.matrix for x in row))
+
+    def test_rows_to_jsonable_equals_the_format_rational_writer(self):
+        rng = random.Random(24)
+        for _ in range(400):
+            f = _wide_map(rng, rng.randint(1, 8))
+            rows = _cleared_rows(f)
+            assert json.dumps(_rows_to_jsonable(rows)) == json.dumps(_reference_map_to_jsonable(f))
+            assert _row_map(rows) == f
+
+    def test_an_ifs_writes_its_rows(self):
+        rng = random.Random(25)
+        maps = tuple(AffineMap(  # diagonally dominant, so invertible, and row sums below 1/√3
+            [[Fraction(rng.randint(-2, 2), 40) + Fraction(i == j, 3) for j in range(3)]
+             for i in range(3)], _random_point(rng, 3)) for _ in range(4))
+        ifs = IteratedFunctionSystem(maps)
+        assert ifs._rows == [_cleared_rows(f) for f in maps]
+        assert ifs._rows is not ifs._rows  # computed on each call, not held
+        assert json.dumps(ifs_to_jsonable(ifs)) == json.dumps(
+            {"dim": 3, "maps": [_reference_map_to_jsonable(f) for f in maps]})

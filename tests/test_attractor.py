@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from selfaffine.affine import AffineMap, IteratedFunctionSystem
+from selfaffine.affine import (
+    AffineMap, IteratedFunctionSystem, _float_array, _float_map, _row_map, fixed_point
+)
 from selfaffine.attractor import _DIAMETER_BLOCK, chaos_game, diameter
 from selfaffine.cloud import PointCloud
 from selfaffine.moment import MomentCurveSpec, build_moment_ifs, choose_anchors
@@ -35,7 +37,9 @@ def reference_diameter(points):
 def reference_chaos_game(ifs, iterations, burn_in, seed):
     """The chaos game's loop before it wrote each kept step into its row: one new vector a step."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    matrices, translations, x = ifs._float_rows()
+    rows = ifs._rows
+    matrices, translations = zip(*map(_float_map, rows))
+    x = _float_array(fixed_point(_row_map(rows[0])))
     choices = rng.integers(0, len(matrices), size=iterations)
     kept = np.empty((iterations - burn_in, len(x)))
     for step, index in enumerate(choices):

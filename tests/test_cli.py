@@ -259,6 +259,20 @@ class TestParaboloid:
                            "--d", "1", "--base", "1/2:0,1/4:3/4")
         assert code == 2
 
+    @pytest.mark.parametrize("dim, count", [(256, 17), (64, 257)])
+    def test_entries_above_guard_refused_before_any_map(self, dim, count, monkeypatch, capsys):
+        def refused(dim, c, d):
+            raise AssertionError(f"a map of dimension {dim} was built")
+
+        monkeypatch.setattr(paraboloid, "_build_map", refused)
+        base = ",".join(f"1/{count}:{k}/{count}" for k in range(count))
+        (code, out, err), peak = run_traced(capsys, "paraboloid", "--dim", str(dim), "--c", "0",
+                                            "--d", "1", "--base", base)
+        assert (code, out) == (2, "")
+        assert peak < 1_000_000
+        assert json.loads(err) == {"error": f"{count} maps of dimension {dim} are above the "
+                                            f"guard of {2**20} matrix entries"}
+
 
 class TestChaosAndRender:
     def test_chaos_csv_shape(self, moment_file, tmp_path, capsys):
@@ -609,6 +623,49 @@ class TestScaling:
         code, out, _ = run(capsys, "scaling", str(poly), str(ifs_style))
         assert code == 0
         assert "C = 1/2" in out
+
+
+class TestOneMapFile:
+    """scaling, compactness-demo and classify read a one-map IFS file's header as chaos does."""
+
+    ENTRY = {"matrix": [["1/2", "0"], ["0", "1/2"]], "translation": ["0", "0"]}
+
+    def _run(self, tmp_path, circle_file, command, document, capsys):
+        map_file = tmp_path / "map.json"
+        map_file.write_text(json.dumps(document))
+        if command != "classify":
+            return run(capsys, command, str(circle_file), str(map_file))
+        germ = tmp_path / "germ.json"
+        germ.write_text(json.dumps({"t0": "0", "order": 4, "coords": [
+            ["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"]]}))
+        return run(capsys, command, str(germ), str(map_file), "--t1", "1")
+
+    @pytest.mark.parametrize("header, message", [
+        ({"dim": True}, '"dim" must be a positive integer'),
+        ({"dim": 1.0}, '"dim" must be a positive integer'),
+        ({}, '"dim" must be a positive integer'),
+        ({"dim": 2, "maps": []}, '"maps" must be a nonempty array'),
+        ({"dim": 2, "maps": "x"}, '"maps" must be a nonempty array'),
+    ])
+    @pytest.mark.parametrize("command", ["scaling", "compactness-demo", "classify"])
+    def test_header_is_checked(self, tmp_path, circle_file, command, header, message, capsys):
+        document = {"maps": [self.ENTRY], **header}
+        code, out, err = self._run(tmp_path, circle_file, command, document, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": message}
+
+    @pytest.mark.parametrize("command", ["scaling", "compactness-demo", "classify"])
+    def test_exactly_one_map(self, tmp_path, circle_file, command, capsys):
+        document = {"dim": 2, "maps": [self.ENTRY, self.ENTRY]}
+        code, out, err = self._run(tmp_path, circle_file, command, document, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"{tmp_path / 'map.json'}: expected exactly one map"}
+
+    @pytest.mark.parametrize("command", ["scaling", "compactness-demo", "classify"])
+    def test_a_valid_header_is_read(self, tmp_path, circle_file, command, capsys):
+        code, _, err = self._run(tmp_path, circle_file, command,
+                                 {"dim": 2, "maps": [self.ENTRY]}, capsys)
+        assert code in (0, 1) and err == ""
 
 
 class TestClassify:

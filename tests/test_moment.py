@@ -11,8 +11,8 @@ import pytest
 
 from selfaffine import affine, moment
 from selfaffine.affine import (
-    AffineMap, IteratedFunctionSystem, _cleared_rows, _float_array, _line, fixed_point,
-    ifs_from_jsonable, is_contractive, map_to_jsonable, max_row_sum
+    AffineMap, IteratedFunctionSystem, _cleared_rows, _float_array, _float_map, _line, _row_map,
+    fixed_point, ifs_from_jsonable, is_contractive, map_to_jsonable, max_row_sum
 )
 from selfaffine.attractor import chaos_game
 from selfaffine.exactlinalg import determinant
@@ -921,6 +921,13 @@ def _row_recipes():
         yield recipe, [_plain_map(spec.dim, _line(ratio, t - ratio * spec.c)) for t in recipe.anchors]
 
 
+def _float_rows(system):
+    """chaos_game's float matrices, translations and start, the fixed point of map 0, from the rows."""
+    floats = [_float_map(rows) for rows in system._rows]
+    start = _float_array(fixed_point(_row_map(system._rows[0])))
+    return [m for m, _ in floats], [t for _, t in floats], start
+
+
 def _bits(array):
     """The array's dtype, shape and bytes: equal only when every float is, signed zeros included."""
     return array.dtype, array.shape, array.tobytes()
@@ -932,7 +939,7 @@ class TestIntegerRows:
     def test_float_rows_equal_the_fraction_floats(self):
         dims = set()
         for recipe, maps in _row_recipes():
-            matrices, translations, start = recipe._float_rows()
+            matrices, translations, start = _float_rows(recipe)
             assert [_bits(m) for m in matrices] == [_bits(_float_array(f.matrix)) for f in maps]
             assert [_bits(t) for t in translations] == [
                 _bits(_float_array(f.translation)) for f in maps]
@@ -998,7 +1005,7 @@ class TestIntegerRows:
         rng = random.Random(3)
         for _ in range(2000):
             x, scale = rng.randint(-10**6, 10**6) * rng.choice([0, 1, 7, 12]), rng.randint(1, 10**4)
-            assert moment._texts([x], scale) == [format_rational(Fraction(x, scale))]
+            assert affine._texts([x], scale) == [format_rational(Fraction(x, scale))]
 
     def test_seeded_chaos_equals_the_fraction_path(self):
         for seed, (recipe, maps) in enumerate(_row_recipes()):
@@ -1024,14 +1031,14 @@ class TestIntegerRows:
         assert read.ifs.maps[index] != recipe.ifs.maps[index]
         assert _bits(chaos_game(read, 500, 50, 9).points) == _bits(chaos_game(parsed, 500, 50, 9).points)
         # the start point of a stored map 0 is its own fixed point
-        assert _bits(read._float_rows()[2]) == _bits(_float_array(fixed_point(parsed.maps[0])))
+        assert _bits(_float_rows(read)[2]) == _bits(_float_array(fixed_point(parsed.maps[0])))
 
     def test_subnormal_entries_round_as_the_fractions_do(self):
         # on [0, 10⁻³¹⁰] the anchors are subnormal floats and their squares round to zero
         d = Fraction(1, 10**310)
         data = _built_document(2, Fraction(0), d, Fraction(1, 2), [Fraction(0), d / 2])
         read, maps = read_recipe(data), [_plain_map(2, _line(Fraction(1, 2), t)) for t in (0, d / 2)]
-        translations = read._float_rows()[1]
+        translations = _float_rows(read)[1]
         assert [_bits(t) for t in translations] == [_bits(_float_array(f.translation)) for f in maps]
         assert 0 < translations[1][0] < 2.3e-308 and translations[1][1] == 0
 

@@ -1,6 +1,7 @@
 """Paraboloid surface embedding and the exact conjugation identity."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -269,6 +270,28 @@ class TestDimensionCap:
 
     def test_the_cap_itself_is_taken(self):
         assert halves_spec(paraboloid._MAX_DIM).dim == 256
+
+    @pytest.mark.parametrize("dim, count", [(256, 17), (64, 257), (2, 2**18 + 1)])
+    def test_entries_above_guard_refused_before_any_map(self, dim, count, monkeypatch):
+        def refused(dim, c, d):
+            raise AssertionError(f"a map of dimension {dim} was built")
+
+        monkeypatch.setattr(paraboloid, "_build_map", refused)
+        base = [(Fraction(1, 2), Fraction(0))] * count  # the guard reads no pair
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{count} maps of dimension {dim} are above the "
+                                                 f"guard of 1048576 matrix entries$"):
+                ParaboloidSpec(dim, Fraction(0), Fraction(1), base)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_the_guard_itself_is_taken(self):
+        base = tuple((Fraction(1, 16), Fraction(k, 16)) for k in range(16))
+        spec = ParaboloidSpec(paraboloid._MAX_DIM, Fraction(0), Fraction(1), base)
+        assert len(spec.base_maps) * spec.dim**2 == paraboloid._ENTRY_GUARD == 2**20
 
 
 class TestSurfaceResidual:
