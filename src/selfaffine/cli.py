@@ -62,11 +62,13 @@ def _parse_anchor_list(text: str) -> list[Fraction]:
         raise ValueError(f"--anchors: {exc}") from None
 
 
-def _single_map_entry(data, path: str):
-    """The map object of a single-map file, and the "dim" of its one-map IFS form."""
-    entry, dim = data, None
-    if isinstance(data, dict) and "maps" in data:
-        dim, entries = _ifs_header(data)
+def _load_one_map(path: str):
+    """A one-map file's map object, and its "dim" when it is {"dim", "maps": [map]}, else None."""
+    entry, dim = _load_json(path), None
+    if isinstance(entry, dict) and "maps" in entry:
+        dim, entries = _ifs_header(entry)
+        if "J" in entry:
+            raise ValueError(f'{path}: "J" belongs in the map object, not beside "dim"')
         if len(entries) != 1:
             raise ValueError(f"{path}: expected exactly one map")
         entry = entries[0]
@@ -75,8 +77,10 @@ def _single_map_entry(data, path: str):
     return entry, dim
 
 
-def _load_single_map(path: str):
-    return map_from_jsonable(*_single_map_entry(_load_json(path), path))
+def _load_polynomial_and_map(args):
+    with open(args.polynomial, "r", encoding="utf-8") as handle:
+        poly = parse_polynomial(handle.read())
+    return poly, map_from_jsonable(*_load_one_map(args.map))
 
 
 def _check_format(value: str, allowed: Sequence[str], subcommand: str) -> None:
@@ -86,25 +90,28 @@ def _check_format(value: str, allowed: Sequence[str], subcommand: str) -> None:
         )
 
 
+def _write_built(data, certificates, args, lines) -> int:
+    """Write a built system's JSON, then report `lines` and how many maps each route certified."""
+    _emit(_json_text(data), args.output)
+    worst = max(c.norm_bound for c in certificates)
+    exact = sum(c.route == "row-sum-bound" for c in certificates)
+    print(*lines, f"[row-sum-bound] {exact}/{len(certificates)} maps certified by the exact "
+          f"row-sum route; all norms < 1 (worst bound {worst:.6g})",
+          sep="\n", file=sys.stdout if args.output else sys.stderr)
+    return 0
+
+
 def _cmd_build_moment(args) -> int:
     spec = MomentCurveSpec(args.dim, parse_rational(args.c), parse_rational(args.d))
     ceiling = lambda_bound(spec)
     ratio = parse_rational(args.ratio) if args.ratio else ceiling / 2
     anchors = _parse_anchor_list(args.anchors) if args.anchors else choose_anchors(spec, ratio)
     recipe = build_moment_ifs(spec, ratio, anchors)
-    payload = _json_text(recipe_to_jsonable(recipe))
-    report = sys.stdout if args.output else sys.stderr
-    _emit(payload, args.output)
-    certificates = recipe._certificates
-    worst = max(c.norm_bound for c in certificates)
-    exact = sum(1 for c in certificates if c.route == "row-sum-bound")
-    print(f"[lambda-bound] admissible ceiling {format_rational(ceiling)}, "
-          f"using lambda = {format_rational(ratio)}", file=report)
-    print(f"[interval-tiling] {len(anchors)} anchor images tile "
-          f"[{format_rational(spec.c)}, {format_rational(spec.d)}] exactly", file=report)
-    print(f"[row-sum-bound] {exact}/{len(certificates)} maps certified by the exact "
-          f"row-sum route; all norms < 1 (worst bound {worst:.6g})", file=report)
-    return 0
+    return _write_built(recipe_to_jsonable(recipe), recipe._certificates, args, [
+        f"[lambda-bound] admissible ceiling {format_rational(ceiling)}, "
+        f"using lambda = {format_rational(ratio)}",
+        f"[interval-tiling] {len(anchors)} anchor images tile "
+        f"[{format_rational(spec.c)}, {format_rational(spec.d)}] exactly"])
 
 
 def _parse_base_pairs(text: str) -> list[tuple[Fraction, Fraction]]:
@@ -137,16 +144,10 @@ def _cmd_paraboloid(args) -> int:
         "b": format_rational(spec.b),
         "base": [[format_rational(c), format_rational(d)] for c, d in spec.base_maps],
     }
-    report = sys.stdout if args.output else sys.stderr
-    _emit(_json_text(data), args.output)
-    print(f"[paraboloid-conjugation] f_i∘η = η∘(c_i·x + d_i) holds exactly for all "
-          f"{len(ifs)} maps", file=report)
-    print(f"[interval-tiling] base images tile [{format_rational(spec.a)}, "
-          f"{format_rational(spec.b)}] exactly", file=report)
-    worst = max(c.norm_bound for c in ifs.certificates)
-    print(f"[row-sum-bound] all {len(ifs)} maps contractive (worst bound {worst:.6g})",
-          file=report)
-    return 0
+    return _write_built(data, ifs.certificates, args, [
+        f"[paraboloid-conjugation] f_i∘η = η∘(c_i·x + d_i) holds exactly for all {len(ifs)} maps",
+        f"[interval-tiling] base images tile [{format_rational(spec.a)}, "
+        f"{format_rational(spec.b)}] exactly"])
 
 
 def _chaos_cloud(args, projection=None):
@@ -207,10 +208,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    with open(args.polynomial, "r", encoding="utf-8") as handle:
-        poly = parse_polynomial(handle.read())
+    poly, f = _load_polynomial_and_map(args)
     # certified before anything is printed, so a map it rejects leaves stdout empty
-    certificate = scaling_certificate(poly, _load_single_map(args.map))
+    certificate = scaling_certificate(poly, f)
     if certificate is None:
         print(f"[scaling-identity] absent: P∘f is not proportional to P "
               f"for P = {format_polynomial(poly)}")
@@ -225,11 +225,11 @@ def _cmd_classify(args) -> int:
     germ, _t0 = germ_from_jsonable(_load_json(args.germ))
     if args.order is not None:
         germ = germ.truncate(args.order)
-    map_data = _load_json(args.map)
-    entry, _dim = _single_map_entry(map_data, args.map)
+    entry, dim = _load_one_map(args.map)
     m_matrix = matrix_from_jsonable(entry.get("matrix"), "matrix")
-    j_field = map_data.get("J")
-    j_matrix = matrix_from_jsonable(j_field, "J") if j_field is not None else identity(germ.dim)
+    if dim not in (None, len(m_matrix)):
+        raise ValueError(f"map: matrix must have {dim} rows")  # as map_from_jsonable says it
+    j_matrix = identity(germ.dim) if entry.get("J") is None else matrix_from_jsonable(entry["J"], "J")
     result = classify_curve(germ, m_matrix, j_matrix, parse_rational(args.t1))
     if args.format == "json":
         payload = {
@@ -254,9 +254,7 @@ def _cmd_compactness_demo(args) -> int:
         raise ValueError(f"--points {args.points} is above the cap {_MAX_CIRCLE_POINTS}")
     if not args.tolerance > 0:  # NaN is refused too
         raise ValueError("--tolerance must be positive")
-    with open(args.polynomial, "r", encoding="utf-8") as handle:
-        poly = parse_polynomial(handle.read())
-    f = _load_single_map(args.map)
+    poly, f = _load_polynomial_and_map(args)
     if poly != circle_polynomial():
         raise ValueError(
             "built-in zero samples exist only for the unit circle "

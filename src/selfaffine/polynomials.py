@@ -15,7 +15,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .affine import _WORD_GUARD, AffineMap, certify_admissible, compose, fixed_point, is_contractive
+from .affine import _WORD_GUARD, AffineMap, certify_admissible, compose, fixed_point
 from .rationals import format_rational, parse_rational
 
 __all__ = [
@@ -247,7 +247,8 @@ def verify_fixed_points_on_surface(
 ) -> FixedPointReport:
     """Check that fixed points of all composition words lie on the zero set.
 
-    Enumerates every word of length 1..depth over the given maps
+    A singular or non-contractive map is refused by name, as certify_admissible
+    refuses it.  Enumerates every word of length 1..depth over the given maps
     (breadth-first, no deduplication), verifies the composite is still a
     scaling factor with |C| < 1, and that the polynomial vanishes at its
     fixed point, all in exact arithmetic.
@@ -259,8 +260,7 @@ def verify_fixed_points_on_surface(
     for index, f in enumerate(maps):
         if scaling_constant(poly, f) is None:
             raise ValueError(f"map {index} is not a scaling factor for the polynomial")
-        if not is_contractive(f):
-            raise ValueError(f"map {index} is not strictly contractive")
+        certify_admissible(f, f"map {index}")
     total = sum(len(maps) ** k for k in range(1, depth + 1))
     if total > _WORD_GUARD:
         raise ValueError(f"word tree has {total} nodes, above the cap {_WORD_GUARD}")

@@ -1,5 +1,6 @@
 """Command-line interface: subcommand behaviors, exit codes, determinism."""
 
+import dataclasses
 import json
 import sys
 import time
@@ -237,6 +238,9 @@ class TestParaboloid:
         assert data["dim"] == 3
         assert data["meta"]["surface"] == "paraboloid"
         assert "[paraboloid-conjugation]" in out
+        # the lift of x/2 + 1/2 has the row (1/2, 1/2, 1/4), too large a sum for the exact route
+        assert out.splitlines()[2] == ("[row-sum-bound] 1/2 maps certified by the exact row-sum "
+                                       "route; all norms < 1 (worst bound 0.890388)")
 
     def test_certifies_each_map_once(self, contraction_calls, capsys):
         code, _, _ = run(capsys, "paraboloid", "--dim", "3", "--c", "0",
@@ -362,6 +366,14 @@ class TestChaosAndRender:
         code, out, err = run(capsys, command, "never-read.json", *options)
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": message}
+
+    def test_matrix_side_is_checked_against_dim(self, tmp_path, capsys):
+        path = tmp_path / "wrong-dim.json"
+        path.write_text(json.dumps({"dim": 3, "maps": [{
+            "matrix": [["1/2", "0"], ["0", "1/2"]], "translation": ["0", "0"]}]}))
+        code, out, err = run(capsys, "chaos", str(path), "--points", "10")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "map 0: matrix must have 3 rows"}
 
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "chaos", "no-such-file.json")
@@ -646,13 +658,16 @@ class TestOneMapFile:
         ({}, '"dim" must be a positive integer'),
         ({"dim": 2, "maps": []}, '"maps" must be a nonempty array'),
         ({"dim": 2, "maps": "x"}, '"maps" must be a nonempty array'),
+        ({"dim": 3}, "map: matrix must have 3 rows"),
+        ({"dim": 2, "J": [["1", "0"], ["0", "1"]]},
+         '{path}: "J" belongs in the map object, not beside "dim"'),
     ])
     @pytest.mark.parametrize("command", ["scaling", "compactness-demo", "classify"])
     def test_header_is_checked(self, tmp_path, circle_file, command, header, message, capsys):
         document = {"maps": [self.ENTRY], **header}
         code, out, err = self._run(tmp_path, circle_file, command, document, capsys)
         assert (code, out) == (2, "")
-        assert json.loads(err) == {"error": message}
+        assert json.loads(err) == {"error": message.replace("{path}", str(tmp_path / "map.json"))}
 
     @pytest.mark.parametrize("command", ["scaling", "compactness-demo", "classify"])
     def test_exactly_one_map(self, tmp_path, circle_file, command, capsys):
@@ -742,6 +757,37 @@ class TestClassify:
         assert json.loads(err)["error"] == '"order" 1000000 is above the cap 64'
         assert reversions == []
         assert peak < 1_000_000
+
+    def test_wrapped_map_object_keeps_its_j(self, tmp_path, capsys):
+        # (t, t + t²) has tangent (1, 1), the first column of J and an eigenvector of M
+        germ = self._germ_file(tmp_path, [["0", "1"], ["0", "1", "1"]])
+        entry = {"matrix": [["1/2", "0"], ["1/4", "1/4"]], "J": [["1", "0"], ["1", "1"]]}
+        map_file = tmp_path / "m.json"
+        results = []
+        for document in (entry, {"dim": 2, "maps": [entry]}):
+            map_file.write_text(json.dumps(document))
+            results.append(run(capsys, "classify", str(germ), str(map_file), "--t1", "1"))
+        assert results[1] == results[0]
+        code, out, err = results[0]
+        assert (code, err) == (0, "")
+        assert out.endswith("verdict: affine image of moment curve, p_k = k\n")
+
+    def test_order_truncates_the_germ(self, tmp_path, capsys):
+        # the t⁵ term of (t, t² + t⁵) is past order 4, where the germ is the moment curve
+        rows = [["0", "1", "0", "0", "0", "0", "0"], ["0", "0", "1", "0", "0", "1", "0"]]
+        full, short = tmp_path / "full.json", tmp_path / "short.json"
+        full.write_text(json.dumps({"t0": "0", "order": 6, "coords": rows}))
+        short.write_text(json.dumps({"t0": "0", "order": 4, "coords": [r[:5] for r in rows]}))
+        map_file = tmp_path / "m.json"
+        map_file.write_text(json.dumps({"matrix": [["1/2", "0"], ["0", "1/4"]]}))
+        truncated = run(capsys, "classify", str(full), str(map_file), "--t1", "1", "--order", "4")
+        assert truncated == run(capsys, "classify", str(short), str(map_file), "--t1", "1")
+        assert truncated[0] == 0 and "affine image of moment curve" in truncated[1]
+        assert run(capsys, "classify", str(full), str(map_file), "--t1", "1") != truncated
+        code, out, err = run(capsys, "classify", str(full), str(map_file), "--t1", "1",
+                             "--order", "9")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "cannot extend a truncated series"}
 
     def test_explicit_j_matrix(self, tmp_path, capsys):
         germ = self._germ_file(tmp_path, [["0", "1"], ["0", "0", "1"]])
@@ -859,6 +905,23 @@ class TestCompactnessDemo:
                              str(tmp_path / "missing.json"), f"{option}={value}")
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == message
+
+    def test_violations_exit_one_after_the_table(self, circle_file, half_map_file, monkeypatch,
+                                                  capsys):
+        argv = ("compactness-demo", str(circle_file), str(half_map_file), "--depth", "4")
+        code, clean, _ = run(capsys, *argv)
+        assert code == 0
+        original = cli.diameter_decay_report
+
+        def violating(*args, **kwargs):
+            report = original(*args, **kwargs)
+            return dataclasses.replace(report, violations=("first broken", "second broken"))
+
+        monkeypatch.setattr(cli, "diameter_decay_report", violating)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == clean.replace("; 0 violations", "; 2 violations")
+        assert err == "  first broken\n  second broken\n"
 
     def test_non_circle_polynomial_rejected(self, tmp_path, half_map_file, capsys):
         poly = tmp_path / "sphere.txt"

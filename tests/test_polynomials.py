@@ -272,3 +272,15 @@ class TestFixedPointSweep:
         maps = [half_map(), shifted_half_map()]
         with pytest.raises(ValueError):
             verify_fixed_points_on_surface(p, maps, 64)
+
+    @pytest.mark.parametrize("index, matrix, message", [
+        # f(x) = (1/3, 1/3) lies on the line, so P∘f = 0·P: a scaling factor, but singular
+        (0, [[0, 0], [0, 0]], "map 0 is not invertible"),
+        (1, [[2, 0], [0, 2]], "map 1 is not strictly contractive"),
+    ])
+    def test_given_maps_are_certified_admissible(self, index, matrix, message):
+        maps = [half_map()]
+        maps.insert(index, AffineMap(matrix, [Fraction(1, 3), Fraction(1, 3)]))
+        with pytest.raises(ValueError) as caught:
+            verify_fixed_points_on_surface(antidiagonal_line(), maps, 2)
+        assert str(caught.value) == message
