@@ -158,7 +158,6 @@ class ContractionCertificate:
     contractive: bool
     route: str
     norm_bound: float
-    row_sum_squared: Optional[Fraction] = None
 
     def __bool__(self) -> bool:
         return self.contractive
@@ -167,7 +166,7 @@ class ContractionCertificate:
 def _row_sum_certificate(squared: Fraction) -> Optional[ContractionCertificate]:
     """The row-sum route's certificate for n·(max row sum)² = squared, None when squared ≥ 1."""
     if squared < 1:
-        return ContractionCertificate(True, "row-sum-bound", math.sqrt(float(squared)), squared)
+        return ContractionCertificate(True, "row-sum-bound", math.sqrt(float(squared)))
     return None
 
 

@@ -352,8 +352,9 @@ def classify_curve(
 ) -> ClassificationResult:
     """Full pipeline: normalize, graph, conjugation check, recentering.
 
-    The first column of J must be an eigenvector of M with rational
-    eigenvalue λ, 0 < |λ| < 1, and t1 must be nonzero.  The diagonal
+    M and J must be n×n for the germ's dimension n, the first column of J
+    a nonzero eigenvector of M with rational eigenvalue λ, 0 < |λ| < 1,
+    and t1 must be nonzero.  The diagonal
     model is D = J⁻¹·M·J: a column of J that is not an eigenvector of M
     leaves an off-diagonal entry and fails the conjugation stage, and
     otherwise λ_k is D's diagonal entry for graph coordinate k.
@@ -363,7 +364,13 @@ def classify_curve(
         raise ValueError("t1 must be nonzero")
     m = as_matrix(m_matrix)
     j = as_matrix(j_matrix)
+    n = curve.dim
+    for name, matrix in (("M", m), ("J", j)):
+        if len(matrix) != n or any(len(row) != n for row in matrix):
+            raise ValueError(f"{name} must be {n}×{n} for a {n}-dimensional germ")
     tangent = tuple(row[0] for row in j)
+    if not any(tangent):
+        raise ValueError("the first column of J must be nonzero")
     lam = tangent_eigenvalue(m, tangent)
     if lam is None:
         raise ValueError("the first column of J must be an eigenvector of M")

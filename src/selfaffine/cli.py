@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .affine import (
-    _WORD_GUARD, _ifs_header, ifs_from_jsonable, ifs_to_jsonable, map_from_jsonable,
+    _WORD_GUARD, _float_array, _ifs_header, ifs_from_jsonable, ifs_to_jsonable, map_from_jsonable,
     matrix_from_jsonable,
 )
-from .attractor import _check_steps, chaos_game
+from .attractor import _EXACT_DIAMETER_LIMIT, _check_steps, chaos_game
 from .classifier import classify_curve, germ_from_jsonable
 from .cloud import PointCloud, _check_projection, _open_for_write, write_csv, write_svg
 from .exactlinalg import identity
@@ -30,7 +30,7 @@ from .moment import (
 from .paraboloid import ParaboloidSpec, build_paraboloid_ifs
 from .polynomials import format_polynomial, parse_polynomial, scaling_certificate
 from .pullback import (
-    _MAX_CIRCLE_POINTS, _RESIDUAL_TOLERANCE, circle_polynomial, dependency_witness,
+    _RESIDUAL_TOLERANCE, circle_polynomial, dependency_witness,
     diameter_decay_report, pullback_sequence, rational_circle_points,
 )
 from .rationals import format_rational, parse_rational
@@ -250,8 +250,8 @@ def _cmd_compactness_demo(args) -> int:
         raise ValueError("--depth must be nonnegative")
     if args.points < 4:
         raise ValueError("--points must be at least 4")
-    if args.points > _MAX_CIRCLE_POINTS:
-        raise ValueError(f"--points {args.points} is above the cap {_MAX_CIRCLE_POINTS}")
+    if args.points > _EXACT_DIAMETER_LIMIT:
+        raise ValueError(f"--points {args.points} is above the cap {_EXACT_DIAMETER_LIMIT}")
     if not args.tolerance > 0:  # NaN is refused too
         raise ValueError("--tolerance must be positive")
     poly, f = _load_polynomial_and_map(args)
@@ -262,7 +262,7 @@ def _cmd_compactness_demo(args) -> int:
         )
     seq = pullback_sequence(poly, f, args.depth)
     samples = rational_circle_points(args.points)
-    cloud = PointCloud(2, [[float(x), float(y)] for x, y in samples])
+    cloud = PointCloud(2, _float_array(samples))
     report = diameter_decay_report(seq, cloud, tolerance=args.tolerance)
     basis = report.basis
     lines = []

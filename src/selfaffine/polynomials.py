@@ -94,14 +94,6 @@ class MultiPoly:
             merged[exponent] = merged.get(exponent, Fraction(0)) + coefficient
         return MultiPoly(self._dim, merged)
 
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self._dim, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             if self._dim != other._dim:

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .affine import AffineMap, _cleared_rows, _float_map, certify_admissible, invert, operator_norm
-from .attractor import diameter
+from .affine import (
+    AffineMap, _cleared_rows, _float_array, _float_map, certify_admissible, invert, operator_norm,
+)
+from .attractor import _EXACT_DIAMETER_LIMIT, diameter
 from .cloud import PointCloud
 from .exactlinalg import express_in_span, greedy_independent
 from .polynomials import MultiPoly, compose_affine
@@ -44,8 +46,6 @@ CITED_CONCLUSION = (
 )
 
 _RESIDUAL_TOLERANCE = 1e-9
-# Most points rational_circle_points builds, checked first; 10⁴ points take about 2 s.
-_MAX_CIRCLE_POINTS = 10_000
 # Most pullbacks pullback_sequence computes, checked first; a dense map's demo takes 0.9 s at 100.
 _MAX_PULLBACKS = 100
 
@@ -160,7 +160,7 @@ class DecayReport:
 
 
 def _poly_scale(poly: MultiPoly) -> float:
-    return 1.0 + float(sum(abs(c) for c in poly.terms.values()))
+    return 1.0 + _float_array(sum(abs(c) for c in poly.terms.values()))
 
 
 def diameter_decay_report(
@@ -236,8 +236,8 @@ def rational_circle_points(count: int) -> list[tuple[Fraction, Fraction]]:
     """
     if count < 4:
         raise ValueError("at least 4 points are required")
-    if count > _MAX_CIRCLE_POINTS:
-        raise ValueError(f"{count} circle points are above the cap {_MAX_CIRCLE_POINTS}")
+    if count > _EXACT_DIAMETER_LIMIT:
+        raise ValueError(f"{count} circle points are above the cap {_EXACT_DIAMETER_LIMIT}")
     half = count // 2 + 1
     points: list[tuple[Fraction, Fraction]] = []
     for k in range(half):

@@ -1,6 +1,7 @@
 """Affine maps: algebra, contraction certificates, JSON interchange."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -159,7 +160,7 @@ class TestContractionCertificates:
         assert bool(cert)
         # the exact certificate: n * s^2 < 1
         assert 2 * Fraction(1, 3) ** 2 < 1
-        assert cert.row_sum_squared == 2 * Fraction(1, 3) ** 2
+        assert cert.norm_bound == math.sqrt(2 / 9)
 
     def test_spectral_route_when_row_sum_fails(self):
         # row sums 6/5 and 1/10: 2*(6/5)^2 > 1, but the spectral norm < 1

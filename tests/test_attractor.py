@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from scipy.spatial.distance import cdist
 from selfaffine.affine import (
     AffineMap, IteratedFunctionSystem, _float_array, _float_map, _row_map, fixed_point
 )
-from selfaffine.attractor import _DIAMETER_BLOCK, chaos_game, diameter
+from selfaffine.attractor import _DIAMETER_BLOCK, _check_steps, chaos_game, diameter
 from selfaffine.cloud import PointCloud
 from selfaffine.moment import MomentCurveSpec, build_moment_ifs, choose_anchors
 from selfaffine.paraboloid import ParaboloidSpec, build_paraboloid_ifs
@@ -114,7 +115,8 @@ class TestChaosGame:
         with pytest.raises(ValueError):
             chaos_game(ifs, 10, -1, 0)
 
-    @pytest.mark.parametrize("burn_in", [0, 1, 100])
+    # 600 burn-in steps of 1,000 are more than the 400 kept
+    @pytest.mark.parametrize("burn_in", [0, 1, 100, 600])
     def test_equals_reference_loop(self, burn_in):
         recipes = [moment_recipe(n) for n in (2, 3, 4)]
         recipes.append(moment_recipe(3, Fraction(-1, 2), Fraction(1, 2)))
@@ -129,6 +131,28 @@ class TestChaosGame:
                 cloud = chaos_game(system, 1_000, burn_in, seed)
                 expected = reference_chaos_game(system, 1_000, burn_in, seed)
                 assert cloud.points.tobytes() == expected.tobytes()
+
+    def test_float_guard_refuses_before_the_array(self):
+        # two maps of dimension 100: 9·10⁶ steps would fill a 6.7 GiB array
+        half = [[Fraction(int(i == j), 2) for j in range(100)] for i in range(100)]
+        ifs = IteratedFunctionSystem((AffineMap(half, [0] * 100),
+                                      AffineMap(half, [Fraction(1, 2)] * 100)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^9000000 iterations in dimension 100 are "
+                               "900000000 floats, above the guard 130000000$"):
+                chaos_game(ifs, 9_000_000, 100, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_float_guard_keeps_the_step_ceiling_to_dimension_13(self):
+        _check_steps(10_000_000, 0, 13)
+        with pytest.raises(ValueError, match="above the guard 130000000"):
+            _check_steps(10_000_000, 0, 14)
+        with pytest.raises(ValueError, match="exceed the guard 10000000"):
+            _check_steps(10_000_001, 0, 1)
 
     def test_moment_graph_residual(self):
         cloud = chaos_game(moment_ifs(2), 5000, 100, 3)
@@ -171,14 +195,8 @@ class TestDiameter:
                 same = np.repeat(pts[:1], size, axis=0)
                 assert diameter(PointCloud(dim, same)) == 0.0 == reference_diameter(same)
 
-    def test_large_cloud_upper_bound(self):
-        # beyond the exact-pairwise limit the result is the bounding-box
-        # diagonal: an upper bound within sqrt(dim) of the true diameter
-        rng = np.random.default_rng(12)
-        pts = rng.uniform(size=(20_001, 2))
-        value = diameter(PointCloud(2, pts))
-        sub = diameter(PointCloud(2, pts[:5000]))
-        assert value >= sub
-        extents = pts.max(axis=0) - pts.min(axis=0)
-        assert value == pytest.approx(float(np.hypot(*extents)), rel=1e-12)
-
+    def test_above_the_exact_limit_raises(self):
+        pts = np.random.default_rng(12).uniform(size=(10_001, 2))
+        with pytest.raises(ValueError, match="^10001 points are above the cap 10000$"):
+            diameter(PointCloud(2, pts))
+        assert diameter(PointCloud(2, pts[:10_000])) == reference_diameter(pts[:10_000])

@@ -375,6 +375,18 @@ class TestChaosAndRender:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "map 0: matrix must have 3 rows"}
 
+    @pytest.mark.parametrize("command", ["chaos", "render"])
+    def test_floats_above_guard_is_input_error(self, tmp_path, command, capsys):
+        # two maps of dimension 100: 9·10⁶ points would fill a 6.7 GiB array
+        half = [["1/2" if i == j else "0" for j in range(100)] for i in range(100)]
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"dim": 100, "maps": [
+            {"matrix": half, "translation": [shift] * 100} for shift in ("0", "1/2")]}))
+        code, out, err = run(capsys, command, str(wide), "--points", "9000000")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "9000100 iterations in dimension 100 are "
+                                            "900010000 floats, above the guard 130000000"}
+
     def test_missing_file_is_input_error(self, capsys):
         code, _, err = run(capsys, "chaos", "no-such-file.json")
         assert code == 2
@@ -789,6 +801,23 @@ class TestClassify:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "cannot extend a truncated series"}
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"matrix": [["1/2", "0"], ["0", "1/4"]],
+          "J": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]},
+         "J must be 2×2 for a 2-dimensional germ"),
+        ({"matrix": [["1/2", "0", "0"], ["0", "1/4", "0"], ["0", "0", "1/8"]]},
+         "M must be 2×2 for a 2-dimensional germ"),
+        ({"matrix": [["1/2", "0"], ["0", "1/4"]], "J": [["0", "1"], ["0", "0"]]},
+         "the first column of J must be nonzero"),
+    ])
+    def test_shape_refused_by_name(self, tmp_path, entry, message, capsys):
+        germ = self._germ_file(tmp_path, [["0", "1"], ["0", "0", "1"]])
+        map_file = tmp_path / "m.json"
+        map_file.write_text(json.dumps(entry))
+        code, out, err = run(capsys, "classify", str(germ), str(map_file), "--t1", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": message}
+
     def test_explicit_j_matrix(self, tmp_path, capsys):
         germ = self._germ_file(tmp_path, [["0", "1"], ["0", "0", "1"]])
         map_file = tmp_path / "m.json"
@@ -842,6 +871,17 @@ class TestCompactnessDemo:
         assert code == 2
         assert out == ""
         assert "float range" in json.loads(err.strip().splitlines()[-1])["error"]
+
+    def test_scale_beyond_float_range_is_input_error(self, tmp_path, circle_file, capsys):
+        # P∘f⁻¹ = 10³⁰⁸·(x1² + x2²) − 1: each coefficient is a float, their sum is not
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps({"matrix": [["1/" + "1" + "0" * 154, "0"],
+                                               ["0", "1/" + "1" + "0" * 154]],
+                                    "translation": ["0", "0"]}))
+        code, out, err = run(capsys, "compactness-demo", str(circle_file), str(tiny),
+                             "--depth", "1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "an entry lies beyond the float range"}
 
     def test_points_above_cap_is_input_error(self, circle_file, half_map_file, capsys):
         (code, out, err), peak = run_traced(capsys, "compactness-demo", str(circle_file),
