@@ -60,6 +60,7 @@ def chaos_game(ifs, iterations: int, burn_in: int, seed: int) -> PointCloud:
         np.matmul(matrices[index], x, out=row)
         row += translations[index]
         x = row
+    steps.flags.writeable = False  # so the cloud takes its rows without a copy
     return PointCloud(len(x), steps[burn_in:])
 
 

@@ -13,19 +13,20 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .affine import (
-    _WORD_GUARD, _float_array, _ifs_header, ifs_from_jsonable, ifs_to_jsonable, map_from_jsonable,
+    _WORD_GUARD, _float_array, _ifs_header, _rows_to_jsonable, ifs_from_jsonable, map_from_jsonable,
     matrix_from_jsonable,
 )
 from .attractor import _EXACT_DIAMETER_LIMIT, _check_steps, chaos_game
 from .classifier import classify_curve, germ_from_jsonable
-from .cloud import PointCloud, _check_projection, _open_for_write, write_csv, write_svg
+from .cloud import _BLOCK_ROWS, PointCloud, _check_projection, _open_for_write, write_csv, write_svg
 from .exactlinalg import identity
 from .moment import (
-    MomentCurveSpec, build_moment_ifs, choose_anchors, lambda_bound, read_recipe,
-    recipe_to_jsonable, verify_moment_invariance,
+    MomentCurveSpec, _recipe_meta, build_moment_ifs, choose_anchors, lambda_bound, read_recipe,
+    verify_moment_invariance,
 )
 from .paraboloid import ParaboloidSpec, build_paraboloid_ifs
 from .polynomials import format_polynomial, parse_polynomial, scaling_certificate
@@ -90,9 +91,25 @@ def _check_format(value: str, allowed: Sequence[str], subcommand: str) -> None:
         )
 
 
-def _write_built(data, certificates, args, lines) -> int:
-    """Write a built system's JSON, then report `lines` and how many maps each route certified."""
-    _emit(_json_text(data), args.output)
+def _write_built(dim: int, rows, meta: dict, certificates, args, lines) -> int:
+    """Write a built system's JSON, then report `lines` and how many maps each route certified.
+
+    The text is json.dumps of {"dim", "maps", "meta"} with indent=2, byte for byte, but no
+    dict or text of the whole system is made: json.dumps lays out the frame and one map of
+    "%s" slots, and the maps, given as cleared rows, fill that template _BLOCK_ROWS at a time.
+    """
+    head, tail = _json_text({"dim": dim, "maps": [None], "meta": meta}).split("null", 1)
+    slots = {"matrix": [["%s"] * dim] * dim, "translation": ["%s"] * dim}
+    template = json.dumps(slots, indent=2).replace("\n", "\n    ")  # a map sits 4 spaces in
+    separator = ",\n    "
+    with _open_for_write(args.output or sys.stdout) as handle:
+        handle.write(head)
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = [_rows_to_jsonable(entry) for entry in rows[start:start + _BLOCK_ROWS]]
+            texts = tuple(text for entry in block
+                          for text in chain(*entry["matrix"], entry["translation"]))
+            handle.write(separator * bool(start) + separator.join([template] * len(block)) % texts)
+        handle.write(tail)
     worst = max(c.norm_bound for c in certificates)
     exact = sum(c.route == "row-sum-bound" for c in certificates)
     print(*lines, f"[row-sum-bound] {exact}/{len(certificates)} maps certified by the exact "
@@ -107,7 +124,7 @@ def _cmd_build_moment(args) -> int:
     ratio = parse_rational(args.ratio) if args.ratio else ceiling / 2
     anchors = _parse_anchor_list(args.anchors) if args.anchors else choose_anchors(spec, ratio)
     recipe = build_moment_ifs(spec, ratio, anchors)
-    return _write_built(recipe_to_jsonable(recipe), recipe._certificates, args, [
+    return _write_built(spec.dim, recipe._rows, _recipe_meta(recipe), recipe._certificates, args, [
         f"[lambda-bound] admissible ceiling {format_rational(ceiling)}, "
         f"using lambda = {format_rational(ratio)}",
         f"[interval-tiling] {len(anchors)} anchor images tile "
@@ -137,14 +154,13 @@ def _cmd_paraboloid(args) -> int:
         tuple(_parse_base_pairs(args.base)),
     )
     ifs = build_paraboloid_ifs(spec)
-    data = ifs_to_jsonable(ifs)
-    data["meta"] = {
+    meta = {
         "surface": "paraboloid",
         "a": format_rational(spec.a),
         "b": format_rational(spec.b),
         "base": [[format_rational(c), format_rational(d)] for c, d in spec.base_maps],
     }
-    return _write_built(data, ifs.certificates, args, [
+    return _write_built(ifs.dim, ifs._rows, meta, ifs.certificates, args, [
         f"[paraboloid-conjugation] f_i∘η = η∘(c_i·x + d_i) holds exactly for all {len(ifs)} maps",
         f"[interval-tiling] base images tile [{format_rational(spec.a)}, "
         f"{format_rational(spec.b)}] exactly"])
@@ -170,6 +186,7 @@ def _chaos_cloud(args, projection=None):
         system = ifs_from_jsonable(data)
     if projection is not None:
         _check_projection(projection, data["dim"])  # both readers checked it
+    del data  # the system holds all the game needs, and the parsed document can be freed
     return chaos_game(system, args.points + args.burn_in, args.burn_in, args.seed)
 
 

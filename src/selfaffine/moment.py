@@ -286,17 +286,21 @@ def verify_moment_invariance(
     ))
 
 
-def recipe_to_jsonable(recipe: MomentIfsRecipe) -> dict:
-    """IFS interchange dict extended with a construction-describing meta, strings from the rows."""
-    data = {"dim": recipe.spec.dim, "maps": [_rows_to_jsonable(rows) for rows in recipe._rows]}
-    data["meta"] = {
+def _recipe_meta(recipe: MomentIfsRecipe) -> dict:
+    """The construction-describing meta of a recipe document."""
+    return {
         "n": recipe.spec.dim,
         "c": format_rational(recipe.spec.c),
         "d": format_rational(recipe.spec.d),
         "lambda": format_rational(recipe.ratio),
         "anchors": [format_rational(t) for t in recipe.anchors],
     }
-    return data
+
+
+def recipe_to_jsonable(recipe: MomentIfsRecipe) -> dict:
+    """IFS interchange dict extended with a construction-describing meta, strings from the rows."""
+    return {"dim": recipe.spec.dim, "maps": [_rows_to_jsonable(rows) for rows in recipe._rows],
+            "meta": _recipe_meta(recipe)}
 
 
 def read_recipe(data) -> MomentIfsRecipe:

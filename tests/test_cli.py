@@ -1,10 +1,13 @@
 """Command-line interface: subcommand behaviors, exit codes, determinism."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -50,18 +53,18 @@ def contraction_calls(monkeypatch):
 
 
 @pytest.fixture
-def determinant_calls(monkeypatch):
-    """The matrices passed to determinant, wherever the package has it bound."""
+def nonsingular_calls(monkeypatch):
+    """The matrices passed to the nonsingularity check, wherever the package has it bound."""
     calls = []
-    original = affine.determinant
+    original = affine._nonsingular
 
     def counted(matrix):
         calls.append(matrix)
         return original(matrix)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("selfaffine") and getattr(module, "determinant", None) is original:
-            monkeypatch.setattr(module, "determinant", counted)
+        if name.startswith("selfaffine") and getattr(module, "_nonsingular", None) is original:
+            monkeypatch.setattr(module, "_nonsingular", counted)
     return calls
 
 
@@ -278,6 +281,60 @@ class TestParaboloid:
                                             f"guard of {2**20} matrix entries"}
 
 
+class TestBuiltWriter:
+    """build-moment and paraboloid write json.dumps(document, indent=2) + "\n", in blocks of maps."""
+
+    @staticmethod
+    def written(capsys, tmp_path, target, *argv):
+        path = tmp_path / "built.json"
+        code, out, _ = run(capsys, *argv, *(["--output", str(path)] if target == "file" else []))
+        assert code == 0
+        return path.read_bytes().decode("utf-8") if target == "file" else out
+
+    # one block of 1,024 maps less one, exactly one, one and a map, and two and a map
+    @pytest.mark.parametrize("count", [1023, 1024, 1025, 2049])
+    @pytest.mark.parametrize("target", ["file", "stdout"])
+    def test_moment_equals_the_whole_document_dump(self, count, target, tmp_path, capsys):
+        spec = moment.MomentCurveSpec(2, Fraction(0), Fraction(1))
+        ratio = Fraction(1, count)
+        recipe = moment.build_moment_ifs(spec, ratio, moment.choose_anchors(spec, ratio))
+        assert len(recipe.anchors) == count
+        text = self.written(capsys, tmp_path, target, "build-moment", "--dim", "2", "--c", "0",
+                            "--d", "1", "--lambda", f"1/{count}")
+        assert text == json.dumps(moment.recipe_to_jsonable(recipe), indent=2) + "\n"
+
+    @pytest.mark.parametrize("dim, count", [(3, 2), (5, 4), (2, 1025)])
+    @pytest.mark.parametrize("target", ["file", "stdout"])
+    def test_paraboloid_equals_the_whole_document_dump(self, dim, count, target, tmp_path, capsys):
+        base = [(Fraction(1, count), Fraction(k, count)) for k in range(count)]
+        data = affine.ifs_to_jsonable(paraboloid.build_paraboloid_ifs(
+            paraboloid.ParaboloidSpec(dim, Fraction(0), Fraction(1), tuple(base))))
+        data["meta"] = {"surface": "paraboloid", "a": "0", "b": "1",
+                        "base": [[str(c), str(d)] for c, d in base]}
+        text = self.written(capsys, tmp_path, target, "paraboloid", "--dim", str(dim), "--c", "0",
+                            "--d", "1", "--base", ",".join(f"{c}:{d}" for c, d in base))
+        assert text == json.dumps(data, indent=2) + "\n"
+
+    def test_memory_beyond_the_text_is_bounded(self, monkeypatch):
+        # the 1,025 maps of n = 4, built before tracing: the whole document's dict and its
+        # json.dumps text peaked 5.8 MB above the 1.1 MB text; blocks of maps, 3.3 MB
+        spec = moment.MomentCurveSpec(4, Fraction(0), Fraction(1))
+        ratio = moment.lambda_bound(spec) / 2
+        recipe = moment.build_moment_ifs(spec, ratio, moment.choose_anchors(spec, ratio))
+        assert len(recipe.anchors) == 1025
+        monkeypatch.setattr(cli, "build_moment_ifs", lambda *args: recipe)
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                assert main(["build-moment", "--dim", "4", "--c", "0", "--d", "1"]) == 0
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.getvalue() == json.dumps(moment.recipe_to_jsonable(recipe), indent=2) + "\n"
+        assert peak - held < 4_500_000
+
+
 class TestChaosAndRender:
     def test_chaos_csv_shape(self, moment_file, tmp_path, capsys):
         out_csv = tmp_path / "pts.csv"
@@ -486,15 +543,15 @@ class TestRecipeReading:
         ("non-canonical", 0), ("integer", 0), ("short-row", 2),
     ])
     def test_tampered_map_is_parsed_and_named(
-        self, moment_file, determinant_calls, kind, code, capsys
+        self, moment_file, nonsingular_calls, kind, code, capsys
     ):
         data = json.loads(moment_file.read_text())
         _tamper(data["maps"][6], kind)
         moment_file.write_text(json.dumps(data))
         out_code, out, err = run(capsys, "verify", str(moment_file), "--points", "8")
         assert out_code == code
-        # only the tampered map goes through the parser and determinant
-        assert len(determinant_calls) == (0 if code == 2 else 1)
+        # only the tampered map goes through the parser and the nonsingularity check
+        assert len(nonsingular_calls) == (0 if code == 2 else 1)
         if code == 2:
             assert json.loads(err)["error"].startswith("map 6 matrix")
         else:
@@ -535,21 +592,21 @@ class TestRecipeReading:
         assert (code, err) == (0, "")
         assert "0 violations" in out
 
-    def test_intact_file_skips_the_determinant(self, moment_file, determinant_calls, capsys):
+    def test_intact_file_skips_the_determinant(self, moment_file, nonsingular_calls, capsys):
         for argv in (["verify", str(moment_file)], ["chaos", str(moment_file), "--points", "20"],
                      ["render", str(moment_file), "--points", "20"]):
             assert run(capsys, *argv)[0] == 0
-        assert determinant_calls == []
+        assert nonsingular_calls == []
 
-    # determinant calls: a rejected meta, read or checked before any map,
+    # nonsingularity checks: a rejected meta, read or checked before any map,
     # leaves every map to ifs_from_jsonable alone
-    @pytest.mark.parametrize("meta, determinants", [
+    @pytest.mark.parametrize("meta, checks", [
         ("missing", 25), ("decimal-lambda", 25), ("non-array-anchors", 25),
         ("broken-tiling", 25), ("other-dimension", 25),
     ])
     @pytest.mark.parametrize("command", ["chaos", "render"])
     def test_rejected_meta_keeps_the_output(
-        self, moment_file, tmp_path, determinant_calls, meta, determinants, command, capsys
+        self, moment_file, tmp_path, nonsingular_calls, meta, checks, command, capsys
     ):
         expected, actual = tmp_path / "expected", tmp_path / "actual"
         argv = ["--points", "300", "--seed", "5", "--output"]
@@ -569,7 +626,7 @@ class TestRecipeReading:
         code, out, err = run(capsys, command, str(moment_file), *argv, str(actual))
         assert (code, out, err) == (0, "", "")
         assert actual.read_bytes() == expected.read_bytes()
-        assert len(determinant_calls) == determinants
+        assert len(nonsingular_calls) == checks
 
 
 class TestScaling:
