@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .exactlinalg import (
-    Matrix, Vector, _nonsingular, as_matrix, as_vector, mat_inverse, mat_mul, mat_vec, solve,
+    Matrix, Vector, as_matrix, as_vector, determinant, mat_inverse, mat_mul, mat_vec, solve,
 )
 from .rationals import _clear_denominators, parse_rational
 
@@ -184,7 +184,7 @@ def certify_admissible(f: AffineMap, where: str = "map") -> ContractionCertifica
 
     Raises ValueError, naming `where`, for a singular or a non-contractive map.
     """
-    if not _nonsingular(f.matrix):
+    if determinant(f.matrix) == 0:
         raise ValueError(f"{where} is not invertible")
     return _certify_contraction(f, where)
 

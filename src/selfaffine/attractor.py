@@ -60,8 +60,12 @@ def chaos_game(ifs, iterations: int, burn_in: int, seed: int) -> PointCloud:
         np.matmul(matrices[index], x, out=row)
         row += translations[index]
         x = row
-    steps.flags.writeable = False  # so the cloud takes its rows without a copy
-    return PointCloud(len(x), steps[burn_in:])
+    # the cloud takes its rows without PointCloud's copy: no one else holds steps to write them
+    steps.flags.writeable = False
+    cloud = object.__new__(PointCloud)
+    object.__setattr__(cloud, "dim", len(x))
+    object.__setattr__(cloud, "points", steps[burn_in:])
+    return cloud
 
 
 def diameter(cloud: PointCloud) -> float:

@@ -26,16 +26,6 @@ _SVG_RADIUS = 1.0
 _BLOCK_ROWS = 1024
 
 
-def _read_only(points) -> bool:
-    """Whether nothing can write `points`: an array read-only, as is every array it views."""
-    import numpy as np
-    while isinstance(points, np.ndarray) and not points.flags.writeable:
-        if points.base is None:
-            return True
-        points = points.base
-    return False
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """An ordered list of dim-dimensional float points."""
@@ -47,11 +37,7 @@ class PointCloud:
         import numpy as np
         if self.dim < 1:
             raise ValueError("cloud dimension must be positive")
-        # an array no one can write is taken as it is, so chaos_game's steps are not held twice
-        if _read_only(self.points):
-            array = np.asarray(self.points, dtype=float)
-        else:
-            array = np.array(self.points, dtype=float, copy=True)
+        array = np.array(self.points, dtype=float, copy=True)
         if array.size == 0:
             array = array.reshape(0, self.dim)
         if array.ndim != 2 or array.shape[1] != self.dim:

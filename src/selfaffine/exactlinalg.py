@@ -2,9 +2,7 @@
 
 Matrices are tuples of row tuples, vectors are flat tuples.  Everything
 here targets the small dimensions of this package (n rarely above 8).
-One elimination loop, `_eliminate`, serves every exact routine; only
-`_nonsingular` first eliminates modulo a prime, and takes the exact
-determinant when that residue is 0.  `_eliminate` clears
+One elimination loop, `_eliminate`, serves every routine.  It clears
 each row's denominators to Python ints and runs fraction-free
 Gauss–Jordan elimination (Bareiss, Math. Comp. 22, 1968): at each pivot
 p, every other row becomes (p·row − factor·pivot row) / previous pivot.
@@ -24,9 +22,6 @@ from .rationals import _clear_denominators
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
-
-# The Mersenne prime 2⁶¹ − 1, modulo which _nonsingular eliminates.
-_PRIME = 2**61 - 1
 
 __all__ = [
     "Matrix",
@@ -129,26 +124,6 @@ def determinant(matrix: Matrix) -> Fraction:
     if len(pivots) != n:
         return Fraction(0)
     return Fraction(sign * last, math.prod(scales))
-
-
-def _nonsingular(matrix: Matrix) -> bool:
-    """Whether a square matrix has a nonzero determinant.
-
-    Each row is cleared to integers, which scales the determinant by a nonzero
-    factor, and the rows are eliminated modulo the prime _PRIME: rank n there
-    means a determinant whose residue is nonzero, so not 0.  Only a matrix whose
-    residue is 0, singular or not, takes the exact determinant.
-    """
-    rows = [[x % _PRIME for x in _clear_denominators(row)[0]] for row in matrix]
-    while rows:
-        index = next((k for k, row in enumerate(rows) if row[0]), None)
-        if index is None:
-            return determinant(matrix) != 0
-        pivot, *top = rows.pop(index)
-        inverse = pow(pivot, -1, _PRIME)
-        rows = [[(x - factor * y) % _PRIME for x, y in zip(rest, top)]
-                for head, *rest in rows for factor in (head * inverse % _PRIME,)]
-    return True
 
 
 def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector:

@@ -3,13 +3,11 @@
 import json
 import math
 import random
-import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from selfaffine import exactlinalg
 from selfaffine.affine import (
     AffineMap,
     IteratedFunctionSystem,
@@ -18,7 +16,6 @@ from selfaffine.affine import (
     _float_map,
     _row_map,
     _rows_to_jsonable,
-    certify_admissible,
     compose,
     fixed_point,
     ifs_from_jsonable,
@@ -30,8 +27,7 @@ from selfaffine.affine import (
     max_row_sum,
     operator_norm,
 )
-from selfaffine.exactlinalg import _PRIME, determinant
-from selfaffine.rationals import _clear_denominators, format_rational
+from selfaffine.rationals import format_rational
 
 
 def _random_map(rng, n, scale=Fraction(1, 3)):
@@ -182,80 +178,6 @@ class TestContractionCertificates:
         cert = is_contractive(f)
         assert not cert.contractive
         assert not bool(cert)
-
-
-def _dense_map(rng, n, digits=10):
-    """A dense n×n map of entries below 1/(10n), over unrelated `digits`-digit denominators."""
-    low = 10 ** (digits - 1)
-    def entry():
-        return Fraction(rng.randint(-low, low), 10 * n * rng.randint(low, 10 * low - 1))
-    return AffineMap([[entry() for _ in range(n)] for _ in range(n)], [0] * n)
-
-
-@pytest.fixture
-def exact_determinants(monkeypatch):
-    """The matrices the nonsingularity check hands to the exact determinant."""
-    calls = []
-    monkeypatch.setattr(exactlinalg, "determinant", lambda m: calls.append(m) or determinant(m))
-    return calls
-
-
-class TestAdmissibility:
-    """certify_admissible proves det ≠ 0 modulo a prime, and exactly only where that residue is 0."""
-
-    def test_matches_the_determinant(self, exact_determinants):
-        rng = random.Random(25)
-        singular = 0
-        for _ in range(300):
-            n = rng.randint(1, 5)
-            f = _random_map(rng, n, Fraction(1, 6 * n))  # contractive, its combined rows too
-            if rng.random() < 0.4:  # a row repeated or combined from two others
-                rows = [list(row) for row in f.matrix]
-                rows[rng.randrange(n)] = [2 * a - b for a, b in zip(rows[0], rows[-1])]
-                f = AffineMap(rows, f.translation)
-            if determinant(f.matrix) == 0:
-                singular += 1
-                with pytest.raises(ValueError, match="^map is not invertible$"):
-                    certify_admissible(f)
-            else:
-                assert certify_admissible(f) == is_contractive(f)
-        assert singular > 40
-        assert len(exact_determinants) == singular
-
-    def test_determinant_divisible_by_the_prime_takes_the_exact_route(self, exact_determinants):
-        # rows (1, 1) and (1, 1 + p) over 4p: the cleared rows agree modulo p, det = p/(16p²)
-        f = AffineMap([[Fraction(1, 4 * _PRIME)] * 2,
-                       [Fraction(1, 4 * _PRIME), Fraction(1 + _PRIME, 4 * _PRIME)]], [0, 0])
-        cleared = [_clear_denominators(row)[0] for row in f.matrix]
-        assert [[x % _PRIME for x in row] for row in cleared] == [[1, 1], [1, 1]]
-        assert determinant(f.matrix) == Fraction(1, 16 * _PRIME)
-        assert certify_admissible(f).route == "row-sum-bound"
-        assert exact_determinants == [f.matrix]
-
-    def test_dense_map_with_big_denominators_is_quick(self, exact_determinants):
-        f = _dense_map(random.Random(48), 48)
-        start = time.perf_counter()
-        certificate = certify_admissible(f)
-        elapsed = time.perf_counter() - start
-        assert certificate.contractive
-        assert exact_determinants == []
-        assert elapsed < 1.0
-
-    def test_singular_maps_refused_by_name(self, exact_determinants):
-        rng = random.Random(26)
-        flat = AffineMap([[Fraction(1, 2), 0], [0, 0]], [0, 0])
-        dense = _dense_map(rng, 12)
-        rows = [list(row) for row in dense.matrix]
-        rows[5] = [a + 3 * b for a, b in zip(rows[2], rows[9])]
-        combined = AffineMap(rows, dense.translation)
-        for f in (flat, combined):
-            with pytest.raises(ValueError, match="^map 7 is not invertible$"):
-                certify_admissible(f, "map 7")
-            data = ifs_to_jsonable(IteratedFunctionSystem((_dense_map(rng, f.dim, 3),)))
-            data["maps"].append(map_to_jsonable(f))
-            with pytest.raises(ValueError, match="^map 1 is not invertible$"):
-                ifs_from_jsonable(data)
-        assert len(exact_determinants) == 4
 
 
 class TestIteratedFunctionSystem:

@@ -147,18 +147,18 @@ class TestChaosGame:
         assert peak < 1_000_000
 
     def test_cloud_holds_the_steps_once(self):
-        # 1,000,100 steps of dimension 5 are 40 MB, their drawn map indices 8 MB and the float
-        # maps 2.4 MB; copying the kept rows into the cloud took the peak to 97.2 MB
-        spec = MomentCurveSpec(5, Fraction(0), Fraction(1))
-        ratio = lambda_bound(spec) / 2  # build-moment's default: 4,580 maps
-        recipe = build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))
+        # 200,100 steps of dimension 10 are 16 MB and their drawn map indices 1.6 MB;
+        # a copy of the kept rows in the cloud would take the peak to about twice the cloud
+        half = [[Fraction(int(i == j), 2) for j in range(10)] for i in range(10)]
+        ifs = IteratedFunctionSystem((AffineMap(half, [0] * 10),
+                                      AffineMap(half, [Fraction(1, 2)] * 10)))
         tracemalloc.start()
         try:
-            cloud = chaos_game(recipe, 1_000_100, 100, 0)
+            cloud = chaos_game(ifs, 200_100, 100, 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert cloud.points.shape == (1_000_000, 5)
+        assert cloud.points.shape == (200_000, 10)
         assert not cloud.points.flags.writeable
         assert peak < 1.3 * cloud.points.nbytes
 

@@ -53,18 +53,18 @@ def contraction_calls(monkeypatch):
 
 
 @pytest.fixture
-def nonsingular_calls(monkeypatch):
-    """The matrices passed to the nonsingularity check, wherever the package has it bound."""
+def determinant_calls(monkeypatch):
+    """The matrices passed to determinant, wherever the package has it bound."""
     calls = []
-    original = affine._nonsingular
+    original = affine.determinant
 
     def counted(matrix):
         calls.append(matrix)
         return original(matrix)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("selfaffine") and getattr(module, "_nonsingular", None) is original:
-            monkeypatch.setattr(module, "_nonsingular", counted)
+        if name.startswith("selfaffine") and getattr(module, "determinant", None) is original:
+            monkeypatch.setattr(module, "determinant", counted)
     return calls
 
 
@@ -543,15 +543,15 @@ class TestRecipeReading:
         ("non-canonical", 0), ("integer", 0), ("short-row", 2),
     ])
     def test_tampered_map_is_parsed_and_named(
-        self, moment_file, nonsingular_calls, kind, code, capsys
+        self, moment_file, determinant_calls, kind, code, capsys
     ):
         data = json.loads(moment_file.read_text())
         _tamper(data["maps"][6], kind)
         moment_file.write_text(json.dumps(data))
         out_code, out, err = run(capsys, "verify", str(moment_file), "--points", "8")
         assert out_code == code
-        # only the tampered map goes through the parser and the nonsingularity check
-        assert len(nonsingular_calls) == (0 if code == 2 else 1)
+        # only the tampered map goes through the parser and determinant
+        assert len(determinant_calls) == (0 if code == 2 else 1)
         if code == 2:
             assert json.loads(err)["error"].startswith("map 6 matrix")
         else:
@@ -592,21 +592,21 @@ class TestRecipeReading:
         assert (code, err) == (0, "")
         assert "0 violations" in out
 
-    def test_intact_file_skips_the_determinant(self, moment_file, nonsingular_calls, capsys):
+    def test_intact_file_skips_the_determinant(self, moment_file, determinant_calls, capsys):
         for argv in (["verify", str(moment_file)], ["chaos", str(moment_file), "--points", "20"],
                      ["render", str(moment_file), "--points", "20"]):
             assert run(capsys, *argv)[0] == 0
-        assert nonsingular_calls == []
+        assert determinant_calls == []
 
-    # nonsingularity checks: a rejected meta, read or checked before any map,
+    # determinant calls: a rejected meta, read or checked before any map,
     # leaves every map to ifs_from_jsonable alone
-    @pytest.mark.parametrize("meta, checks", [
+    @pytest.mark.parametrize("meta, determinants", [
         ("missing", 25), ("decimal-lambda", 25), ("non-array-anchors", 25),
         ("broken-tiling", 25), ("other-dimension", 25),
     ])
     @pytest.mark.parametrize("command", ["chaos", "render"])
     def test_rejected_meta_keeps_the_output(
-        self, moment_file, tmp_path, nonsingular_calls, meta, checks, command, capsys
+        self, moment_file, tmp_path, determinant_calls, meta, determinants, command, capsys
     ):
         expected, actual = tmp_path / "expected", tmp_path / "actual"
         argv = ["--points", "300", "--seed", "5", "--output"]
@@ -626,7 +626,7 @@ class TestRecipeReading:
         code, out, err = run(capsys, command, str(moment_file), *argv, str(actual))
         assert (code, out, err) == (0, "", "")
         assert actual.read_bytes() == expected.read_bytes()
-        assert len(nonsingular_calls) == checks
+        assert len(determinant_calls) == determinants
 
 
 class TestScaling:

@@ -37,24 +37,6 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             cloud.points[0, 0] = 2.0
 
-    def test_array_nothing_can_write_is_taken_as_it_is(self):
-        points = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-        points.flags.writeable = False
-        assert PointCloud(2, points).points is points
-        view = points[1:]
-        assert PointCloud(2, view).points is view
-
-    def test_array_a_caller_can_write_is_copied(self):
-        points = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-        view = points[1:]
-        view.flags.writeable = False  # read-only, but points still writes its memory
-        for given in (points, view):
-            cloud = PointCloud(2, given)
-            assert not np.shares_memory(cloud.points, points)
-            points[1, 0] = -1.0
-            assert cloud.points[0, 0] == (0.0 if given is points else 2.0)
-            points[1, 0] = 2.0
-
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             PointCloud(2, [[1.0], [1.0, 2.0]])

@@ -7,11 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selfaffine import exactlinalg
 from selfaffine.affine import _row_map
 from selfaffine.exactlinalg import (
     _eliminate,
-    _nonsingular,
     determinant,
     express_in_span,
     greedy_independent,
@@ -381,16 +379,6 @@ class TestAgainstReference:
             assert _outcome(solve, m, rhs) == _outcome(_reference_solve, m, rhs)
         square = ((Fraction(1),),)
         assert _outcome(solve, square, ()) == _outcome(_reference_solve, square, ())
-
-    def test_nonsingular_matches_the_determinant(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(exactlinalg, "determinant", lambda m: calls.append(m) or determinant(m))
-        cases = _square_cases()
-        for m in cases:
-            assert _nonsingular(m) == (determinant(m) != 0)
-        # a singular matrix has residue 0 modulo the prime, and only such a one is eliminated
-        # exactly: none of these nonsingular ones has a determinant divisible by it
-        assert calls == [m for m in cases if determinant(m) == 0]
 
     def test_lower_triangular_moment_maps(self):
         for m in _moment_matrices():

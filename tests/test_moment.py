@@ -509,28 +509,27 @@ class TestVerifierAgainstReference:
 
 
 @pytest.fixture
-def nonsingular_calls(monkeypatch):
-    """The matrices the IFS readers pass to the nonsingularity check."""
+def determinant_calls(monkeypatch):
+    """The matrices the IFS readers pass to determinant."""
     calls = []
-    original = affine._nonsingular
 
     def counted(matrix):
         calls.append(matrix)
-        return original(matrix)
+        return determinant(matrix)
 
-    monkeypatch.setattr(affine, "_nonsingular", counted)
+    monkeypatch.setattr(affine, "determinant", counted)
     return calls
 
 
 class TestRecipeReader:
-    def test_matches_the_parsing_reader(self, nonsingular_calls):
+    def test_matches_the_parsing_reader(self, determinant_calls):
         for recipe in _seeded_recipes():
-            nonsingular_calls.clear()
+            determinant_calls.clear()
             data = recipe_to_jsonable(recipe)
             read = read_recipe(copy.deepcopy(data))
-            assert nonsingular_calls == []
+            assert determinant_calls == []
             parsed = ifs_from_jsonable(data)
-            assert len(nonsingular_calls) == len(parsed)
+            assert len(determinant_calls) == len(parsed)
             assert (read.spec, read.ratio, read.anchors) == (
                 recipe.spec, recipe.ratio, recipe.anchors)
             assert len(read.ifs) == len(parsed) == len(recipe.ifs)
@@ -551,10 +550,10 @@ class TestRecipeReader:
                 assert all(f.matrix[k][k] == recipe.ratio ** (k + 1) for k in range(n))
                 assert not any(f.matrix[i][j] for i in range(n) for j in range(i + 1, n))
 
-    def test_build_skips_the_determinant(self, nonsingular_calls):
+    def test_build_skips_the_determinant(self, determinant_calls):
         spec = MomentCurveSpec(2, Fraction(0), Fraction(1))
         recipe = build_moment_ifs(spec, Fraction(1, 25), choose_anchors(spec, Fraction(1, 25)))
-        assert nonsingular_calls == []
+        assert determinant_calls == []
         assert recipe.ifs.certificates == tuple(map(is_contractive, recipe.ifs.maps))
 
     @staticmethod
@@ -569,9 +568,9 @@ class TestRecipeReader:
         ("non-canonical", False),
         ("integer", False),
     ])
-    def test_tampered_entry_is_parsed_and_named(self, kind, changes_value, nonsingular_calls):
+    def test_tampered_entry_is_parsed_and_named(self, kind, changes_value, determinant_calls):
         recipe = self._half_recipe()
-        nonsingular_calls.clear()
+        determinant_calls.clear()
         data = recipe_to_jsonable(recipe)
         entry = data["maps"][5]
         if kind == "above-diagonal":
@@ -587,22 +586,22 @@ class TestRecipeReader:
             assert entry["matrix"][0][1] == "0"
             entry["matrix"][0][1] = 0
         read = read_recipe(data)
-        assert len(nonsingular_calls) == 1
-        assert nonsingular_calls[0] == read.ifs.maps[5].matrix
+        assert len(determinant_calls) == 1
+        assert determinant_calls[0] == read.ifs.maps[5].matrix
         assert (read.ifs.maps[5] != recipe.ifs.maps[5]) == changes_value
         report = verify_moment_invariance(read, [Fraction(k, 4) for k in range(5)])
         named = {bad.map_index for bad in report.counterexamples}
         assert named == ({5} if changes_value else set())
 
-    def test_short_row_is_parsed_and_named(self, nonsingular_calls):
+    def test_short_row_is_parsed_and_named(self, determinant_calls):
         data = recipe_to_jsonable(self._half_recipe())
-        nonsingular_calls.clear()
+        determinant_calls.clear()
         del data["maps"][5]["matrix"][1][-1]
         with pytest.raises(ValueError, match="map 5 matrix must be square"):
             read_recipe(data)
-        assert nonsingular_calls == []
+        assert determinant_calls == []
 
-    def test_zero_ratio_maps_are_parsed_and_certified(self, nonsingular_calls):
+    def test_zero_ratio_maps_are_parsed_and_certified(self, determinant_calls):
         # at λ = 0 the construction's maps are singular: the meta is rejected before any map
         spec, zero = MomentCurveSpec(2, Fraction(0), Fraction(1)), Fraction(0)
         anchors = [Fraction(0), Fraction(1)]
@@ -611,16 +610,16 @@ class TestRecipeReader:
                 "meta": {"n": 2, "c": "0", "d": "1", "lambda": "0", "anchors": ["0", "1"]}}
         with pytest.raises(ValueError, match=r"contraction ratio must lie in \(0, 1\)"):
             read_recipe(data)
-        assert nonsingular_calls == []
+        assert determinant_calls == []
 
-    def test_malformed_meta_is_reported_before_any_map_is_read(self, nonsingular_calls):
+    def test_malformed_meta_is_reported_before_any_map_is_read(self, determinant_calls):
         data = recipe_to_jsonable(self._half_recipe())
-        nonsingular_calls.clear()
+        determinant_calls.clear()
         data["meta"]["lambda"] = "0.1"
         data["maps"][2]["translation"] = ["0"]
         with pytest.raises(ValueError, match="not a rational"):
             read_recipe(data)
-        assert nonsingular_calls == []
+        assert determinant_calls == []
 
     @pytest.mark.parametrize("meta, message", [
         ("ratio-one", r"contraction ratio must lie in \(0, 1\)"),
@@ -630,7 +629,7 @@ class TestRecipeReader:
         ("broken-tiling", "interval images leave a gap"),
         ("above-guard", f"the map count {moment._MAP_GUARD + 1} is above the guard"),
     ])
-    def test_rejected_meta_reads_no_map(self, meta, message, nonsingular_calls, monkeypatch):
+    def test_rejected_meta_reads_no_map(self, meta, message, determinant_calls, monkeypatch):
         data = recipe_to_jsonable(self._half_recipe())
         anchors = data["meta"]["anchors"]
         count = moment._MAP_GUARD + 1
@@ -650,10 +649,10 @@ class TestRecipeReader:
         else:
             anchors[4] = anchors[3]
         monkeypatch.setattr(moment, "_moment_rows", None)
-        nonsingular_calls.clear()
+        determinant_calls.clear()
         with pytest.raises(ValueError, match=message):
             read_recipe(data)
-        assert nonsingular_calls == []
+        assert determinant_calls == []
 
     def test_differing_entry_costs_no_more_than_it_stores(self, monkeypatch):
         # a matrix of n empty rows stops the construction at its first row
@@ -835,16 +834,16 @@ class TestBuiltCertificate:
             assert recipe.ifs.certificates == tuple(map(is_contractive, recipe.ifs.maps))
 
     def test_above_lambda_bound_the_spectral_route_decides(self, contraction_calls,
-                                                           nonsingular_calls):
+                                                           determinant_calls):
         # n = 2, λ = 1/2, anchors 0 and 1/2: map 1 has row sums 1/2 and 3/4, so n·s² = 9/8
         recipe = _tiling_recipe(2, 0, 1, Fraction(1, 2))
         assert recipe.anchors == (0, Fraction(1, 2))
         assert 2 * max_row_sum(recipe.ifs.maps[1].matrix) ** 2 == Fraction(9, 8)
         contraction_calls.clear()
-        nonsingular_calls.clear()
+        determinant_calls.clear()
         read = read_recipe(recipe_to_jsonable(recipe))
         assert contraction_calls == [recipe.ifs.maps[1]]
-        assert nonsingular_calls == []
+        assert determinant_calls == []
         assert read.ifs.certificates == recipe.ifs.certificates
         assert [c.route for c in read.ifs.certificates] == ["row-sum-bound", "spectral-norm"]
         assert _built_certificate(2, _line(recipe.ratio, recipe.anchors[1])) is None
@@ -880,7 +879,7 @@ class TestBuiltCertificate:
 
     @pytest.mark.parametrize("kind", ["above-diagonal", "below-diagonal", "translation",
                                       "non-canonical", "integer"])
-    def test_differing_map_is_certified_once(self, kind, nonsingular_calls, contraction_calls):
+    def test_differing_map_is_certified_once(self, kind, determinant_calls, contraction_calls):
         recipe = TestRecipeReader._half_recipe()
         data = recipe_to_jsonable(recipe)
         entry = data["maps"][5]
@@ -894,10 +893,10 @@ class TestBuiltCertificate:
             entry["translation"][0] = "2/4"
         else:
             entry["matrix"][0][1] = 0
-        nonsingular_calls.clear()
+        determinant_calls.clear()
         contraction_calls.clear()
         read = read_recipe(data)
-        assert nonsingular_calls == [read.ifs.maps[5].matrix]
+        assert determinant_calls == [read.ifs.maps[5].matrix]
         assert contraction_calls == [read.ifs.maps[5]]
         assert read.ifs.certificates == tuple(map(is_contractive, read.ifs.maps))
 
@@ -962,7 +961,7 @@ class TestIntegerRows:
                         line = _line(ratio, anchor - ratio * c)
                         assert list(moment._moment_rows(n, line)) == _cleared_rows(_plain_map(n, line))
 
-    def test_recipes_are_equal_when_their_maps_are(self, nonsingular_calls):
+    def test_recipes_are_equal_when_their_maps_are(self, determinant_calls):
         spec, ratio = unit_spec(2), Fraction(1, 25)
         recipe = build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))
         data = recipe_to_jsonable(recipe)
@@ -975,9 +974,9 @@ class TestIntegerRows:
         entry["translation"] = [*map(doubled, entry["translation"])]
         entry["matrix"] = [[*map(doubled, row)] for row in entry["matrix"]]
         assert entry["translation"][0] == "4/50"
-        nonsingular_calls.clear()
+        determinant_calls.clear()
         read = read_recipe(copy.deepcopy(data))
-        assert len(nonsingular_calls) == 1  # map 2 was parsed, not taken as built
+        assert len(determinant_calls) == 1  # map 2 was parsed, not taken as built
         assert read == recipe
         assert hash(read) == hash(recipe)
         assert len({recipe, read}) == 1

@@ -218,22 +218,21 @@ class TestConjugationCheck:
 
 
 @pytest.fixture
-def nonsingular_calls(monkeypatch):
-    """The matrices the system certificate passes to the nonsingularity check."""
+def determinant_calls(monkeypatch):
+    """The matrices the system certificate passes to determinant."""
     calls = []
-    original = affine._nonsingular
 
     def counted(matrix):
         calls.append(matrix)
-        return original(matrix)
+        return determinant(matrix)
 
-    monkeypatch.setattr(affine, "_nonsingular", counted)
+    monkeypatch.setattr(affine, "determinant", counted)
     return calls
 
 
 class TestBuilderCertificate:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_builder_skips_the_determinant(self, n, nonsingular_calls):
+    def test_builder_skips_the_determinant(self, n, determinant_calls):
         for spec in _seeded_specs(n, n * 31):
             ifs = build_paraboloid_ifs(spec)
             assert ifs.certificates == tuple(map(is_contractive, ifs.maps))
@@ -242,13 +241,13 @@ class TestBuilderCertificate:
                 assert [f.matrix[k][k] for k in range(n)] == [c] * (n - 1) + [c * c]
                 assert not any(f.matrix[i][j] for i in range(n) for j in range(i + 1, n))
                 assert determinant(f.matrix) == c ** (n + 1) != 0
-        assert nonsingular_calls == []
+        assert determinant_calls == []
 
-    def test_non_contractive_map_is_named(self, nonsingular_calls):
+    def test_non_contractive_map_is_named(self, determinant_calls):
         # c = d = 1/2 lifts to a last row (1/2, …, 1/2, 1/4), of norm above 1 from n = 4 on
         with pytest.raises(ValueError, match="^map 1 is not strictly contractive$"):
             build_paraboloid_ifs(halves_spec(4))
-        assert nonsingular_calls == []
+        assert determinant_calls == []
 
     def test_certified_before_the_proof(self, monkeypatch):
         # with every proof failing, only a certificate taken first can give this error
