@@ -96,10 +96,19 @@ def fixed_point(f: AffineMap) -> Vector:
         raise ValueError("map has 1 as an eigenvalue; fixed point is not unique") from None
 
 
+def _largest_row_sum(rows) -> tuple[int, int]:
+    """(S, d) with S/d the largest absolute row sum of cleared rows' matrix, by one integer scan."""
+    top, scale = 0, 1
+    for row, denominator in rows:
+        total = sum(map(abs, row)) - abs(row[0])
+        if total * scale > top * denominator:
+            top, scale = total, denominator
+    return top, scale
+
+
 def max_row_sum(matrix: Matrix) -> Fraction:
     """Largest row sum of absolute entries, an exact rational, summed on cleared ints."""
-    rows = map(_clear_denominators, matrix)
-    return max(Fraction(sum(map(abs, numerators)), scale) for numerators, scale in rows)
+    return Fraction(*_largest_row_sum(_clear_denominators((0, *row)) for row in matrix))
 
 
 def _float_array(entries):
@@ -163,20 +172,37 @@ class ContractionCertificate:
         return self.contractive
 
 
-def _row_sum_certificate(squared: Fraction) -> Optional[ContractionCertificate]:
-    """The row-sum route's certificate for n·(max row sum)² = squared, None when squared ≥ 1."""
-    if squared < 1:
-        return ContractionCertificate(True, "row-sum-bound", math.sqrt(float(squared)))
-    return None
+def _contraction(rows) -> ContractionCertificate:
+    """is_contractive of the map of cleared rows: n·s² < 1 decided on integers, else the SVD."""
+    top, scale = _largest_row_sum(rows)
+    bound, square = len(rows) * top * top, scale * scale
+    if bound < square:
+        return ContractionCertificate(True, "row-sum-bound", math.sqrt(bound / square))
+    norm = operator_norm(_row_map(rows).matrix)
+    return ContractionCertificate(norm < 1.0 - NORM_TOLERANCE, "spectral-norm", norm)
 
 
 def is_contractive(f: AffineMap) -> ContractionCertificate:
     """Certified contraction test: exact row-sum route first, then numeric."""
-    certificate = _row_sum_certificate(f.dim * max_row_sum(f.matrix) ** 2)
-    if certificate:
-        return certificate
-    norm = operator_norm(f.matrix)
-    return ContractionCertificate(norm < 1.0 - NORM_TOLERANCE, "spectral-norm", norm)
+    return _contraction(_cleared_rows(f))
+
+
+def _certify_rows(rows, where: str) -> ContractionCertificate:
+    """The contraction certificate of the invertible, strictly contractive map of cleared rows.
+
+    A lower-triangular map is invertible when no diagonal entry is 0; any other asks
+    determinant.  Raises ValueError, naming `where`, for a singular or a non-contractive map.
+    """
+    if any(any(row[i + 2:]) for i, (row, _) in enumerate(rows)):
+        invertible = determinant([row[1:] for row, _ in rows]) != 0
+    else:
+        invertible = all(row[i + 1] for i, (row, _) in enumerate(rows))
+    if not invertible:
+        raise ValueError(f"{where} is not invertible")
+    certificate = _contraction(rows)
+    if not certificate:
+        raise ValueError(f"{where} is not strictly contractive")
+    return certificate
 
 
 def certify_admissible(f: AffineMap, where: str = "map") -> ContractionCertificate:
@@ -184,16 +210,7 @@ def certify_admissible(f: AffineMap, where: str = "map") -> ContractionCertifica
 
     Raises ValueError, naming `where`, for a singular or a non-contractive map.
     """
-    if determinant(f.matrix) == 0:
-        raise ValueError(f"{where} is not invertible")
-    return _certify_contraction(f, where)
-
-
-def _certify_contraction(f: AffineMap, where: str) -> ContractionCertificate:
-    certificate = is_contractive(f)
-    if not certificate:
-        raise ValueError(f"{where} is not strictly contractive")
-    return certificate
+    return _certify_rows(_cleared_rows(f), where)
 
 
 @dataclass(frozen=True)
@@ -234,7 +251,7 @@ def _certified_system(maps, certificates=(), ifs=None) -> IteratedFunctionSystem
     """`maps` as a system, each map certified once, stored on `ifs` (by default a new one).
 
     `certificates` gives one certificate per map, drawn in order as the maps are
-    checked; a map given None, or none at all, is certified in full.
+    checked; without them each map is certified in full by certify_admissible.
     """
     ifs = object.__new__(IteratedFunctionSystem) if ifs is None else ifs
     maps = tuple(maps)

@@ -18,9 +18,8 @@ from operator import mul
 from typing import Sequence
 
 from .affine import (
-    IteratedFunctionSystem, _certified_system, _certify_contraction, _cleared_rows, _ifs_header,
-    _lift_failures, _line, _row_map, _row_sum_certificate, _rows_to_jsonable, _texts,
-    certify_admissible, map_from_jsonable,
+    IteratedFunctionSystem, _certified_system, _certify_rows, _cleared_rows, _ifs_header,
+    _lift_failures, _line, _row_map, _rows_to_jsonable, _texts, map_from_jsonable,
 )
 from .exactlinalg import as_vector
 from .rationals import (
@@ -164,16 +163,6 @@ def _moment_rows(n: int, line: tuple[int, int, int]):
         yield coefficients, scale
 
 
-def _built_certificate(n: int, line: tuple[int, int, int]):
-    """is_contractive of the construction's map, or None where that takes its spectral route.
-
-    Row k sums to ((|α| + |β|)ᵏ − |β|ᵏ)/γᵏ in absolute value; rows compare over γⁿ on integers.
-    """
-    alpha, beta, gamma = map(abs, line)
-    top = max(((alpha + beta) ** k - beta**k) * gamma ** (n - k) for k in range(1, n + 1))
-    return _row_sum_certificate(Fraction(n * top * top, gamma ** (2 * n)))
-
-
 def _built_rows(entry, n: int, line: tuple[int, int, int]):
     """The construction's rows at `line`; given a stored `entry`, None unless it matches.
 
@@ -198,21 +187,14 @@ def _built_rows(entry, n: int, line: tuple[int, int, int]):
 
 
 def _recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, entries) -> MomentIfsRecipe:
-    """The recipe read_recipe describes, of numbers _check_recipe has passed; entry None builds a map.
-
-    A construction map, whose diagonal λᵏ > 0 keeps it from the determinant, is not certified in full.
-    """
+    """The recipe read_recipe describes, of numbers _check_recipe passed; entry None builds a map."""
     n = spec.dim
     lines = _lines(spec, ratio, anchors)
     rows = [_built_rows(entry, n, line) for entry, line in zip(entries, lines)]
-    stored = {index: map_from_jsonable(entry, n, where=f"map {index}")
-              for index, (built, entry) in enumerate(zip(rows, entries)) if built is None}
-    rows = [_cleared_rows(stored[index]) if built is None else built
-            for index, built in enumerate(rows)]
-    certificates = tuple(
-        certify_admissible(stored[index], f"map {index}") if index in stored
-        else _built_certificate(n, line) or _certify_contraction(_row_map(rows[index]), f"map {index}")
-        for index, line in enumerate(lines))
+    rows = [_cleared_rows(map_from_jsonable(entry, n, where=f"map {index}")) if built is None
+            else built for index, (built, entry) in enumerate(zip(rows, entries))]
+    certificates = tuple(_certify_rows(map_rows, f"map {index}")
+                         for index, map_rows in enumerate(rows))
     return MomentIfsRecipe(spec, ratio, tuple(anchors), rows, lines, certificates)
 
 
@@ -308,9 +290,9 @@ def read_recipe(data) -> MomentIfsRecipe:
 
     The meta is read first, and checked as build_moment_ifs checks it, before
     any map is read.  A stored map equal to the construction's is taken as
-    built, with its construction certificate; any other is parsed and certified
-    as by ifs_from_jsonable and kept, in cleared rows, so that verify_moment_invariance
-    can name it.  Every entry is read before any map is certified.
+    built; any other is parsed as by ifs_from_jsonable and kept, in cleared rows,
+    so that verify_moment_invariance can name it.  Every entry is read before
+    any map is certified, each on its cleared rows as certify_admissible does.
     """
     meta = data.get("meta") if isinstance(data, dict) else None
     if not isinstance(meta, dict):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine import (
-    AffineMap, IteratedFunctionSystem, _certified_system, _certify_contraction, _cleared_rows,
+    AffineMap, IteratedFunctionSystem, _certified_system, _certify_rows, _cleared_rows,
     _float_array, _lift_failures, _line,
 )
 from .cloud import PointCloud
@@ -81,8 +81,8 @@ def _build_map(n: int, c: Fraction, d: Fraction) -> AffineMap:
     return AffineMap(tuple(rows), translation)
 
 
-def _conjugates(spec: ParaboloidSpec, maps) -> bool:
-    """f_i∘η = η∘(c_i·x + d_i) for every base map, proven at n + 1 points.
+def _conjugates(spec: ParaboloidSpec, rows) -> bool:
+    """f_i∘η = η∘(c_i·x + d_i) for every base map, f_i given as its cleared rows, at n + 1 points.
 
     η∘(c·x + d) is affine in η, as |c·x + d·1|² = c²|x|² + 2cd·Σx_j + (n−1)d², and the
     points a·1, a·1 + h·e_j and a·1 + 2h·e_1, h = (b − a)/2, have affinely independent images.
@@ -91,7 +91,7 @@ def _conjugates(spec: ParaboloidSpec, maps) -> bool:
     corner = (a,) * (spec.dim - 1)
     points = [corner, *(corner[:j] + (a + h,) + corner[j + 1:] for j in range(spec.dim - 1))]
     points.append((a + 2 * h,) + corner[1:])
-    lifts = [(_cleared_rows(f), _line(c, d)) for (c, d), f in zip(spec.base_maps, maps)]
+    lifts = [(map_rows, _line(c, d)) for (c, d), map_rows in zip(spec.base_maps, rows)]
     def form(point):  # η(P/Q) = (P/Q, ΣP_j²/Q²)
         return (*point, sum(p * p for p in point))
     degrees = (1,) * (spec.dim - 1) + (2,)
@@ -107,18 +107,18 @@ def build_paraboloid_ifs(spec: ParaboloidSpec) -> IteratedFunctionSystem:
     proven exactly before the system is returned.
     """
     maps = tuple(_build_map(spec.dim, c, d) for c, d in spec.base_maps)
-    # a lifted map is lower-triangular with diagonal (c, …, c, c²), nonzero as 0 < |c| < 1,
-    # so it needs only the contraction test, not the determinant; it runs before the proof,
-    # so a base that is not contractive fails without proving anything
-    certificates = [_certify_contraction(f, f"map {index}") for index, f in enumerate(maps)]
-    if not _conjugates(spec, maps):
+    rows = [_cleared_rows(f) for f in maps]
+    # certified before the proof, so a base that is not contractive fails without proving anything
+    certificates = [_certify_rows(map_rows, f"map {index}") for index, map_rows in enumerate(rows)]
+    if not _conjugates(spec, rows):
         raise ArithmeticError("conjugation identity failed for a built map")
     return _certified_system(maps, certificates)
 
 
 def verify_paraboloid_conjugation(spec: ParaboloidSpec) -> bool:
     """Re-check f_i∘η = η∘(c_i·x + d_i) exactly for every base map."""
-    return _conjugates(spec, [_build_map(spec.dim, c, d) for c, d in spec.base_maps])
+    return _conjugates(spec, [_cleared_rows(_build_map(spec.dim, c, d))
+                              for c, d in spec.base_maps])
 
 
 def surface_residual(poly: MultiPoly, cloud: PointCloud) -> float:

@@ -8,14 +8,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from selfaffine import affine
 from selfaffine.affine import (
+    NORM_TOLERANCE,
     AffineMap,
+    ContractionCertificate,
     IteratedFunctionSystem,
     _cleared_rows,
     _float_array,
     _float_map,
     _row_map,
     _rows_to_jsonable,
+    certify_admissible,
     compose,
     fixed_point,
     ifs_from_jsonable,
@@ -27,6 +31,7 @@ from selfaffine.affine import (
     max_row_sum,
     operator_norm,
 )
+from selfaffine.exactlinalg import determinant
 from selfaffine.rationals import format_rational
 
 
@@ -178,6 +183,99 @@ class TestContractionCertificates:
         cert = is_contractive(f)
         assert not cert.contractive
         assert not bool(cert)
+
+
+def _reference_admissibility(f):
+    """The plain rule: determinant, then Fraction row sums, then numpy's SVD.
+
+    Gives the certificate, or the reason certify_admissible gives for refusing f.
+    """
+    if determinant(f.matrix) == 0:
+        return "is not invertible"
+    squared = f.dim * max(sum(abs(x) for x in row) for row in f.matrix) ** 2
+    if squared < 1:
+        return ContractionCertificate(True, "row-sum-bound", math.sqrt(float(squared)))
+    norm = float(np.linalg.norm(np.array(f.matrix, dtype=float), 2))
+    if not norm < 1.0 - NORM_TOLERANCE:
+        return "is not strictly contractive"
+    return ContractionCertificate(True, "spectral-norm", norm)
+
+
+def _admissibility_maps(rng):
+    """Seeded maps of dimension 1..8: dense, lower-triangular, and lower-triangular with a 0 on
+    the diagonal; entries of several sizes, so that every route and every refusal occurs."""
+    for n in range(1, 9):
+        for count in range(250):
+            kind = count % 3
+            scale = Fraction(1, rng.choice([1, 2, n, 2 * n, 4 * n]))
+            matrix = [[scale * Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                       if kind == 0 or j <= i else Fraction(0) for j in range(n)]
+                      for i in range(n)]
+            if kind == 2:
+                zero = rng.randrange(n)
+                matrix[zero][zero] = Fraction(0)
+            translation = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+            yield kind, AffineMap(matrix, translation)
+
+
+class TestAdmissibility:
+    """certify_admissible decides every map on its cleared rows, against the plain rule."""
+
+    @pytest.fixture
+    def determinant_calls(self, monkeypatch):
+        calls = []
+
+        def counted(matrix):
+            calls.append(matrix)
+            return determinant(matrix)
+
+        monkeypatch.setattr(affine, "determinant", counted)
+        return calls
+
+    def test_matches_determinant_and_the_row_sums_on_random_maps(self, determinant_calls):
+        outcomes = set()
+        maps = list(_admissibility_maps(random.Random(27)))
+        assert len(maps) == 2000
+        for index, (kind, f) in enumerate(maps):
+            expected = _reference_admissibility(f)
+            determinant_calls.clear()
+            try:
+                outcome = certify_admissible(f, f"map {index}")
+            except ValueError as exc:
+                assert str(exc) == f"map {index} {expected}"
+                outcome = expected
+            else:
+                assert outcome == expected
+            assert outcome == expected
+            outcomes.add((kind, outcome if isinstance(outcome, str) else outcome.route))
+            upper = any(f.matrix[i][j] for i in range(f.dim) for j in range(i + 1, f.dim))
+            # only a map with an entry above the diagonal asks determinant, on its cleared rows
+            assert determinant_calls == ([[row[1:] for row, _ in _cleared_rows(f)]] if upper else [])
+            if expected != "is not invertible":
+                certificate = is_contractive(f)
+                assert (certificate if certificate else "is not strictly contractive") == expected
+        assert outcomes >= {
+            (0, "is not invertible"), (0, "is not strictly contractive"),
+            (0, "row-sum-bound"), (0, "spectral-norm"),
+            (1, "is not strictly contractive"), (1, "row-sum-bound"), (1, "spectral-norm"),
+            (2, "is not invertible"),
+        }
+        assert {outcome for kind, outcome in outcomes if kind == 2} == {"is not invertible"}
+
+    def test_lower_triangular_zero_diagonal_is_refused_without_determinant(self, determinant_calls):
+        half = {"matrix": [["1/2", "0"], ["0", "1/2"]], "translation": ["0", "0"]}
+        singular = {"matrix": [["1/2", "0"], ["1/3", "0"]], "translation": ["1/2", "0"]}
+        with pytest.raises(ValueError, match="^map 1 is not invertible$"):
+            ifs_from_jsonable({"dim": 2, "maps": [half, singular]})
+        assert determinant_calls == []
+
+    def test_upper_entry_asks_determinant(self, determinant_calls):
+        # [[1/2, 1/2], [1/4, 1/4]] has rank 1 and no 0 on its diagonal
+        singular = AffineMap([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 4), Fraction(1, 4)]],
+                             [Fraction(1, 3), Fraction(0)])
+        with pytest.raises(ValueError, match="^map 0 is not invertible$"):
+            certify_admissible(singular, "map 0")
+        assert determinant_calls == [[[3, 3], [1, 1]]]
 
 
 class TestIteratedFunctionSystem:

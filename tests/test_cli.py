@@ -37,18 +37,18 @@ def run_traced(capsys, *argv):
 
 
 @pytest.fixture
-def contraction_calls(monkeypatch):
-    """The maps passed to is_contractive, wherever the package has it bound."""
+def certified_calls(monkeypatch):
+    """The cleared rows passed to the admissibility check, wherever the package has it bound."""
     calls = []
-    original = affine.is_contractive
+    original = affine._certify_rows
 
-    def counted(f):
-        calls.append(f)
-        return original(f)
+    def counted(rows, where):
+        calls.append(rows)
+        return original(rows, where)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("selfaffine") and getattr(module, "is_contractive", None) is original:
-            monkeypatch.setattr(module, "is_contractive", counted)
+        if name.startswith("selfaffine") and getattr(module, "_certify_rows", None) is original:
+            monkeypatch.setattr(module, "_certify_rows", counted)
     return calls
 
 
@@ -213,8 +213,8 @@ class TestBuildMoment:
         capsys.readouterr()
         assert path.read_bytes() == (DATA / "build_moment_dim3.json").read_bytes()
 
-    def test_certifies_each_map_once(self, contraction_calls, capsys, monkeypatch):
-        # the built maps take the closed-form row-sum certificate, equal to is_contractive's
+    def test_certifies_each_map_once(self, certified_calls, capsys, monkeypatch):
+        # each built map is certified once on its integer rows, equal to is_contractive's
         recipes = []
         original = cli.build_moment_ifs
         monkeypatch.setattr(cli, "build_moment_ifs",
@@ -223,8 +223,8 @@ class TestBuildMoment:
                            "--d", "1", "--lambda", "1/25")
         assert code == 0
         assert len(json.loads(out)["maps"]) == 25
-        assert len(contraction_calls) == 0
         [recipe] = recipes
+        assert certified_calls == recipe._rows
         assert len(recipe.ifs.certificates) == 25
         for f, certificate in zip(recipe.ifs.maps, recipe.ifs.certificates):
             assert certificate == affine.is_contractive(f)
@@ -245,11 +245,11 @@ class TestParaboloid:
         assert out.splitlines()[2] == ("[row-sum-bound] 1/2 maps certified by the exact row-sum "
                                        "route; all norms < 1 (worst bound 0.890388)")
 
-    def test_certifies_each_map_once(self, contraction_calls, capsys):
+    def test_certifies_each_map_once(self, certified_calls, capsys):
         code, _, _ = run(capsys, "paraboloid", "--dim", "3", "--c", "0",
                          "--d", "1", "--base", "1/2:0,1/2:1/2")
         assert code == 0
-        assert len(contraction_calls) == 2
+        assert len(certified_calls) == 2
 
     def test_dimension_above_cap_refused_before_any_map(self, monkeypatch, capsys):
         def refused(dim, c, d):
@@ -550,8 +550,9 @@ class TestRecipeReading:
         moment_file.write_text(json.dumps(data))
         out_code, out, err = run(capsys, "verify", str(moment_file), "--points", "8")
         assert out_code == code
-        # only the tampered map goes through the parser and determinant
-        assert len(determinant_calls) == (0 if code == 2 else 1)
+        # only the tampered map goes through the parser, and only an entry above the
+        # diagonal takes it to determinant: the others leave it lower-triangular
+        assert len(determinant_calls) == (kind == "above-diagonal")
         if code == 2:
             assert json.loads(err)["error"].startswith("map 6 matrix")
         else:
@@ -598,15 +599,16 @@ class TestRecipeReading:
             assert run(capsys, *argv)[0] == 0
         assert determinant_calls == []
 
-    # determinant calls: a rejected meta, read or checked before any map,
-    # leaves every map to ifs_from_jsonable alone
-    @pytest.mark.parametrize("meta, determinants", [
+    # maps certified: a rejected meta, read or checked before any map, leaves every
+    # map to ifs_from_jsonable alone; lower-triangular, none of them asks determinant
+    @pytest.mark.parametrize("meta, certified", [
         ("missing", 25), ("decimal-lambda", 25), ("non-array-anchors", 25),
         ("broken-tiling", 25), ("other-dimension", 25),
     ])
     @pytest.mark.parametrize("command", ["chaos", "render"])
     def test_rejected_meta_keeps_the_output(
-        self, moment_file, tmp_path, determinant_calls, meta, determinants, command, capsys
+        self, moment_file, tmp_path, determinant_calls, certified_calls, meta, certified, command,
+        capsys
     ):
         expected, actual = tmp_path / "expected", tmp_path / "actual"
         argv = ["--points", "300", "--seed", "5", "--output"]
@@ -623,10 +625,12 @@ class TestRecipeReading:
         else:
             data["meta"]["n"] = 3
         moment_file.write_text(json.dumps(data))
+        certified_calls.clear()
         code, out, err = run(capsys, command, str(moment_file), *argv, str(actual))
         assert (code, out, err) == (0, "", "")
         assert actual.read_bytes() == expected.read_bytes()
-        assert len(determinant_calls) == determinants
+        assert len(certified_calls) == certified
+        assert determinant_calls == []
 
 
 class TestScaling:

@@ -26,11 +26,7 @@ from selfaffine.moment import (
     recipe_to_jsonable,
     verify_moment_invariance,
 )
-from selfaffine.moment import (
-    InvarianceCounterexample,
-    InvarianceReport,
-    _built_certificate,
-)
+from selfaffine.moment import InvarianceCounterexample, InvarianceReport
 from selfaffine.rationals import _clear_denominators, format_rational
 
 
@@ -529,7 +525,8 @@ class TestRecipeReader:
             read = read_recipe(copy.deepcopy(data))
             assert determinant_calls == []
             parsed = ifs_from_jsonable(data)
-            assert len(determinant_calls) == len(parsed)
+            # the parsed maps are lower-triangular with diagonal λᵏ ≠ 0: no determinant either
+            assert determinant_calls == []
             assert (read.spec, read.ratio, read.anchors) == (
                 recipe.spec, recipe.ratio, recipe.anchors)
             assert len(read.ifs) == len(parsed) == len(recipe.ifs)
@@ -586,8 +583,9 @@ class TestRecipeReader:
             assert entry["matrix"][0][1] == "0"
             entry["matrix"][0][1] = 0
         read = read_recipe(data)
-        assert len(determinant_calls) == 1
-        assert determinant_calls[0] == read.ifs.maps[5].matrix
+        # only an entry above the diagonal leaves the map to determinant, on its cleared rows
+        assert determinant_calls == ([[row[1:] for row, _ in _cleared_rows(read.ifs.maps[5])]]
+                                     if kind == "above-diagonal" else [])
         assert (read.ifs.maps[5] != recipe.ifs.maps[5]) == changes_value
         report = verify_moment_invariance(read, [Fraction(k, 4) for k in range(5)])
         named = {bad.map_index for bad in report.counterexamples}
@@ -777,15 +775,31 @@ class TestEarlyStop:
 
 
 @pytest.fixture
-def contraction_calls(monkeypatch):
-    """The maps passed to is_contractive, by the IFS readers and by build_moment_ifs."""
+def certified_calls(monkeypatch):
+    """The cleared rows certified, by the IFS readers and by build_moment_ifs."""
     calls = []
+    original = affine._certify_rows
 
-    def counted(f):
-        calls.append(f)
-        return is_contractive(f)
+    def counted(rows, where):
+        calls.append(rows)
+        return original(rows, where)
 
-    monkeypatch.setattr(affine, "is_contractive", counted)
+    monkeypatch.setattr(affine, "_certify_rows", counted)
+    monkeypatch.setattr(moment, "_certify_rows", counted)
+    return calls
+
+
+@pytest.fixture
+def norm_calls(monkeypatch):
+    """The matrices whose spectral norm the contraction test takes."""
+    calls = []
+    original = affine.operator_norm
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    monkeypatch.setattr(affine, "operator_norm", counted)
     return calls
 
 
@@ -801,7 +815,7 @@ def _built_document(n, c, d, ratio, anchors):
 
 
 class TestBuiltCertificate:
-    def test_closed_form_equals_is_contractive(self):
+    def test_built_rows_certificate_equals_is_contractive(self):
         routes = set()
         for n in (2, 3, 4, 5):
             for c in (Fraction(0), Fraction(-1), Fraction(-1, 2)):
@@ -811,56 +825,62 @@ class TestBuiltCertificate:
                         line = _line(ratio, anchor - ratio * c)
                         f = _plain_map(n, line)
                         certificate = is_contractive(f)
-                        routes.add(certificate.route)
-                        if certificate.route == "row-sum-bound":
-                            assert _built_certificate(n, line) == certificate
+                        routes.add((certificate.route, certificate.contractive))
+                        rows = list(moment._moment_rows(n, line))
+                        if certificate:
+                            assert affine._certify_rows(rows, "map 3") == certificate
                         else:
-                            assert _built_certificate(n, line) is None
-        assert routes == {"row-sum-bound", "spectral-norm"}
+                            with pytest.raises(ValueError, match="^map 3 is not strictly contractive$"):
+                                affine._certify_rows(rows, "map 3")
+        assert routes == {("row-sum-bound", True), ("spectral-norm", True), ("spectral-norm", False)}
 
-    def test_built_and_read_maps_take_the_closed_form(self, contraction_calls):
+    def test_built_and_read_maps_are_certified_on_their_rows(self, certified_calls,
+                                                            determinant_calls):
         built = []
         for n, c in [(2, 0), (2, -1), (2, Fraction(-1, 2)), (3, 0), (3, -1), (3, Fraction(-1, 2)),
                      (4, 0)]:
             spec = MomentCurveSpec(n, Fraction(c), Fraction(c) + 1)
             ratio = lambda_bound(spec)
             built.append(build_moment_ifs(spec, ratio, choose_anchors(spec, ratio)))
+        # each map is certified once, on the rows it is kept as, and none asks determinant
+        assert certified_calls == [rows for recipe in built for rows in recipe._rows]
         documents = [recipe_to_jsonable(recipe) for recipe in _seeded_recipes()]
-        contraction_calls.clear()  # the seeded recipes are certified by is_contractive
+        certified_calls.clear()
         read = [read_recipe(data) for data in documents]
-        assert contraction_calls == []
+        assert certified_calls == [rows for recipe in read for rows in recipe._rows]
+        assert determinant_calls == []
         assert {recipe.spec.dim for recipe in read} == {2, 3, 4, 5}
         for recipe in built + read:
             assert recipe.ifs.certificates == tuple(map(is_contractive, recipe.ifs.maps))
 
-    def test_above_lambda_bound_the_spectral_route_decides(self, contraction_calls,
-                                                           determinant_calls):
+    def test_above_lambda_bound_the_spectral_route_decides(self, norm_calls, determinant_calls):
         # n = 2, λ = 1/2, anchors 0 and 1/2: map 1 has row sums 1/2 and 3/4, so n·s² = 9/8
         recipe = _tiling_recipe(2, 0, 1, Fraction(1, 2))
         assert recipe.anchors == (0, Fraction(1, 2))
         assert 2 * max_row_sum(recipe.ifs.maps[1].matrix) ** 2 == Fraction(9, 8)
-        contraction_calls.clear()
+        norm_calls.clear()
         determinant_calls.clear()
         read = read_recipe(recipe_to_jsonable(recipe))
-        assert contraction_calls == [recipe.ifs.maps[1]]
+        # only map 1 leaves the row sums for the spectral norm
+        assert norm_calls == [recipe.ifs.maps[1].matrix]
         assert determinant_calls == []
         assert read.ifs.certificates == recipe.ifs.certificates
         assert [c.route for c in read.ifs.certificates] == ["row-sum-bound", "spectral-norm"]
-        assert _built_certificate(2, _line(recipe.ratio, recipe.anchors[1])) is None
         assert read.ratio > lambda_bound(read.spec)
         assert verify_moment_invariance(read, ()).ok
 
-    def test_not_contractive_built_map_keeps_its_error(self, contraction_calls):
+    def test_not_contractive_built_map_keeps_its_error(self, certified_calls):
         # on [0, 4] at λ = 1/2, map 1 (anchor 2) has matrix [[1/2, 0], [2, 1/4]]
         data = _built_document(2, Fraction(0), Fraction(4), Fraction(1, 2),
                                [Fraction(0), Fraction(2)])
         with pytest.raises(ValueError) as parsed:
             ifs_from_jsonable(copy.deepcopy(data))
-        contraction_calls.clear()
+        certified_calls.clear()
         with pytest.raises(ValueError) as read:
             read_recipe(data)
         assert str(read.value) == str(parsed.value) == "map 1 is not strictly contractive"
-        assert len(contraction_calls) == 1
+        # map 0 passes, and map 1 is refused on its first certification
+        assert len(certified_calls) == 2
 
     @pytest.mark.parametrize("fault, message", [
         ("malformed-map-2", "map 2 matrix must be square"),
@@ -879,7 +899,7 @@ class TestBuiltCertificate:
 
     @pytest.mark.parametrize("kind", ["above-diagonal", "below-diagonal", "translation",
                                       "non-canonical", "integer"])
-    def test_differing_map_is_certified_once(self, kind, determinant_calls, contraction_calls):
+    def test_differing_map_is_certified_once(self, kind, determinant_calls, certified_calls):
         recipe = TestRecipeReader._half_recipe()
         data = recipe_to_jsonable(recipe)
         entry = data["maps"][5]
@@ -894,10 +914,13 @@ class TestBuiltCertificate:
         else:
             entry["matrix"][0][1] = 0
         determinant_calls.clear()
-        contraction_calls.clear()
+        certified_calls.clear()
         read = read_recipe(data)
-        assert determinant_calls == [read.ifs.maps[5].matrix]
-        assert contraction_calls == [read.ifs.maps[5]]
+        # a lower-triangular map, built or tampered below the diagonal, is kept from determinant
+        assert determinant_calls == ([[row[1:] for row, _ in _cleared_rows(read.ifs.maps[5])]]
+                                     if kind == "above-diagonal" else [])
+        assert certified_calls == read._rows
+        assert certified_calls[5] == _cleared_rows(read.ifs.maps[5])
         assert read.ifs.certificates == tuple(map(is_contractive, read.ifs.maps))
 
 
@@ -961,7 +984,7 @@ class TestIntegerRows:
                         line = _line(ratio, anchor - ratio * c)
                         assert list(moment._moment_rows(n, line)) == _cleared_rows(_plain_map(n, line))
 
-    def test_recipes_are_equal_when_their_maps_are(self, determinant_calls):
+    def test_recipes_are_equal_when_their_maps_are(self, determinant_calls, monkeypatch):
         spec, ratio = unit_spec(2), Fraction(1, 25)
         recipe = build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))
         data = recipe_to_jsonable(recipe)
@@ -974,9 +997,14 @@ class TestIntegerRows:
         entry["translation"] = [*map(doubled, entry["translation"])]
         entry["matrix"] = [[*map(doubled, row)] for row in entry["matrix"]]
         assert entry["translation"][0] == "4/50"
+        parsed = []
+        original = moment.map_from_jsonable
+        monkeypatch.setattr(moment, "map_from_jsonable",
+                            lambda entry, n, where: parsed.append(where) or original(entry, n, where))
         determinant_calls.clear()
         read = read_recipe(copy.deepcopy(data))
-        assert len(determinant_calls) == 1  # map 2 was parsed, not taken as built
+        assert parsed == ["map 2"]  # map 2 was parsed, not taken as built
+        assert determinant_calls == []  # and, lower-triangular, certified without determinant
         assert read == recipe
         assert hash(read) == hash(recipe)
         assert len({recipe, read}) == 1

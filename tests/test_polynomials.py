@@ -273,6 +273,33 @@ class TestFixedPointSweep:
         with pytest.raises(ValueError):
             verify_fixed_points_on_surface(p, maps, 64)
 
+    # each violation can fire only where the code it guards is wrong: every word's composite
+    # is a scaling factor (P∘(f∘g) = C_f·C_g·P) with |C| < 1, and P vanishes at its fixed point
+    def test_non_scaling_composite_is_reported(self, monkeypatch):
+        # P(x/2, x2/4) = x2/4 − x1/2 is no multiple of x2 − x1
+        skew = AffineMap([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 4)]], [0, 0])
+        monkeypatch.setattr(polynomials, "compose", lambda f, g: skew)
+        report = verify_fixed_points_on_surface(antidiagonal_line(),
+                                                [half_map(), shifted_half_map()], 2)
+        assert report.words_checked == 2
+        assert report.violations == tuple(f"word {word}: composite is not a scaling factor"
+                                          for word in [(0, 0), (0, 1), (1, 0), (1, 1)])
+
+    def test_expanding_composite_is_reported(self, monkeypatch):
+        # P∘(2·I) = 2·P, and 2·I fixes 0, which lies on the line: only |C| is wrong
+        double = AffineMap([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(2)]], [0, 0])
+        monkeypatch.setattr(polynomials, "compose", lambda f, g: double)
+        report = verify_fixed_points_on_surface(antidiagonal_line(), [half_map()], 2)
+        assert report.words_checked == 2
+        assert report.violations == ("word (0, 0): |C| = 2 is not below 1",)
+
+    def test_fixed_point_off_the_zero_set_is_reported(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "fixed_point", lambda f: (Fraction(1), Fraction(0)))
+        report = verify_fixed_points_on_surface(antidiagonal_line(), [half_map()], 2)
+        assert [check.fixed_point_value for check in report.checks] == [-1, -1]
+        assert report.violations == tuple(f"word {word}: fixed point is off the zero set, P = -1"
+                                          for word in [(0,), (0, 0)])
+
     @pytest.mark.parametrize("index, matrix, message", [
         # f(x) = (1/3, 1/3) lies on the line, so P∘f = 0·P: a scaling factor, but singular
         (0, [[0, 0], [0, 0]], "map 0 is not invertible"),

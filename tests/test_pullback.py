@@ -1,5 +1,6 @@
 """Pullback polynomials, coefficient rank, witnesses, diameter decay."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -145,8 +146,49 @@ class TestDependencyWitness:
         with pytest.raises(ValueError):
             dependency_witness(seq, 11, basis)
 
+    def test_wrong_coefficients_fail_the_re_expansion(self, monkeypatch):
+        seq = pullback_sequence(circle_polynomial(), half_map(), 5)
+        _, basis = coefficient_span_dimension(seq)
+        original = pullback.express_in_span
+        monkeypatch.setattr(pullback, "express_in_span", lambda vectors, target: tuple(
+            c + 1 for c in original(vectors, target)))
+        with pytest.raises(ArithmeticError, match="witness re-expansion failed"):
+            dependency_witness(seq, 2, basis)
+
+
+def _change_pushed_cloud(monkeypatch, change):
+    """Let diameter_decay_report see change(j, points) in place of its cloud pushed j times."""
+    steps = itertools.count()
+    monkeypatch.setattr(pullback, "PointCloud",
+                        lambda dim, points: PointCloud(dim, change(next(steps), points)))
+
 
 class TestDiameterDecay:
+    # f = I/2 pushes the circle onto S(P_j), of diameter 2·2⁻ʲ = ‖M‖ʲ·diam S: each violation
+    # below fires only on a cloud that the push did not give
+    def test_cloud_off_the_zero_set_is_reported(self, monkeypatch):
+        _change_pushed_cloud(monkeypatch, lambda j, points: points + 0.25 if j == 1 else points)
+        report = diameter_decay_report(pullback_sequence(circle_polynomial(), half_map(), 3),
+                                       circle_cloud())
+        assert [v.split(":")[0] for v in report.violations] == ["j=1"]
+        assert report.violations[0].startswith("j=1: residual ")
+        assert report.violations[0].endswith(" above tolerance")
+
+    def test_diameter_above_the_norm_bound_is_reported(self, monkeypatch):
+        _change_pushed_cloud(monkeypatch, lambda j, points: points * 2 if j == 1 else points)
+        report = diameter_decay_report(pullback_sequence(circle_polynomial(), half_map(), 3),
+                                       circle_cloud())
+        assert report.rows[1].sampled_diameter == pytest.approx(2.0)
+        assert "j=1: diameter 2.0 above bound 1.000000001" in report.violations
+
+    def test_diameter_that_grows_again_is_reported(self, monkeypatch):
+        # diameters 2, 1, then 2 again: below the base at j = 1, above it at j = 2
+        _change_pushed_cloud(monkeypatch, lambda j, points: points * 4 if j == 2 else points)
+        report = diameter_decay_report(pullback_sequence(circle_polynomial(), half_map(), 3),
+                                       circle_cloud())
+        assert [row.sampled_diameter for row in report.rows] == pytest.approx([2, 1, 2, 0.25])
+        assert "j=2: diameter stopped decreasing" in report.violations
+
     def test_circle_half_scaling_table(self):
         seq = pullback_sequence(circle_polynomial(), half_map(), 10)
         report = diameter_decay_report(seq, circle_cloud())

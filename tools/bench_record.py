@@ -12,6 +12,10 @@ each side's median and quartiles per metric, the pairs the change won,
 both commits with the line count of their ``src/``, and the environment:
 Python version, whether gmpy2 is installed, the numpy and scipy versions
 (null when absent), CPU count and platform.
+Before each workload's runs it also records, per side, the median
+cumulative ``python -X importtime -c "import selfaffine.cli"`` over ten
+fresh processes, alternating the sides, so that a ``setup_s`` reading can
+be set against what the package import costs.
 Running the script again with the same output file adds or replaces the
 named workload and keeps the others; the commits and the environment
 must match.
@@ -33,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+IMPORT_SAMPLES = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -78,6 +83,29 @@ def environment() -> dict:
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
     }
+
+
+def import_ms(checkout: Path) -> float:
+    """The cumulative -X importtime of selfaffine.cli, in ms, in one fresh process on checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-X", "importtime", "-c", "import selfaffine.cli"],
+                            cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    for line in result.stderr.splitlines():
+        fields = line.split("|")
+        if len(fields) == 3 and fields[2].strip() == "selfaffine.cli":
+            return int(fields[1]) / 1000
+    raise SystemExit(f"{checkout}: -X importtime printed no line for selfaffine.cli")
+
+
+def import_costs(checkouts: dict) -> dict:
+    """Each side's median import_ms over IMPORT_SAMPLES processes, the sides alternating."""
+    samples = {side: [] for side in SIDES}
+    for number in range(IMPORT_SAMPLES):
+        for side in (SIDES if number % 2 == 0 else SIDES[::-1]):
+            samples[side].append(import_ms(checkouts[side]))
+    return {side: {"median": statistics.median(values), "runs": values}
+            for side, values in samples.items()}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -148,6 +176,9 @@ def main(argv=None) -> int:
     record.update(header)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
 
+    imports = import_costs(checkouts)
+    print("import selfaffine.cli: " + ", ".join(
+        f"{side} {imports[side]['median']:.1f} ms" for side in SIDES), file=sys.stderr)
     runs = {side: [] for side in SIDES}
     for number, seed in enumerate(args.seeds):
         order = SIDES if number % 2 == 0 else SIDES[::-1]
@@ -161,6 +192,7 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed <seed> "
                    f"--seconds {args.seconds:g} --trace 0",
         "seeds": args.seeds,
+        "import_cli_ms": imports,
         "runs": runs,
         "failed_jobs": {side: f"{sum(run['failed'] for run in runs[side])}/"
                               f"{sum(run['attempted'] for run in runs[side])}" for side in SIDES},
