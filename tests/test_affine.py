@@ -244,8 +244,6 @@ class TestAdmissibility:
             except ValueError as exc:
                 assert str(exc) == f"map {index} {expected}"
                 outcome = expected
-            else:
-                assert outcome == expected
             assert outcome == expected
             outcomes.add((kind, outcome if isinstance(outcome, str) else outcome.route))
             upper = any(f.matrix[i][j] for i in range(f.dim) for j in range(i + 1, f.dim))
