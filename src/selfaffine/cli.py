@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -312,6 +313,7 @@ def _cmd_compactness_demo(args) -> int:
     return 0
 
 
+@cache  # built on the first main() call, then reused by every later call in the process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="selfaffine",

@@ -134,7 +134,7 @@ def _check_recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, dim, count) -
         raise ValueError("contraction ratio must lie in (0, 1)")
     c, d = spec.c, spec.d
     distinct = [t for t, _ in groupby(sorted(anchors))]  # equal anchors have equal images
-    if any(not c <= t <= d for t in distinct):
+    if distinct and not (c <= distinct[0] and distinct[-1] <= d):  # sorted: its ends decide
         raise ValueError("every anchor must lie in [c, d]")
     if len(anchors) != count:
         raise ValueError("one anchor per map is required")

@@ -1,7 +1,10 @@
 """Command-line interface: subcommand behaviors, exit codes, determinism."""
 
+import argparse
 import contextlib
 import dataclasses
+import os
+import subprocess
 import io
 import json
 import sys
@@ -190,6 +193,14 @@ class TestBuildMoment:
         assert out == ""
         assert json.loads(err) == {"error": "an iterated function system needs at least one map"}
 
+    def test_unparsable_anchor_is_input_error(self, capsys):
+        code, out, err = run(capsys, "build-moment", "--dim", "2", "--c", "0", "--d", "1",
+                             "--anchors", "0,1/x")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "--anchors: not a rational 'p/q' or integer string: '1/x'"
+        }
+
     def test_float_ratio_rejected(self, capsys):
         code, _, err = run(capsys, "build-moment", "--dim", "2", "--c", "0",
                            "--d", "1", "--lambda", "0.04")
@@ -260,6 +271,26 @@ class TestParaboloid:
                              "--d", "1", "--base", "1/2:0,1/2:1/2")
         assert (code, out) == (2, "")
         assert err == '{"error": "dimension 100000 is above the cap 256"}\n'
+
+    @pytest.mark.parametrize("base, message", [
+        ("1/2", "--base expects comma-separated c:d pairs, e.g. 1/2:0,1/2:1/2"),
+        (",,", "--base needs at least one c:d pair"),
+    ], ids=["no-colon", "no-pair"])
+    def test_malformed_base_is_input_error(self, base, message, capsys):
+        code, out, err = run(capsys, "paraboloid", "--dim", "3", "--c", "0", "--d", "1",
+                             f"--base={base}")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": message}
+
+    def test_empty_base_pieces_are_skipped(self, tmp_path, capsys):
+        written = []
+        for name, base in (("plain", "1/2:0,1/2:1/2"), ("gap", "1/2:0,,1/2:1/2")):
+            path = tmp_path / f"{name}.json"
+            code, out, err = run(capsys, "paraboloid", "--dim", "3", "--c", "0", "--d", "1",
+                                 "--base", base, "--output", str(path))
+            assert code == 0
+            written.append((path.read_bytes(), out, err))
+        assert written[0] == written[1]
 
     def test_bad_base_tiling_is_input_error(self, capsys):
         code, _, err = run(capsys, "paraboloid", "--dim", "3", "--c", "0",
@@ -1122,3 +1153,98 @@ class TestArgumentErrors:
                              "--format", "json")
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == "scaling supports --format {text}, got 'json'"
+
+    def test_broken_stdout_pipe_exits_quietly(self, moment_file, monkeypatch, capsys):
+        # a reader that closes the pipe early, as `selfaffine chaos ... | head` does
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["chaos", str(moment_file), "--points", "10"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def fresh_run(cwd, *argv):
+    """Exit code, stdout and stderr of `python -m selfaffine.cli argv` in a new process."""
+    source = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=source, PYTHONIOENCODING="utf-8")
+    result = subprocess.run([sys.executable, "-m", "selfaffine.cli", *argv], cwd=cwd, env=env,
+                            capture_output=True, text=True, encoding="utf-8", timeout=120)
+    return result.returncode, result.stdout, result.stderr
+
+
+def exiting_run(capsys, *argv):
+    """run(), also for argv that argparse answers by exiting (--help, usage errors)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def germ_files(tmp_path):
+    """(x, x³) under diag(1/2, 1/8) at order 6: a verdict at full order, an error at order 4."""
+    coords = [["0", "1", "0", "0", "0", "0", "0"], ["0", "0", "0", "1", "0", "0", "0"]]
+    (tmp_path / "gap.json").write_text(json.dumps({"t0": "0", "order": 6, "coords": coords}))
+    (tmp_path / "gap-map.json").write_text(json.dumps({"matrix": [["1/2", "0"], ["0", "1/8"]]}))
+    return str(tmp_path / "gap.json"), str(tmp_path / "gap-map.json")
+
+
+class TestReusedParser:
+    """main() builds its parser on the first call and reuses it for every later call."""
+
+    def test_parser_is_built_on_the_first_call_only(self, moment_file, germ_files,
+                                                    monkeypatch, capsys):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli.build_parser.cache_clear()
+        counts = []
+        for argv in (["verify", str(moment_file), "--points", "5"],
+                     ["chaos", str(moment_file), "--points", "10"],
+                     ["classify", *germ_files, "--t1", "1"]):
+            assert run(capsys, *argv)[0] == 0
+            counts.append(len(built))
+        assert counts == [9, 9, 9]  # the program's parser and one per subcommand
+
+    @pytest.mark.parametrize("option, rest, default", [
+        (["--seed", "5"], ["chaos", "{ifs}", "--points", "50"], ["--seed", "0"]),
+        (["--project", "2", "1"], ["render", "{ifs}", "--points", "50"], ["--project", "0", "1"]),
+        (["--order", "4"], ["classify", "{germ}", "{map}", "--t1", "1"], []),
+    ], ids=["chaos-seed", "render-project", "classify-order"])
+    def test_no_option_leaks_into_the_next_call(self, option, rest, default, tmp_path,
+                                                germ_files, capsys):
+        ifs = tmp_path / "moment3.json"
+        assert main(["build-moment", "--dim", "3", "--c", "0", "--d", "1",
+                     "--output", str(ifs)]) == 0
+        names = {"ifs": str(ifs), "germ": germ_files[0], "map": germ_files[1]}
+        argv = [piece.format(**names) for piece in rest]
+        with_option = run(capsys, *argv, *option)
+        without = run(capsys, *argv)
+        assert without == fresh_run(tmp_path, *argv, *default)
+        assert without != with_option
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["chaos", "--help"],
+        ["chaos", "x.json", "--points", "1e3"],
+        ["verify"],
+        ["frobnicate"],
+    ], ids=["help", "chaos-help", "bad-int", "missing-file", "unknown-subcommand"])
+    def test_help_and_usage_errors_are_the_same_on_every_call(self, argv, tmp_path,
+                                                               monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "100")  # argparse wraps its text to the terminal width
+        cli.build_parser.cache_clear()
+        first = exiting_run(capsys, *argv)
+        later = exiting_run(capsys, *argv)
+        assert first == later == fresh_run(tmp_path, *argv)
+        assert first[0] == (0 if "--help" in argv else 2)
+        assert first[1 if "--help" in argv else 2].startswith("usage: selfaffine")

@@ -225,6 +225,18 @@ class TestBuildMomentIfs:
                 translation = tuple(-sum(m * x for m, x in zip(row, base)) for row in matrix)
                 assert f == AffineMap(matrix, translation)
 
+    @pytest.mark.parametrize("anchors, dim, count, message", [
+        ([Fraction(-1, 4), Fraction(1, 2)], 3, 5, r"every anchor must lie in \[c, d\]"),
+        ([Fraction(0), Fraction(5, 4)], 3, 5, r"every anchor must lie in \[c, d\]"),
+        ([], 2, 1, "one anchor per map is required"),
+        ([], 3, 0, "system dimension must match the curve dimension"),
+        ([], 2, 0, "an iterated function system needs at least one map"),
+    ], ids=["below-c", "above-d", "empty-short", "empty-wrong-dim", "empty"])
+    def test_recipe_errors_keep_their_order(self, anchors, dim, count, message):
+        # the anchors' range is read off the ends of the sorted anchors, before any other check
+        with pytest.raises(ValueError, match=message):
+            moment._check_recipe(unit_spec(2), Fraction(1, 2), anchors, dim, count)
+
     @pytest.mark.parametrize("case", ["non-tiling", "above-guard"])
     def test_recipe_is_checked_before_any_map_is_built(self, case, monkeypatch):
         # 60,000 anchors 0 miss the endpoint 1; _MAP_GUARD + 1 anchors i/count tile [0, 1]
