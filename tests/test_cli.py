@@ -3,10 +3,10 @@
 import argparse
 import contextlib
 import dataclasses
-import os
-import subprocess
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -1184,6 +1184,15 @@ def exiting_run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture(scope="module")
+def moment3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("reuse") / "moment3.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build-moment", "--dim", "3", "--c", "0", "--d", "1",
+                     "--output", str(path)]) == 0
+    return path
+
+
 @pytest.fixture
 def germ_files(tmp_path):
     """(x, x³) under diag(1/2, 1/8) at order 6: a verdict at full order, an error at order 4."""
@@ -1221,11 +1230,8 @@ class TestReusedParser:
         (["--order", "4"], ["classify", "{germ}", "{map}", "--t1", "1"], []),
     ], ids=["chaos-seed", "render-project", "classify-order"])
     def test_no_option_leaks_into_the_next_call(self, option, rest, default, tmp_path,
-                                                germ_files, capsys):
-        ifs = tmp_path / "moment3.json"
-        assert main(["build-moment", "--dim", "3", "--c", "0", "--d", "1",
-                     "--output", str(ifs)]) == 0
-        names = {"ifs": str(ifs), "germ": germ_files[0], "map": germ_files[1]}
+                                                moment3_file, germ_files, capsys):
+        names = {"ifs": str(moment3_file), "germ": germ_files[0], "map": germ_files[1]}
         argv = [piece.format(**names) for piece in rest]
         with_option = run(capsys, *argv, *option)
         without = run(capsys, *argv)
