@@ -7,21 +7,24 @@ row-sum bound cannot certify contraction, and through _float_array and
 _float_map, the exact-to-float conversions of the numeric samplers.
 numpy is imported inside these alone, so exact work never loads it.  A
 map leaves the exact core as its cleared rows, which _float_map turns
-into floats and _rows_to_jsonable into strings, for every system alike.
+into floats and _rows_to_jsonable into strings, for every system alike.  A map
+object read from JSON enters it the same way: _map_rows reads each entry into an
+integer ratio and each row straight into its cleared integers, with no Fraction.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .exactlinalg import (
     Matrix, Vector, as_matrix, as_vector, determinant, mat_inverse, mat_mul, mat_vec, solve,
 )
-from .rationals import _clear_denominators, parse_rational
+from .rationals import _clear_denominators, _clear_ratios, _ratio
 
 __all__ = [
     "NORM_TOLERANCE", "AffineMap", "ContractionCertificate", "IteratedFunctionSystem", "compose",
@@ -88,10 +91,15 @@ def invert(f: AffineMap) -> AffineMap:
 
 def fixed_point(f: AffineMap) -> Vector:
     """The unique x with f(x) = x, solved exactly from (I − M)x = a."""
-    n = f.dim
-    system = tuple(tuple(int(i == j) - f.matrix[i][j] for j in range(n)) for i in range(n))
+    return _fixed_point(_cleared_rows(f))
+
+
+def _fixed_point(rows) -> Vector:
+    """fixed_point of the map of cleared rows, solved from the integer rows of s·(I − M)x = s·a."""
+    system = [[scale * (i == j) - x for j, x in enumerate(row[1:])]
+              for i, (row, scale) in enumerate(rows)]
     try:
-        return solve(system, f.translation)
+        return solve(system, [row[0] for row, _ in rows])
     except ValueError:
         raise ValueError("map has 1 as an eigenvalue; fixed point is not unique") from None
 
@@ -178,7 +186,7 @@ def _contraction(rows) -> ContractionCertificate:
     bound, square = len(rows) * top * top, scale * scale
     if bound < square:
         return ContractionCertificate(True, "row-sum-bound", math.sqrt(bound / square))
-    norm = operator_norm(_row_map(rows).matrix)
+    norm = operator_norm(tuple(tuple(Fraction(x, scale) for x in row[1:]) for row, scale in rows))
     return ContractionCertificate(norm < 1.0 - NORM_TOLERANCE, "spectral-norm", norm)
 
 
@@ -213,27 +221,45 @@ def certify_admissible(f: AffineMap, where: str = "map") -> ContractionCertifica
     return _certify_rows(_cleared_rows(f), where)
 
 
-@dataclass(frozen=True)
 class IteratedFunctionSystem:
     """A nonempty family of invertible, strictly contractive affine maps.
 
-    certificates holds the contraction certificate of each map, in order.
+    Each map is held as its rows, translation entry first, as integers over their
+    least denominator (_cleared_rows), and certified once on them; certificates holds
+    the contraction certificate of each map, in order.  A system read from a file
+    (ifs_from_jsonable) builds `maps` from its rows when first asked, so sampling it
+    makes no AffineMap.  Equal maps have equal rows, so systems compare by their rows.
     """
 
-    maps: tuple[AffineMap, ...]
-    certificates: tuple[ContractionCertificate, ...] = field(
-        default=(), init=False, repr=False, compare=False
-    )
+    def __init__(self, maps: Sequence[AffineMap]) -> None:
+        maps = tuple(maps)
+        if not maps:
+            raise ValueError("an iterated function system needs at least one map")
+        dim = maps[0].dim
+        rows, certificates = [], []
+        for index, current in enumerate(maps):
+            if current.dim != dim:
+                raise ValueError(f"map {index} has dimension {current.dim}, expected {dim}")
+            rows.append(_cleared_rows(current))
+            certificates.append(_certify_rows(rows[-1], f"map {index}"))
+        vars(self).update(maps=maps, _rows=rows, certificates=tuple(certificates))
 
-    def __post_init__(self) -> None:
-        _certified_system(self.maps, ifs=self)
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def maps(self) -> tuple[AffineMap, ...]:
+        return tuple(map(_row_map, self._rows))
 
     @property
     def dim(self) -> int:
-        return self.maps[0].dim
+        return len(self._rows[0])
 
     def __len__(self) -> int:
-        return len(self.maps)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[AffineMap]:
         return iter(self.maps)
@@ -241,31 +267,22 @@ class IteratedFunctionSystem:
     def __getitem__(self, index: int) -> AffineMap:
         return self.maps[index]
 
-    @property
-    def _rows(self) -> list:
-        """Each map's _cleared_rows, computed on each call, as a MomentIfsRecipe holds them."""
-        return [_cleared_rows(f) for f in self.maps]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IteratedFunctionSystem):
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __hash__(self) -> int:
+        return hash(tuple((tuple(row), scale) for rows in self._rows for row, scale in rows))
+
+    def __repr__(self) -> str:
+        return f"IteratedFunctionSystem(maps={self.maps!r})"
 
 
-def _certified_system(maps, certificates=(), ifs=None) -> IteratedFunctionSystem:
-    """`maps` as a system, each map certified once, stored on `ifs` (by default a new one).
-
-    `certificates` gives one certificate per map, drawn in order as the maps are
-    checked; without them each map is certified in full by certify_admissible.
-    """
-    ifs = object.__new__(IteratedFunctionSystem) if ifs is None else ifs
-    maps = tuple(maps)
-    if not maps:
-        raise ValueError("an iterated function system needs at least one map")
-    dim = maps[0].dim
-    known = iter(certificates)
-    certified = []
-    for index, current in enumerate(maps):
-        if current.dim != dim:
-            raise ValueError(f"map {index} has dimension {current.dim}, expected {dim}")
-        certified.append(next(known, None) or certify_admissible(current, f"map {index}"))
-    object.__setattr__(ifs, "maps", maps)
-    object.__setattr__(ifs, "certificates", tuple(certified))
+def _row_system(rows, certificates) -> IteratedFunctionSystem:
+    """The system of maps given as certified cleared rows, with one certificate per map."""
+    ifs = object.__new__(IteratedFunctionSystem)
+    vars(ifs).update(_rows=rows, certificates=tuple(certificates))
     return ifs
 
 
@@ -287,9 +304,16 @@ def _row_map(rows) -> AffineMap:
 
 
 def _texts(row: list[int], scale: int) -> list[str]:
-    """format_rational(x/scale) for each x of an integer row, with one gcd per nonzero entry."""
-    commons = [math.gcd(x, scale) if x else scale for x in row]
-    return [str(x // c) if c == scale else f"{x // c}/{scale // c}" for x, c in zip(row, commons)]
+    """format_rational(x/scale) for each x of an integer row, in one pass, a gcd per nonzero x."""
+    texts = []
+    for x in row:
+        if not x:
+            texts.append("0")
+        elif (common := math.gcd(x, scale)) == scale:
+            texts.append(str(x // scale))
+        else:
+            texts.append(f"{x // common}/{scale // common}")
+    return texts
 
 
 def _rows_to_jsonable(rows) -> dict:
@@ -335,15 +359,19 @@ def ifs_to_jsonable(ifs: IteratedFunctionSystem) -> dict:
     return {"dim": ifs.dim, "maps": [_rows_to_jsonable(rows) for rows in ifs._rows]}
 
 
-def _parse_entry(value, where: str) -> Fraction:
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+def _ratios(values, where: str) -> list[tuple[int, int]]:
+    """_ratio of each entry of `values`; a malformed entry j raises ValueError naming where[j]."""
+    ratios = []
+    for j, value in enumerate(values):
+        try:
+            ratios.append(_ratio(value))
+        except ValueError as exc:
+            raise ValueError(f"{where}[{j}]: {exc}") from None
+    return ratios
 
 
-def matrix_from_jsonable(rows, where: str = "matrix") -> Matrix:
-    """Parse a square array of rational strings (or integers)."""
+def _matrix_ratios(rows, where: str) -> list[list[tuple[int, int]]]:
+    """The _ratio of each entry of a square array, each row's shape checked before its entries."""
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"{where} must be a nonempty array of rows")
     n = len(rows)
@@ -351,27 +379,37 @@ def matrix_from_jsonable(rows, where: str = "matrix") -> Matrix:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"{where} must be square; row {i} has the wrong length")
-        parsed.append(
-            tuple(_parse_entry(x, f"{where}[{i}][{j}]") for j, x in enumerate(row))
-        )
-    return tuple(parsed)
+        parsed.append(_ratios(row, f"{where}[{i}]"))
+    return parsed
+
+
+def _map_rows(entry, dim: Optional[int] = None, where: str = "map") -> list[tuple[list[int], int]]:
+    """The cleared rows (as _cleared_rows gives them) of a map object {"matrix", "translation"}.
+
+    Every entry is read by parse_rational's grammar, and no Fraction is built.  The checks
+    run in this order: the object, each matrix row's shape and then its entries, the row
+    count against `dim`, the translation's length, and its entries; each error names `where`.
+    """
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be an object")
+    matrix = _matrix_ratios(entry.get("matrix"), f"{where} matrix")
+    if dim is not None and len(matrix) != dim:
+        raise ValueError(f"{where}: matrix must have {dim} rows")
+    translation = entry.get("translation")
+    if not isinstance(translation, list) or len(translation) != len(matrix):
+        raise ValueError(f"{where}: translation must have {len(matrix)} entries")
+    offsets = _ratios(translation, f"{where}, translation")
+    return [_clear_ratios([offset, *row]) for offset, row in zip(offsets, matrix)]
+
+
+def matrix_from_jsonable(rows, where: str = "matrix") -> Matrix:
+    """Parse a square array of rational strings (or integers)."""
+    return tuple(tuple(Fraction(p, q) for p, q in row) for row in _matrix_ratios(rows, where))
 
 
 def map_from_jsonable(entry, dim: Optional[int] = None, where: str = "map") -> AffineMap:
     """Parse {"matrix": …, "translation": …} with rational-string entries."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"{where} must be an object")
-    matrix = matrix_from_jsonable(entry.get("matrix"), f"{where} matrix")
-    if dim is not None and len(matrix) != dim:
-        raise ValueError(f"{where}: matrix must have {dim} rows")
-    translation_field = entry.get("translation")
-    if not isinstance(translation_field, list) or len(translation_field) != len(matrix):
-        raise ValueError(f"{where}: translation must have {len(matrix)} entries")
-    translation = tuple(
-        _parse_entry(x, f"{where}, translation[{j}]")
-        for j, x in enumerate(translation_field)
-    )
-    return AffineMap(matrix, translation)
+    return _row_map(_map_rows(entry, dim, where))
 
 
 def map_to_jsonable(f: AffineMap) -> dict:
@@ -392,8 +430,11 @@ def _ifs_header(data) -> tuple[int, list]:
 
 
 def ifs_from_jsonable(data) -> IteratedFunctionSystem:
-    """Parse and validate the dict form produced by ifs_to_jsonable."""
+    """Parse and validate the dict form produced by ifs_to_jsonable.
+
+    Every map is read into its cleared rows before any is certified, once, on those rows.
+    """
     dim, entries = _ifs_header(data)
-    return _certified_system(
-        map_from_jsonable(entry, dim, where=f"map {index}") for index, entry in enumerate(entries)
-    )
+    rows = [_map_rows(entry, dim, f"map {index}") for index, entry in enumerate(entries)]
+    return _row_system(rows, [_certify_rows(map_rows, f"map {index}")
+                              for index, map_rows in enumerate(rows)])

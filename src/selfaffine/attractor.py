@@ -8,7 +8,7 @@ imports numpy when it runs, so importing the package does not.
 
 from __future__ import annotations
 
-from .affine import _WORD_GUARD, _float_array, _float_map, _row_map, fixed_point
+from .affine import _WORD_GUARD, _fixed_point, _float_array, _float_map
 from .cloud import PointCloud
 
 __all__ = ["chaos_game", "diameter"]
@@ -51,7 +51,7 @@ def chaos_game(ifs, iterations: int, burn_in: int, seed: int) -> PointCloud:
     _check_steps(iterations, burn_in, len(rows[0]))
     rng = np.random.Generator(np.random.PCG64(seed))
     matrices, translations = zip(*map(_float_map, rows))
-    x = _float_array(fixed_point(_row_map(rows[0])))
+    x = _float_array(_fixed_point(rows[0]))
     # a view of the drawn indices iterates as Python ints, with no list of them held
     choices = memoryview(rng.integers(0, len(matrices), size=iterations))
     steps = np.empty((iterations, len(x)))

@@ -50,11 +50,14 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 
 def _load_json(path: str):
+    """The JSON document at `path`; bad JSON, bad UTF-8 or deep nesting raise ValueError naming it."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except RecursionError:
             raise ValueError(f"{path}: JSON nesting is too deep") from None
+        except ValueError as exc:  # json.JSONDecodeError and UnicodeDecodeError alike
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_anchor_list(text: str) -> list[Fraction]:

@@ -18,8 +18,8 @@ from operator import mul
 from typing import Sequence
 
 from .affine import (
-    IteratedFunctionSystem, _certified_system, _certify_rows, _cleared_rows, _ifs_header,
-    _lift_failures, _line, _row_map, _rows_to_jsonable, _texts, map_from_jsonable,
+    IteratedFunctionSystem, _certify_rows, _ifs_header, _lift_failures, _line, _map_rows, _row_map,
+    _row_system, _rows_to_jsonable, _texts,
 )
 from .exactlinalg import as_vector
 from .rationals import (
@@ -116,7 +116,7 @@ class MomentIfsRecipe:
 
     @cached_property
     def ifs(self) -> IteratedFunctionSystem:
-        return _certified_system(map(_row_map, self._rows), self._certificates)
+        return _row_system(self._rows, self._certificates)
 
 
 def _lines(spec: MomentCurveSpec, ratio: Fraction, anchors) -> list[tuple[int, int, int]]:
@@ -191,7 +191,7 @@ def _recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, entries) -> MomentI
     n = spec.dim
     lines = _lines(spec, ratio, anchors)
     rows = [_built_rows(entry, n, line) for entry, line in zip(entries, lines)]
-    rows = [_cleared_rows(map_from_jsonable(entry, n, where=f"map {index}")) if built is None
+    rows = [_map_rows(entry, n, f"map {index}") if built is None
             else built for index, (built, entry) in enumerate(zip(rows, entries))]
     certificates = tuple(_certify_rows(map_rows, f"map {index}")
                          for index, map_rows in enumerate(rows))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine import (
-    AffineMap, IteratedFunctionSystem, _certified_system, _certify_rows, _cleared_rows,
-    _float_array, _lift_failures, _line,
+    AffineMap, IteratedFunctionSystem, _certify_rows, _cleared_rows, _float_array, _lift_failures,
+    _line, _row_system,
 )
 from .cloud import PointCloud
 from .polynomials import MultiPoly
@@ -106,13 +106,12 @@ def build_paraboloid_ifs(spec: ParaboloidSpec) -> IteratedFunctionSystem:
     (n−1)d_i²).  The conjugation identity f_i∘η = η∘(c_i·x + d_i) is
     proven exactly before the system is returned.
     """
-    maps = tuple(_build_map(spec.dim, c, d) for c, d in spec.base_maps)
-    rows = [_cleared_rows(f) for f in maps]
+    rows = [_cleared_rows(_build_map(spec.dim, c, d)) for c, d in spec.base_maps]
     # certified before the proof, so a base that is not contractive fails without proving anything
     certificates = [_certify_rows(map_rows, f"map {index}") for index, map_rows in enumerate(rows)]
     if not _conjugates(spec, rows):
         raise ArithmeticError("conjugation identity failed for a built map")
-    return _certified_system(maps, certificates)
+    return _row_system(rows, certificates)
 
 
 def verify_paraboloid_conjugation(spec: ParaboloidSpec) -> bool:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .affine import _WORD_GUARD, AffineMap, certify_admissible, compose, fixed_point
+from .affine import _WORD_GUARD, AffineMap, _cleared_rows, certify_admissible, compose, fixed_point
 from .rationals import format_rational, parse_rational
 
 __all__ = [
@@ -125,7 +125,15 @@ def evaluate(poly: MultiPoly, point: Sequence) -> Fraction:
 
 
 def compose_affine(poly: MultiPoly, f: AffineMap) -> MultiPoly:
-    """The exact expansion of x ↦ poly(f(x)).
+    """The exact expansion of x ↦ poly(f(x)), on integers.
+
+    Coordinate i of f is its cleared row (t + Σ m_j·x_j)/s.  Its powers, and their
+    products with poly's coefficients, are dicts of integer coefficients over one
+    denominator each, keyed by the exponent written in base deg P + 1: no exponent
+    of a product exceeds deg P, so a product of monomials is a sum of keys.  One
+    lcm of the terms' denominators gives one Fraction per output monomial.  The
+    monomials come in the order a MultiPoly expansion of the same products and
+    sums gives them, so float sums over the terms (surface_residual) do not change.
 
     Under a dense map the powers and P∘f have up to M = C(n + deg P, n)
     monomials, so a product of two takes up to M² term products; above
@@ -138,25 +146,55 @@ def compose_affine(poly: MultiPoly, f: AffineMap) -> MultiPoly:
     if monomials * monomials > _WORD_GUARD:
         raise ValueError(f"degree {poly.degree} in {n} variables allows {monomials} "
                          f"monomials, whose products are above the guard {_WORD_GUARD}")
-    # MultiPoly drops the zero coefficients
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    forms = [MultiPoly(n, {**dict(zip(units, f.matrix[i])), (0,) * n: f.translation[i]})
-             for i in range(n)]
+    base = max(poly.degree, 0) + 1
+    keys = [base**j for j in range(n)] + [0]  # x_j's key, then the constant's
     needed = [max((exponent[i] for exponent in poly.terms), default=0) for i in range(n)]
     powers = []
-    for i in range(n):
-        ladder = [MultiPoly.constant(n, 1)]
-        for _ in range(needed[i]):
-            ladder.append(ladder[-1] * forms[i])
+    for (row, scale), top in zip(_cleared_rows(f), needed):
+        form = {key: x for key, x in zip(keys, row[1:] + row[:1]) if x}
+        ladder = [({0: 1}, 1)]
+        for _ in range(top):
+            power, denominator = ladder[-1]
+            ladder.append((_times(power, form), denominator * scale))
         powers.append(ladder)
-    result = MultiPoly.zero(n)
+    terms = []
     for exponent, coefficient in poly.terms.items():
-        term = MultiPoly.constant(n, coefficient)
-        for i, e in enumerate(exponent):
+        term, denominator = {0: coefficient.numerator}, coefficient.denominator
+        for ladder, e in zip(powers, exponent):
             if e:
-                term = term * powers[i][e]
-        result = result + term
-    return result
+                power, power_denominator = ladder[e]
+                term, denominator = _times(term, power), denominator * power_denominator
+        terms.append((term, denominator))
+    common = math.lcm(*[denominator for _, denominator in terms])
+    total: dict[int, int] = {}
+    for term, denominator in terms:
+        factor = common // denominator
+        for key, x in term.items():
+            value = total.get(key, 0) + x * factor
+            if value:
+                total[key] = value
+            else:  # a cancelled monomial leaves, to come back last if a later term has it
+                del total[key]
+    return MultiPoly(n, {_exponent(key, base, n): Fraction(x, common) for key, x in total.items()})
+
+
+def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two integer polynomials keyed by packed exponents, without its zero terms."""
+    product: dict[int, int] = {}
+    for key_a, x in a.items():
+        for key_b, y in b.items():
+            key = key_a + key_b
+            product[key] = product.get(key, 0) + x * y
+    return {key: x for key, x in product.items() if x}
+
+
+def _exponent(key: int, base: int, n: int) -> tuple[int, ...]:
+    """The exponent multi-index whose digits in `base` make `key`, x1's digit the lowest."""
+    exponent = []
+    for _ in range(n):
+        key, e = divmod(key, base)
+        exponent.append(e)
+    return tuple(exponent)
 
 
 def scaling_constant(poly: MultiPoly, f: AffineMap) -> Optional[Fraction]:

@@ -8,14 +8,11 @@ place where they do.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 __all__ = ["parse_rational", "format_rational", "sqrt_upper_bound"]
 
-# "p/q" with positive denominator, or a bare integer; no decimals, no floats
-_RATIONAL_RE = re.compile(r"^\s*([+-]?\d+)\s*(?:/\s*(\d+)\s*)?$")
 # sqrt_upper_bound's grid: its bound is a multiple of 1/_SQRT_SCALE
 _SQRT_SCALE = 10**6
 
@@ -26,20 +23,35 @@ def parse_rational(text: str | int | Fraction) -> Fraction:
     Rejects decimal notation, zero denominators, booleans, and anything
     else that is not an exact integer ratio.
     """
-    if isinstance(text, bool):
-        raise ValueError(f"booleans are not rationals: {text!r}")
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    match = _RATIONAL_RE.match(str(text))
-    if match is None:
+    return text if isinstance(text, Fraction) else Fraction(*_ratio(text))
+
+
+def _ratio(text) -> tuple[int, int]:
+    """(p, q), q > 0, with p/q the value parse_rational reads in `text`, not reduced.
+
+    The grammar is "p/q" with positive denominator, or a bare integer p, where p
+    is an optionally signed run of decimal digits and q an unsigned one, with
+    whitespace allowed around each: no decimals, no floats.  Whitespace is what
+    str.isspace accepts and digits what str.isdecimal accepts, so the pattern
+    \\s*([+-]?\\d+)\\s*(?:/\\s*(\\d+)\\s*)? of the re module matches exactly these strings.
+    """
+    if not isinstance(text, str):
+        if isinstance(text, bool):
+            raise ValueError(f"booleans are not rationals: {text!r}")
+        if isinstance(text, int):
+            return text, 1
+        if isinstance(text, Fraction):
+            return text.numerator, text.denominator
+    head, slash, tail = str(text).partition("/")
+    head, tail = head.strip(), tail.strip()
+    digits = head[1:] if head[:1] in ("+", "-") else head
+    if not digits.isdecimal() or (slash and not tail.isdecimal()):
         raise ValueError(f"not a rational 'p/q' or integer string: {text!r}")
-    numerator = int(match.group(1))
-    denominator = int(match.group(2)) if match.group(2) else 1
+    numerator = int(head)
+    denominator = int(tail) if slash else 1
     if denominator == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(numerator, denominator)
+    return numerator, denominator
 
 
 def format_rational(value: Fraction) -> str:
@@ -52,6 +64,19 @@ def _clear_denominators(values) -> tuple[list[int], int]:
     ratios = [x.as_integer_ratio() for x in values]
     scale = lcm(*[q for _, q in ratios])
     return [p * (scale // q) for p, q in ratios], scale
+
+
+def _clear_ratios(ratios) -> tuple[list[int], int]:
+    """Integers p and the least common denominator s with p[i]/s == a/b for each (a, b) of ratios.
+
+    Each b is positive, and a/b need not be in lowest terms: one gcd of the row reduces it.
+    """
+    scale = lcm(*[q for _, q in ratios])
+    numerators = [p * (scale // q) for p, q in ratios]
+    common = gcd(scale, *numerators)
+    if common == 1:
+        return numerators, scale
+    return [p // common for p in numerators], scale // common
 
 
 def _check_tiling(intervals, a: Fraction, b: Fraction, images: str, interval: str) -> None:

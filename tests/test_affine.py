@@ -434,6 +434,6 @@ class TestRowConversions:
              for i in range(3)], _random_point(rng, 3)) for _ in range(4))
         ifs = IteratedFunctionSystem(maps)
         assert ifs._rows == [_cleared_rows(f) for f in maps]
-        assert ifs._rows is not ifs._rows  # computed on each call, not held
+        assert ifs._rows is ifs._rows  # cleared once, as the maps were certified, and held
         assert json.dumps(ifs_to_jsonable(ifs)) == json.dumps(
             {"dim": 3, "maps": [_reference_map_to_jsonable(f) for f in maps]})

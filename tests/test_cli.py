@@ -1141,6 +1141,29 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": f"{tmp_path / 'nested.json'}: JSON nesting is too deep"}
 
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "bad.json"],
+        ["verify", "bad.json"],
+        ["scaling", "circle.txt", "bad.json"],
+        ["classify", "bad.json", "map.json", "--t1", "1"],
+        ["classify", "germ.json", "bad.json", "--t1", "1"],
+    ], ids=["chaos", "verify", "scaling", "classify-germ", "classify-map"])
+    @pytest.mark.parametrize("content, message", [
+        (b"circle", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"dim": 2,', "Expecting property name enclosed in double quotes: line 1 column 11 (char 10)"),
+        (b'\xff{"dim": 2}', "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["not-json", "cut-short", "not-utf-8"])
+    def test_malformed_json_names_the_file(self, argv, content, message, tmp_path, capsys):
+        (tmp_path / "bad.json").write_bytes(content)
+        coords = [["0", "1", "0", "0", "0"], ["0", "0", "1", "0", "0"]]
+        (tmp_path / "germ.json").write_text(json.dumps({"t0": "0", "order": 4, "coords": coords}))
+        (tmp_path / "map.json").write_text(json.dumps({"matrix": [["1/2", "0"], ["0", "1/4"]]}))
+        (tmp_path / "circle.txt").write_text("x1^2 + x2^2 - 1\n")
+        paths = [str(tmp_path / a) if a.endswith((".json", ".txt")) else a for a in argv]
+        code, out, err = run(capsys, *paths)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"{tmp_path / 'bad.json'}: {message}"}
+
     def test_every_subcommand_declares_its_formats(self):
         parser = cli.build_parser()
         subparsers = next(a for a in parser._actions if a.dest == "subcommand").choices

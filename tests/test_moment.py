@@ -1010,8 +1010,8 @@ class TestIntegerRows:
         entry["matrix"] = [[*map(doubled, row)] for row in entry["matrix"]]
         assert entry["translation"][0] == "4/50"
         parsed = []
-        original = moment.map_from_jsonable
-        monkeypatch.setattr(moment, "map_from_jsonable",
+        original = moment._map_rows
+        monkeypatch.setattr(moment, "_map_rows",
                             lambda entry, n, where: parsed.append(where) or original(entry, n, where))
         determinant_calls.clear()
         read = read_recipe(copy.deepcopy(data))
@@ -1027,8 +1027,8 @@ class TestIntegerRows:
 
     def test_ifs_is_built_once_and_only_on_access(self, monkeypatch):
         calls = []
-        original = moment._certified_system
-        monkeypatch.setattr(moment, "_certified_system",
+        original = moment._row_system
+        monkeypatch.setattr(moment, "_row_system",
                             lambda *args: calls.append(args) or original(*args))
         spec, ratio = unit_spec(2), Fraction(1, 25)
         recipe = build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from selfaffine import polynomials
-from selfaffine.affine import AffineMap, compose
+from selfaffine.affine import AffineMap, compose, invert
 from selfaffine.polynomials import (
     MultiPoly,
     compose_affine,
@@ -164,6 +164,98 @@ class TestComposeAffine:
                        for i in range(8)], [Fraction(0)] * 8)
         assert compose_affine(p, f) == MultiPoly(
             8, {**{key: Fraction(1, 16) for key in p.terms if sum(key)}, (0,) * 8: -1})
+
+
+def _fraction_compose_affine(poly, f):
+    """P∘f expanded over Fraction coefficients: compose_affine before it ran on integers."""
+    n = poly.dim
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    forms = [MultiPoly(n, {**dict(zip(units, f.matrix[i])), (0,) * n: f.translation[i]})
+             for i in range(n)]
+    needed = [max((exponent[i] for exponent in poly.terms), default=0) for i in range(n)]
+    powers = []
+    for i in range(n):
+        ladder = [MultiPoly.constant(n, 1)]
+        for _ in range(needed[i]):
+            ladder.append(ladder[-1] * forms[i])
+        powers.append(ladder)
+    result = MultiPoly.zero(n)
+    for exponent, coefficient in poly.terms.items():
+        term = MultiPoly.constant(n, coefficient)
+        for i, e in enumerate(exponent):
+            if e:
+                term = term * powers[i][e]
+        result = result + term
+    return result
+
+
+def _random_rational(rng, top=7):
+    return Fraction(rng.randint(-top, top), rng.randint(1, top))
+
+
+def _random_poly(rng, n):
+    kind = rng.choice(["zero", "constant", "general", "general", "general"])
+    if kind == "zero":
+        return MultiPoly.zero(n)
+    if kind == "constant":
+        return MultiPoly.constant(n, _random_rational(rng) or 1)
+    degree = rng.randint(1, 4)
+    terms = {}
+    for _ in range(rng.randint(1, 8)):
+        exponent = [0] * n
+        for _ in range(rng.randint(0, degree)):
+            exponent[rng.randrange(n)] += 1
+        terms[tuple(exponent)] = _random_rational(rng)
+    return MultiPoly(n, terms)
+
+
+def _random_affine(rng, n):
+    kind = rng.choice(["dense", "dense", "sparse", "translation", "singular", "zero"])
+    if kind == "translation":  # x ↦ x + a
+        matrix = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    elif kind == "zero":  # the constant map x ↦ a
+        matrix = [[Fraction(0)] * n for _ in range(n)]
+    else:
+        matrix = [[_random_rational(rng) if kind == "dense" or rng.random() < 0.3 else Fraction(0)
+                   for _ in range(n)] for _ in range(n)]
+        if kind == "singular":  # the last row repeats the first, times a rational
+            matrix[-1] = [_random_rational(rng) * x for x in matrix[0]]
+    translation = [_random_rational(rng) if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
+    return AffineMap(matrix, translation)
+
+
+class TestIntegerExpansion:
+    def test_equals_the_fraction_expansion_term_for_term(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            p, f = _random_poly(rng, n), _random_affine(rng, n)
+            composed, reference = compose_affine(p, f), _fraction_compose_affine(p, f)
+            assert composed == reference
+            # the same monomials in the same order, which float sums over the terms follow
+            assert list(composed.terms.items()) == list(reference.terms.items())
+            for _ in range(3):
+                x = tuple(_random_rational(rng, 9) for _ in range(n))
+                assert evaluate(composed, x) == evaluate(p, f(x))
+
+    def test_pullbacks_equal_the_fraction_expansion(self):
+        p, f = parse_polynomial("x1^2 + x2^2 - 1"), AffineMap(
+            [[Fraction(3, 10), Fraction(-2, 5)], [Fraction(2, 5), Fraction(3, 10)]],
+            [Fraction(1, 7), Fraction(-1, 9)])
+        inverse = invert(f)
+        ours = theirs = p
+        for _ in range(6):
+            ours, theirs = compose_affine(ours, inverse), _fraction_compose_affine(theirs, inverse)
+            assert list(ours.terms.items()) == list(theirs.terms.items())
+
+    def test_a_cancelled_monomial_comes_back_last(self):
+        # x1 − x2 + x1·x2 under x ↦ (x1 + x2 + 1, x2): the second term cancels the x2 of the
+        # first, and the third brings it back, after the monomials the first two leave
+        p = MultiPoly(2, {(1, 0): 1, (0, 1): -1, (1, 1): 1})
+        f = AffineMap([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]], [1, 0])
+        composed = compose_affine(p, f)
+        assert list(composed.terms) == [(1, 0), (0, 0), (1, 1), (0, 2), (0, 1)]
+        assert list(composed.terms.items()) == list(_fraction_compose_affine(p, f).terms.items())
 
 
 class TestScalingConstant:
