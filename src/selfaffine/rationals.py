@@ -2,8 +2,9 @@
 
 All externally visible quantities are `fractions.Fraction`; hot loops
 that need more speed clear denominators to Python integers instead of
-switching to another rational type, and `_clear_denominators` is the one
-place where they do.
+switching to another rational type: `_clear_denominators` clears Fractions,
+and `_clear_ratios` the integer ratios `_ratio` reads from text, so that a
+map read from a file reaches its cleared rows without a Fraction.
 """
 
 from __future__ import annotations
