@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfaffine import affine, attractor, cli
+from selfaffine import affine, cli
 from selfaffine.affine import (
     AffineMap, IteratedFunctionSystem, _cleared_rows, _map_rows, _texts, ifs_from_jsonable,
     ifs_to_jsonable, map_from_jsonable, matrix_from_jsonable,
@@ -254,9 +254,7 @@ class TestPlainSystems:
         made, cleared = [], []
         original = AffineMap.__post_init__
         monkeypatch.setattr(AffineMap, "__post_init__", lambda f: made.append(f) or original(f))
-        for module in (affine, attractor):
-            if hasattr(module, "_cleared_rows"):
-                monkeypatch.setattr(module, "_cleared_rows", lambda f: cleared.append(f))
+        monkeypatch.setattr(affine, "_cleared_rows", lambda f: cleared.append(f))
         actual = tmp_path / "actual"
         assert cli.main([command, str(system), "--points", "200", "--output", str(actual)]) == 0
         assert (made, cleared) == ([], [])
