@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
@@ -39,27 +39,45 @@ NORM_TOLERANCE = 1e-12
 _WORD_GUARD = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class AffineMap:
-    """f(x) = matrix·x + translation with exact rational entries."""
+    """f(x) = matrix·x + translation with exact rational entries.
 
-    matrix: Matrix
-    translation: Vector
+    Held as its rows, translation entry first, each as integers over their least
+    denominator (`_rows`), so equal maps have equal rows; matrix and translation
+    are the Fraction tuples of those rows, made when first asked.
+    """
 
-    def __post_init__(self) -> None:
-        matrix = as_matrix(self.matrix)
-        translation = as_vector(self.translation)
+    _rows: list
+
+    def __init__(self, matrix: Matrix, translation: Vector) -> None:
+        matrix = as_matrix(matrix)
+        translation = as_vector(translation)
         n = len(matrix)
         if n == 0 or any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square and nonempty")
         if len(translation) != n:
             raise ValueError("translation length must match the matrix side")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "translation", translation)
+        rows = [_clear_denominators((offset, *row)) for offset, row in zip(translation, matrix)]
+        vars(self).update(_rows=rows, matrix=matrix, translation=translation)
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        return tuple(tuple(Fraction(x, scale) for x in row[1:]) for row, scale in self._rows)
+
+    @cached_property
+    def translation(self) -> Vector:
+        return tuple(Fraction(row[0], scale) for row, scale in self._rows)
+
+    def __hash__(self) -> int:
+        return hash(tuple((tuple(row), scale) for row, scale in self._rows))
+
+    def __repr__(self) -> str:
+        return f"AffineMap(matrix={self.matrix!r}, translation={self.translation!r})"
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self._rows)
 
     def apply(self, point: Sequence) -> Vector:
         x = as_vector(point)
@@ -70,6 +88,13 @@ class AffineMap:
 
     def __call__(self, point: Sequence) -> Vector:
         return self.apply(point)
+
+
+def _row_map(rows) -> AffineMap:
+    """The map whose rows, translation entry first, are least (integers, denominator) pairs."""
+    f = object.__new__(AffineMap)
+    vars(f)["_rows"] = rows
+    return f
 
 
 def compose(f: AffineMap, g: AffineMap) -> AffineMap:
@@ -90,16 +115,11 @@ def invert(f: AffineMap) -> AffineMap:
 
 
 def fixed_point(f: AffineMap) -> Vector:
-    """The unique x with f(x) = x, solved exactly from (I − M)x = a."""
-    return _fixed_point(_cleared_rows(f))
-
-
-def _fixed_point(rows) -> Vector:
-    """fixed_point of the map of cleared rows, solved from the integer rows of s·(I − M)x = s·a."""
+    """The unique x with f(x) = x, solved exactly from the integer rows of s·(I − M)x = s·a."""
     system = [[scale * (i == j) - x for j, x in enumerate(row[1:])]
-              for i, (row, scale) in enumerate(rows)]
+              for i, (row, scale) in enumerate(f._rows)]
     try:
-        return solve(system, [row[0] for row, _ in rows])
+        return solve(system, [row[0] for row, _ in f._rows])
     except ValueError:
         raise ValueError("map has 1 as an eigenvalue; fixed point is not unique") from None
 
@@ -180,86 +200,69 @@ class ContractionCertificate:
         return self.contractive
 
 
-def _contraction(rows) -> ContractionCertificate:
-    """is_contractive of the map of cleared rows: n·s² < 1 decided on integers, else the SVD."""
-    top, scale = _largest_row_sum(rows)
-    bound, square = len(rows) * top * top, scale * scale
+def is_contractive(f: AffineMap) -> ContractionCertificate:
+    """Certified contraction test: n·s² < 1 decided on f's cleared rows, else the SVD."""
+    top, scale = _largest_row_sum(f._rows)
+    bound, square = f.dim * top * top, scale * scale
     if bound < square:
         return ContractionCertificate(True, "row-sum-bound", math.sqrt(bound / square))
-    norm = operator_norm(tuple(tuple(Fraction(x, scale) for x in row[1:]) for row, scale in rows))
+    # made here, not cached on f, so a certified map stays in its rows
+    norm = operator_norm(tuple(tuple(Fraction(x, scale) for x in row[1:])
+                               for row, scale in f._rows))
     return ContractionCertificate(norm < 1.0 - NORM_TOLERANCE, "spectral-norm", norm)
 
 
-def is_contractive(f: AffineMap) -> ContractionCertificate:
-    """Certified contraction test: exact row-sum route first, then numeric."""
-    return _contraction(_cleared_rows(f))
-
-
-def _certify_rows(rows, where: str) -> ContractionCertificate:
-    """The contraction certificate of the invertible, strictly contractive map of cleared rows.
+def certify_admissible(f: AffineMap, where: str = "map") -> ContractionCertificate:
+    """The contraction certificate of an invertible, strictly contractive map.
 
     A lower-triangular map is invertible when no diagonal entry is 0; any other asks
     determinant.  Raises ValueError, naming `where`, for a singular or a non-contractive map.
     """
+    rows = f._rows
     if any(any(row[i + 2:]) for i, (row, _) in enumerate(rows)):
         invertible = determinant([row[1:] for row, _ in rows]) != 0
     else:
         invertible = all(row[i + 1] for i, (row, _) in enumerate(rows))
     if not invertible:
         raise ValueError(f"{where} is not invertible")
-    certificate = _contraction(rows)
+    certificate = is_contractive(f)
     if not certificate:
         raise ValueError(f"{where} is not strictly contractive")
     return certificate
 
 
-def certify_admissible(f: AffineMap, where: str = "map") -> ContractionCertificate:
-    """The contraction certificate of an invertible, strictly contractive map.
-
-    Raises ValueError, naming `where`, for a singular or a non-contractive map.
-    """
-    return _certify_rows(_cleared_rows(f), where)
-
-
+@dataclass(frozen=True)
 class IteratedFunctionSystem:
     """A nonempty family of invertible, strictly contractive affine maps.
 
-    Each map is held as its rows, translation entry first, as integers over their
-    least denominator (_cleared_rows), and certified once on them; certificates holds
-    the contraction certificate of each map, in order.  A system read from a file
-    (ifs_from_jsonable) builds `maps` from its rows when first asked, so sampling it
-    makes no AffineMap.  Equal maps have equal rows, so systems compare by their rows.
+    Each map is certified once, on its cleared rows; certificates holds the contraction
+    certificate of each map, in order.
     """
 
-    def __init__(self, maps: Sequence[AffineMap]) -> None:
-        maps = tuple(maps)
+    maps: tuple[AffineMap, ...]
+    certificates: tuple[ContractionCertificate, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        maps = tuple(self.maps)
         if not maps:
             raise ValueError("an iterated function system needs at least one map")
         dim = maps[0].dim
-        rows, certificates = [], []
+        certificates = []
         for index, current in enumerate(maps):
             if current.dim != dim:
                 raise ValueError(f"map {index} has dimension {current.dim}, expected {dim}")
-            rows.append(_cleared_rows(current))
-            certificates.append(_certify_rows(rows[-1], f"map {index}"))
-        vars(self).update(maps=maps, _rows=rows, certificates=tuple(certificates))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    @cached_property
-    def maps(self) -> tuple[AffineMap, ...]:
-        return tuple(map(_row_map, self._rows))
+            certificates.append(certify_admissible(current, f"map {index}"))
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "certificates", tuple(certificates))
 
     @property
     def dim(self) -> int:
-        return len(self._rows[0])
+        return self.maps[0].dim
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.maps)
 
     def __iter__(self) -> Iterator[AffineMap]:
         return iter(self.maps)
@@ -267,40 +270,16 @@ class IteratedFunctionSystem:
     def __getitem__(self, index: int) -> AffineMap:
         return self.maps[index]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IteratedFunctionSystem):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __hash__(self) -> int:
-        return hash(tuple((tuple(row), scale) for rows in self._rows for row, scale in rows))
-
-    def __repr__(self) -> str:
-        return f"IteratedFunctionSystem(maps={self.maps!r})"
-
-
-def _row_system(rows, certificates) -> IteratedFunctionSystem:
-    """The system of maps given as certified cleared rows, with one certificate per map."""
-    ifs = object.__new__(IteratedFunctionSystem)
-    vars(ifs).update(_rows=rows, certificates=tuple(certificates))
-    return ifs
+    @property
+    def _rows(self) -> list:
+        """Each map's cleared rows, as the maps hold them."""
+        return [f._rows for f in self.maps]
 
 
 def _line(scale: Fraction, shift: Fraction) -> tuple[int, int, int]:
     """Integers (α, β, γ) with scale·x + shift = (α·x + β)/γ for every x, γ the least."""
     (alpha, beta), gamma = _clear_denominators((scale, shift))
     return alpha, beta, gamma
-
-
-def _cleared_rows(f: AffineMap) -> list[tuple[list[int], int]]:
-    """Each row of f, its translation entry first, as integers over their least denominator."""
-    return [_clear_denominators((offset,) + row) for offset, row in zip(f.translation, f.matrix)]
-
-
-def _row_map(rows) -> AffineMap:
-    """The map whose rows, translation entry first, are (integers, denominator) pairs."""
-    rows = [[Fraction(x, scale) for x in row] for row, scale in rows]
-    return AffineMap([row[1:] for row in rows], [row[0] for row in rows])
 
 
 def _texts(row: list[int], scale: int) -> list[str]:
@@ -384,7 +363,7 @@ def _matrix_ratios(rows, where: str) -> list[list[tuple[int, int]]]:
 
 
 def _map_rows(entry, dim: Optional[int] = None, where: str = "map") -> list[tuple[list[int], int]]:
-    """The cleared rows (as _cleared_rows gives them) of a map object {"matrix", "translation"}.
+    """The cleared rows (as an AffineMap holds them) of a map object {"matrix", "translation"}.
 
     Every entry is read by parse_rational's grammar, and no Fraction is built.  The checks
     run in this order: the object, each matrix row's shape and then its entries, the row
@@ -413,7 +392,7 @@ def map_from_jsonable(entry, dim: Optional[int] = None, where: str = "map") -> A
 
 
 def map_to_jsonable(f: AffineMap) -> dict:
-    return _rows_to_jsonable(_cleared_rows(f))
+    return _rows_to_jsonable(f._rows)
 
 
 def _ifs_header(data) -> tuple[int, list]:
@@ -435,6 +414,5 @@ def ifs_from_jsonable(data) -> IteratedFunctionSystem:
     Every map is read into its cleared rows before any is certified, once, on those rows.
     """
     dim, entries = _ifs_header(data)
-    rows = [_map_rows(entry, dim, f"map {index}") for index, entry in enumerate(entries)]
-    return _row_system(rows, [_certify_rows(map_rows, f"map {index}")
-                              for index, map_rows in enumerate(rows)])
+    return IteratedFunctionSystem(
+        [_row_map(_map_rows(entry, dim, f"map {index}")) for index, entry in enumerate(entries)])

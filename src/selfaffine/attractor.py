@@ -8,7 +8,7 @@ imports numpy when it runs, so importing the package does not.
 
 from __future__ import annotations
 
-from .affine import _WORD_GUARD, _fixed_point, _float_array, _float_map
+from .affine import _WORD_GUARD, IteratedFunctionSystem, _float_array, _float_map, fixed_point
 from .cloud import PointCloud
 
 __all__ = ["chaos_game", "diameter"]
@@ -35,12 +35,12 @@ def _check_steps(iterations: int, burn_in: int, dim: int = 1) -> None:
                          f"{iterations * dim} floats, above the guard {_FLOAT_GUARD}")
 
 
-def chaos_game(ifs, iterations: int, burn_in: int, seed: int) -> PointCloud:
+def chaos_game(ifs: IteratedFunctionSystem, iterations: int, burn_in: int, seed: int) -> PointCloud:
     """Sample the attractor by iterating uniformly random maps.
 
-    `ifs` is an IteratedFunctionSystem or a MomentIfsRecipe, sampled
-    from its cleared rows through _float_map.  Starts at the fixed point
-    of the first map, applies `iterations` random maps, and discards the
+    The maps are sampled from their cleared rows through _float_map, so
+    sampling makes no Fraction of them.  Starts at the fixed point of the
+    first map, applies `iterations` random maps, and discards the
     first `burn_in` images.  The same seed always yields the same cloud.
     More than 10⁷ iterations, or more than 1.3·10⁸ floats in the
     iterations × dim array of steps, are rejected before that array is
@@ -51,7 +51,7 @@ def chaos_game(ifs, iterations: int, burn_in: int, seed: int) -> PointCloud:
     _check_steps(iterations, burn_in, len(rows[0]))
     rng = np.random.Generator(np.random.PCG64(seed))
     matrices, translations = zip(*map(_float_map, rows))
-    x = _float_array(_fixed_point(rows[0]))
+    x = _float_array(fixed_point(ifs.maps[0]))
     # a view of the drawn indices iterates as Python ints, with no list of them held
     choices = memoryview(rng.integers(0, len(matrices), size=iterations))
     steps = np.empty((iterations, len(x)))

@@ -95,13 +95,14 @@ def _check_format(value: str, allowed: Sequence[str], subcommand: str) -> None:
         )
 
 
-def _write_built(dim: int, rows, meta: dict, certificates, args, lines) -> int:
+def _write_built(ifs, meta: dict, args, lines) -> int:
     """Write a built system's JSON, then report `lines` and how many maps each route certified.
 
     The text is json.dumps of {"dim", "maps", "meta"} with indent=2, byte for byte, but no
     dict or text of the whole system is made: json.dumps lays out the frame and one map of
-    "%s" slots, and the maps, given as cleared rows, fill that template _BLOCK_ROWS at a time.
+    "%s" slots, and the maps' cleared rows fill that template _BLOCK_ROWS at a time.
     """
+    dim, rows, certificates = ifs.dim, ifs._rows, ifs.certificates
     head, tail = _json_text({"dim": dim, "maps": [None], "meta": meta}).split("null", 1)
     slots = {"matrix": [["%s"] * dim] * dim, "translation": ["%s"] * dim}
     template = json.dumps(slots, indent=2).replace("\n", "\n    ")  # a map sits 4 spaces in
@@ -128,7 +129,7 @@ def _cmd_build_moment(args) -> int:
     ratio = parse_rational(args.ratio) if args.ratio else ceiling / 2
     anchors = _parse_anchor_list(args.anchors) if args.anchors else choose_anchors(spec, ratio)
     recipe = build_moment_ifs(spec, ratio, anchors)
-    return _write_built(spec.dim, recipe._rows, _recipe_meta(recipe), recipe._certificates, args, [
+    return _write_built(recipe.ifs, _recipe_meta(recipe), args, [
         f"[lambda-bound] admissible ceiling {format_rational(ceiling)}, "
         f"using lambda = {format_rational(ratio)}",
         f"[interval-tiling] {len(anchors)} anchor images tile "
@@ -164,7 +165,7 @@ def _cmd_paraboloid(args) -> int:
         "b": format_rational(spec.b),
         "base": [[format_rational(c), format_rational(d)] for c, d in spec.base_maps],
     }
-    return _write_built(ifs.dim, ifs._rows, meta, ifs.certificates, args, [
+    return _write_built(ifs, meta, args, [
         f"[paraboloid-conjugation] f_i∘η = η∘(c_i·x + d_i) holds exactly for all {len(ifs)} maps",
         f"[interval-tiling] base images tile [{format_rational(spec.a)}, "
         f"{format_rational(spec.b)}] exactly"])
@@ -185,7 +186,7 @@ def _chaos_cloud(args, projection=None):
         raise ValueError("--seed must be a nonnegative integer")
     data = _load_json(args.ifs)
     try:
-        system = read_recipe(data)
+        system = read_recipe(data).ifs
     except ValueError:
         system = ifs_from_jsonable(data)
     if projection is not None:

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, groupby, repeat
 from operator import mul
 from typing import Sequence
 
 from .affine import (
-    IteratedFunctionSystem, _certify_rows, _ifs_header, _lift_failures, _line, _map_rows, _row_map,
-    _row_system, _rows_to_jsonable, _texts,
+    IteratedFunctionSystem, _ifs_header, _lift_failures, _line, _map_rows, _ratios, _row_map,
+    _rows_to_jsonable, _texts,
 )
 from .exactlinalg import as_vector
 from .rationals import (
@@ -102,21 +101,15 @@ def choose_anchors(spec: MomentCurveSpec, ratio: Fraction) -> list[Fraction]:
 class MomentIfsRecipe:
     """A verified construction: spec, ratio λ, anchors, and the maps.
 
-    Made by build_moment_ifs and read_recipe only.  Each map is kept as its rows,
-    translation entry first, as integers over their least denominator (_cleared_rows;
-    _moment_rows for a built map), so equal maps have equal rows; `ifs` is built when asked.
+    Made by build_moment_ifs and read_recipe only.  `ifs` holds the maps, each as its
+    least cleared rows (a built map's from _moment_rows), so equal recipes have equal rows.
     """
 
     spec: MomentCurveSpec
     ratio: Fraction
     anchors: tuple[Fraction, ...]
-    _rows: list = field(repr=False, hash=False)
+    ifs: IteratedFunctionSystem = field(repr=False, hash=False)
     _lines: list = field(repr=False, compare=False)
-    _certificates: tuple = field(repr=False, compare=False)
-
-    @cached_property
-    def ifs(self) -> IteratedFunctionSystem:
-        return _row_system(self._rows, self._certificates)
 
 
 def _lines(spec: MomentCurveSpec, ratio: Fraction, anchors) -> list[tuple[int, int, int]]:
@@ -191,11 +184,9 @@ def _recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, entries) -> MomentI
     n = spec.dim
     lines = _lines(spec, ratio, anchors)
     rows = [_built_rows(entry, n, line) for entry, line in zip(entries, lines)]
-    rows = [_map_rows(entry, n, f"map {index}") if built is None
-            else built for index, (built, entry) in enumerate(zip(rows, entries))]
-    certificates = tuple(_certify_rows(map_rows, f"map {index}")
-                         for index, map_rows in enumerate(rows))
-    return MomentIfsRecipe(spec, ratio, tuple(anchors), rows, lines, certificates)
+    maps = [_row_map(_map_rows(entry, n, f"map {index}") if built is None else built)
+            for index, (built, entry) in enumerate(zip(rows, entries))]
+    return MomentIfsRecipe(spec, ratio, tuple(anchors), IteratedFunctionSystem(maps), lines)
 
 
 def build_moment_ifs(
@@ -255,14 +246,14 @@ def verify_moment_invariance(
         points += [spec.c + k * (spec.d - spec.c) / n for k in range(n + 1)]
     numerators, common = _clear_denominators(points)
     proven = numerators.index(list(dict.fromkeys(numerators))[n]) + 1
-    lifts = list(zip(recipe._rows, recipe._lines))
+    lifts = list(zip(recipe.ifs._rows, recipe._lines))
     def form(point):  # component k of η(P/Q) is Pᵏ/Qᵏ
         return list(accumulate(repeat(point[0], n), mul))
     failures = _lift_failures(lifts, form, range(1, n + 1), [(p,) for p in numerators],
                               common, proven)
     first = dict(reversed(failures))  # each failing map's first failing point
     return InvarianceReport(sampled * len(lifts), tuple(
-        InvarianceCounterexample(k, points[j], _row_map(recipe._rows[k])(eval_moment(n, points[j])),
+        InvarianceCounterexample(k, points[j], recipe.ifs.maps[k](eval_moment(n, points[j])),
                                  eval_moment(n, ratio * (points[j] - spec.c) + recipe.anchors[k]))
         for k, j in failures if j < sampled or j == first[k]  # else only the first grid failure
     ))
@@ -281,8 +272,16 @@ def _recipe_meta(recipe: MomentIfsRecipe) -> dict:
 
 def recipe_to_jsonable(recipe: MomentIfsRecipe) -> dict:
     """IFS interchange dict extended with a construction-describing meta, strings from the rows."""
-    return {"dim": recipe.spec.dim, "maps": [_rows_to_jsonable(rows) for rows in recipe._rows],
+    return {"dim": recipe.spec.dim, "maps": [_rows_to_jsonable(rows) for rows in recipe.ifs._rows],
             "meta": _recipe_meta(recipe)}
+
+
+def _meta_rational(meta: dict, key: str) -> Fraction:
+    """parse_rational of meta[key]; a malformed value raises ValueError naming the field."""
+    try:
+        return parse_rational(meta[key])
+    except ValueError as exc:
+        raise ValueError(f'meta "{key}": {exc}') from None
 
 
 def read_recipe(data) -> MomentIfsRecipe:
@@ -290,9 +289,9 @@ def read_recipe(data) -> MomentIfsRecipe:
 
     The meta is read first, and checked as build_moment_ifs checks it, before
     any map is read.  A stored map equal to the construction's is taken as
-    built; any other is parsed as by ifs_from_jsonable and kept, in cleared rows,
-    so that verify_moment_invariance can name it.  Every entry is read before
-    any map is certified, each on its cleared rows as certify_admissible does.
+    built; any other is parsed as by ifs_from_jsonable and kept, so that
+    verify_moment_invariance can name it.  Every entry is read before any map
+    is certified.  A malformed number names its meta field, as 'meta "c": …'.
     """
     meta = data.get("meta") if isinstance(data, dict) else None
     if not isinstance(meta, dict):
@@ -303,9 +302,9 @@ def read_recipe(data) -> MomentIfsRecipe:
             raise ValueError('meta "n" must be an integer')
         if not isinstance(meta["anchors"], list):
             raise ValueError('meta "anchors" must be an array')
-        spec = MomentCurveSpec(n, parse_rational(meta["c"]), parse_rational(meta["d"]))
-        ratio = parse_rational(meta["lambda"])
-        anchors = [parse_rational(t) for t in meta["anchors"]]
+        spec = MomentCurveSpec(n, _meta_rational(meta, "c"), _meta_rational(meta, "d"))
+        ratio = _meta_rational(meta, "lambda")
+        anchors = [Fraction(p, q) for p, q in _ratios(meta["anchors"], 'meta "anchors"')]
     except KeyError as exc:
         raise ValueError(f"meta is missing {exc.args[0]!r}") from None
 

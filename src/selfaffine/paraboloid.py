@@ -11,10 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine import (
-    AffineMap, IteratedFunctionSystem, _certify_rows, _cleared_rows, _float_array, _lift_failures,
-    _line, _row_system,
-)
+from .affine import AffineMap, IteratedFunctionSystem, _float_array, _lift_failures, _line
 from .cloud import PointCloud
 from .polynomials import MultiPoly
 from .rationals import _check_tiling, _clear_denominators
@@ -106,18 +103,16 @@ def build_paraboloid_ifs(spec: ParaboloidSpec) -> IteratedFunctionSystem:
     (n−1)d_i²).  The conjugation identity f_i∘η = η∘(c_i·x + d_i) is
     proven exactly before the system is returned.
     """
-    rows = [_cleared_rows(_build_map(spec.dim, c, d)) for c, d in spec.base_maps]
     # certified before the proof, so a base that is not contractive fails without proving anything
-    certificates = [_certify_rows(map_rows, f"map {index}") for index, map_rows in enumerate(rows)]
-    if not _conjugates(spec, rows):
+    ifs = IteratedFunctionSystem([_build_map(spec.dim, c, d) for c, d in spec.base_maps])
+    if not _conjugates(spec, ifs._rows):
         raise ArithmeticError("conjugation identity failed for a built map")
-    return _row_system(rows, certificates)
+    return ifs
 
 
 def verify_paraboloid_conjugation(spec: ParaboloidSpec) -> bool:
     """Re-check f_i∘η = η∘(c_i·x + d_i) exactly for every base map."""
-    return _conjugates(spec, [_cleared_rows(_build_map(spec.dim, c, d))
-                              for c, d in spec.base_maps])
+    return _conjugates(spec, [_build_map(spec.dim, c, d)._rows for c, d in spec.base_maps])
 
 
 def surface_residual(poly: MultiPoly, cloud: PointCloud) -> float:

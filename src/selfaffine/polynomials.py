@@ -15,7 +15,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .affine import _WORD_GUARD, AffineMap, _cleared_rows, certify_admissible, compose, fixed_point
+from .affine import _WORD_GUARD, AffineMap, certify_admissible, compose, fixed_point
 from .rationals import format_rational, parse_rational
 
 __all__ = [
@@ -150,7 +150,7 @@ def compose_affine(poly: MultiPoly, f: AffineMap) -> MultiPoly:
     keys = [base**j for j in range(n)] + [0]  # x_j's key, then the constant's
     needed = [max((exponent[i] for exponent in poly.terms), default=0) for i in range(n)]
     powers = []
-    for (row, scale), top in zip(_cleared_rows(f), needed):
+    for (row, scale), top in zip(f._rows, needed):
         form = {key: x for key, x in zip(keys, row[1:] + row[:1]) if x}
         ladder = [({0: 1}, 1)]
         for _ in range(top):

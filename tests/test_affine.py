@@ -14,9 +14,10 @@ from selfaffine.affine import (
     AffineMap,
     ContractionCertificate,
     IteratedFunctionSystem,
-    _cleared_rows,
     _float_array,
     _float_map,
+    _line,
+    _map_rows,
     _row_map,
     _rows_to_jsonable,
     certify_admissible,
@@ -32,7 +33,14 @@ from selfaffine.affine import (
     operator_norm,
 )
 from selfaffine.exactlinalg import determinant
-from selfaffine.rationals import format_rational
+from selfaffine.moment import _built_rows, _moment_rows
+from selfaffine.paraboloid import _build_map
+from selfaffine.rationals import _clear_denominators, format_rational
+
+
+def _reference_rows(f):
+    """f's rows cleared from its Fraction entries, translation entry first: what f._rows holds."""
+    return [_clear_denominators((t, *row)) for t, row in zip(f.translation, f.matrix)]
 
 
 def _random_map(rng, n, scale=Fraction(1, 3)):
@@ -248,7 +256,7 @@ class TestAdmissibility:
             outcomes.add((kind, outcome if isinstance(outcome, str) else outcome.route))
             upper = any(f.matrix[i][j] for i in range(f.dim) for j in range(i + 1, f.dim))
             # only a map with an entry above the diagonal asks determinant, on its cleared rows
-            assert determinant_calls == ([[row[1:] for row, _ in _cleared_rows(f)]] if upper else [])
+            assert determinant_calls == ([[row[1:] for row, _ in _reference_rows(f)]] if upper else [])
             if expected != "is not invertible":
                 certificate = is_contractive(f)
                 assert (certificate if certificate else "is not strictly contractive") == expected
@@ -401,7 +409,7 @@ class TestRowConversions:
         rng = random.Random(22)
         for _ in range(400):
             f = _wide_map(rng, rng.randint(1, 8))
-            matrix, translation = _float_map(_cleared_rows(f))
+            matrix, translation = _float_map(f._rows)
             assert _bits(matrix) == _bits(_float_array(f.matrix))
             assert _bits(translation) == _bits(_float_array(f.translation))
 
@@ -415,7 +423,7 @@ class TestRowConversions:
             entries[rng.randrange(n + 1)][rng.randrange(n)] = far
             f = AffineMap(entries[1:], entries[0])
             with pytest.raises(ValueError, match=message):
-                _float_map(_cleared_rows(f))
+                _float_map(f._rows)
             with pytest.raises(ValueError, match=message):
                 _float_array(f.translation + tuple(x for row in f.matrix for x in row))
 
@@ -423,7 +431,8 @@ class TestRowConversions:
         rng = random.Random(24)
         for _ in range(400):
             f = _wide_map(rng, rng.randint(1, 8))
-            rows = _cleared_rows(f)
+            rows = f._rows
+            assert rows == _reference_rows(f)
             assert json.dumps(_rows_to_jsonable(rows)) == json.dumps(_reference_map_to_jsonable(f))
             assert _row_map(rows) == f
 
@@ -433,7 +442,82 @@ class TestRowConversions:
             [[Fraction(rng.randint(-2, 2), 40) + Fraction(i == j, 3) for j in range(3)]
              for i in range(3)], _random_point(rng, 3)) for _ in range(4))
         ifs = IteratedFunctionSystem(maps)
-        assert ifs._rows == [_cleared_rows(f) for f in maps]
-        assert ifs._rows is ifs._rows  # cleared once, as the maps were certified, and held
+        assert ifs._rows == [_reference_rows(f) for f in maps]
+        # each map's rows, cleared once when it was made, and held by the map
+        assert all(rows is f._rows for rows, f in zip(ifs._rows, maps))
         assert json.dumps(ifs_to_jsonable(ifs)) == json.dumps(
             {"dim": 3, "maps": [_reference_map_to_jsonable(f) for f in maps]})
+
+
+def _assert_least(f):
+    """f equals, and hashes as, the map its own Fractions make: its rows are the least ones."""
+    again = AffineMap(f.matrix, f.translation)
+    assert f == again and hash(f) == hash(again)
+    assert f._rows == _reference_rows(again)
+
+
+# entries in non-canonical forms and JSON ints, each a row's only or its largest denominator
+LEAST_CORPUS = ["2/4", "-0", "007/3", " 1 / 2 ", 0, 3, -2, "-6/4", "+0/5", "10/15", "-8/12", "9"]
+
+
+class TestLeastRows:
+    """Every path that hands _row_map its rows hands it the least ones.
+
+    An AffineMap compares and hashes its rows, and _row_map takes rows as given; a path
+    that gave rows not over their least denominator would make equal maps compare unequal.
+    """
+
+    def test_read_maps(self):
+        rng = random.Random(30)
+        corpus = [[value] * 4 for value in LEAST_CORPUS]
+        corpus += [[value if j == i else "0" for j in range(4)]
+                   for value in LEAST_CORPUS for i in range(4)]
+        corpus += [[rng.choice(LEAST_CORPUS) for _ in range(4)] for _ in range(300)]
+        for values in corpus:
+            _assert_least(_row_map(_map_rows(
+                {"matrix": [values[:2], values[2:]], "translation": [values[1], values[0]]})))
+        read = map_from_jsonable({"matrix": [["2/4", 0], ["-0", " 1 / 2 "]],
+                                  "translation": ["007/3", -2]})
+        assert read == AffineMap([[Fraction(1, 2), 0], [0, Fraction(1, 2)]], [Fraction(7, 3), -2])
+
+    def test_built_moment_maps(self):
+        for n in range(2, 7):
+            for c in (Fraction(0), Fraction(-1), Fraction(-1, 2)):
+                for ratio in (Fraction(1, 10), Fraction(2, 9), Fraction(1, 2)):
+                    for anchor in (c + Fraction(k, 6) for k in range(4)):
+                        line = _line(ratio, anchor - ratio * c)
+                        rows = list(_moment_rows(n, line))
+                        _assert_least(_row_map(rows))
+                        stored = _built_rows(_rows_to_jsonable(rows), n, line)
+                        assert stored == rows == _built_rows(None, n, line)
+                        _assert_least(_row_map(stored))
+
+    def test_paraboloid_maps(self):
+        for n in range(2, 7):
+            for c in (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 7)):
+                for d in (Fraction(0), Fraction(1, 2), Fraction(-5, 6), Fraction(3)):
+                    _assert_least(_build_map(n, c, d))
+
+    def test_composed_and_inverted_maps(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            f, g = _random_map(rng, n), _random_map(rng, n)
+            _assert_least(compose(f, g))
+            if determinant(f.matrix):
+                _assert_least(invert(f))
+
+    def test_repr_is_the_dataclass_repr(self):
+        f = AffineMap([[Fraction(1, 2), 0], [Fraction(-1, 4), Fraction(1, 3)]], [0, Fraction(-7, 6)])
+        read = map_from_jsonable({"matrix": [["2/4", 0], ["-0", " 1 / 3 "]],
+                                  "translation": ["007/3", -2]})
+        assert repr(f) == ("AffineMap(matrix=((Fraction(1, 2), Fraction(0, 1)), "
+                           "(Fraction(-1, 4), Fraction(1, 3))), "
+                           "translation=(Fraction(0, 1), Fraction(-7, 6)))")
+        assert repr(read) == ("AffineMap(matrix=((Fraction(1, 2), Fraction(0, 1)), "
+                              "(Fraction(0, 1), Fraction(1, 3))), "
+                              "translation=(Fraction(7, 3), Fraction(-2, 1)))")
+        assert repr(AffineMap([[3]], [Fraction(5, 2)])) == (
+            "AffineMap(matrix=((Fraction(3, 1),),), translation=(Fraction(5, 2),))")
+        assert repr(IteratedFunctionSystem([f, read])) == (
+            f"IteratedFunctionSystem(maps=({f!r}, {read!r}))")

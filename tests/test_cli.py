@@ -41,17 +41,17 @@ def run_traced(capsys, *argv):
 
 @pytest.fixture
 def certified_calls(monkeypatch):
-    """The cleared rows passed to the admissibility check, wherever the package has it bound."""
+    """The cleared rows of each map certify_admissible takes, wherever the package has it bound."""
     calls = []
-    original = affine._certify_rows
+    original = affine.certify_admissible
 
-    def counted(rows, where):
-        calls.append(rows)
-        return original(rows, where)
+    def counted(f, where="map"):
+        calls.append(f._rows)
+        return original(f, where)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("selfaffine") and getattr(module, "_certify_rows", None) is original:
-            monkeypatch.setattr(module, "_certify_rows", counted)
+        if name.startswith("selfaffine") and getattr(module, "certify_admissible", None) is original:
+            monkeypatch.setattr(module, "certify_admissible", counted)
     return calls
 
 
@@ -235,7 +235,7 @@ class TestBuildMoment:
         assert code == 0
         assert len(json.loads(out)["maps"]) == 25
         [recipe] = recipes
-        assert certified_calls == recipe._rows
+        assert certified_calls == recipe.ifs._rows
         assert len(recipe.ifs.certificates) == 25
         for f, certificate in zip(recipe.ifs.maps, recipe.ifs.certificates):
             assert certificate == affine.is_contractive(f)
@@ -549,6 +549,21 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(moment_file))
         assert code == 2
 
+    @pytest.mark.parametrize("field, where", [
+        ("c", 'meta "c"'), ("d", 'meta "d"'), ("lambda", 'meta "lambda"'),
+        ("anchors", 'meta "anchors"[3]'),
+    ])
+    def test_malformed_meta_number_names_its_field(self, moment_file, field, where, capsys):
+        data = json.loads(moment_file.read_text())
+        if field == "anchors":
+            data["meta"]["anchors"][3] = [1]
+        else:
+            data["meta"][field] = [1]
+        moment_file.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", str(moment_file), "--points", "20")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"{where}: not a rational 'p/q' or integer string: [1]"}
+
 
 def _tamper(entry, kind):
     """Change one stored entry of a 2×2 moment map in the way `kind` names."""
@@ -634,7 +649,7 @@ class TestRecipeReading:
     # map to ifs_from_jsonable alone; lower-triangular, none of them asks determinant
     @pytest.mark.parametrize("meta, certified", [
         ("missing", 25), ("decimal-lambda", 25), ("non-array-anchors", 25),
-        ("broken-tiling", 25), ("other-dimension", 25),
+        ("broken-tiling", 25), ("other-dimension", 25), ("array-c", 25), ("array-anchor", 25),
     ])
     @pytest.mark.parametrize("command", ["chaos", "render"])
     def test_rejected_meta_keeps_the_output(
@@ -653,6 +668,10 @@ class TestRecipeReading:
             data["meta"]["anchors"] = 5
         elif meta == "broken-tiling":
             data["meta"]["anchors"][3] = "1/1000"
+        elif meta == "array-c":
+            data["meta"]["c"] = [1]
+        elif meta == "array-anchor":
+            data["meta"]["anchors"][3] = [1]
         else:
             data["meta"]["n"] = 3
         moment_file.write_text(json.dumps(data))

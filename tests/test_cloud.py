@@ -245,7 +245,7 @@ class TestCommandOutput:
                                       tmp_path, capsys):
         path = DATA / "build_moment_dim3.json" if source == "moment" else paraboloid_file
         data = json.loads(path.read_text(encoding="utf-8"))
-        system = read_recipe(data) if source == "moment" else ifs_from_jsonable(data)
+        system = read_recipe(data).ifs if source == "moment" else ifs_from_jsonable(data)
         args = ["--points", "2500", "--burn-in", "50", "--seed", "11"]
         projection = (2, 0)
         if command == "render":

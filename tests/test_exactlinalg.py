@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from selfaffine.affine import _row_map
 from selfaffine.exactlinalg import (
     _eliminate,
     determinant,
@@ -323,7 +322,7 @@ def _moment_matrices():
     ratio = lambda_bound(spec) / 2
     recipe = build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))
     assert len(recipe.anchors) == 4580
-    return [_row_map(recipe._rows[i]).matrix for i in range(0, 4580, 23)]
+    return [recipe.ifs.maps[i].matrix for i in range(0, 4580, 23)]
 
 
 class TestAgainstReference:

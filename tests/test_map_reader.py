@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfaffine import affine, cli
+from selfaffine import cli
 from selfaffine.affine import (
-    AffineMap, IteratedFunctionSystem, _cleared_rows, _map_rows, _texts, ifs_from_jsonable,
-    ifs_to_jsonable, map_from_jsonable, matrix_from_jsonable,
+    AffineMap, IteratedFunctionSystem, _map_rows, _texts, ifs_from_jsonable, ifs_to_jsonable,
+    map_from_jsonable, matrix_from_jsonable,
 )
-from selfaffine.rationals import _ratio, format_rational, parse_rational
+from selfaffine.rationals import _clear_denominators, _ratio, format_rational, parse_rational
 
 # The reference reader: parse_rational, matrix_from_jsonable and map_from_jsonable as they
 # were before map objects were read on integers.
@@ -77,6 +77,11 @@ def _reference_map(entry, dim=None, where="map"):
     translation = tuple(_reference_entry(x, f"{where}, translation[{j}]")
                         for j, x in enumerate(translation_field))
     return AffineMap(matrix, translation)
+
+
+def _reference_rows(f):
+    """f's rows cleared from its Fraction entries, translation entry first: what f._rows holds."""
+    return [_clear_denominators((t, *row)) for t, row in zip(f.translation, f.matrix)]
 
 
 def _outcome(function, *args):
@@ -189,7 +194,7 @@ class TestMapObjects:
         expected = _outcome(_reference_map, document, dim, where)
         assert _outcome(map_from_jsonable, document, dim, where) == expected
         rows = _outcome(_map_rows, document, dim, where)
-        assert rows == (expected if expected[0] == "error" else ("value", _cleared_rows(expected[1])))
+        assert rows == (expected if expected[0] == "error" else ("value", _reference_rows(expected[1])))
 
     @pytest.mark.parametrize("fixed, message", [
         ((), "map 4 matrix must be square; row 1 has the wrong length"),
@@ -222,42 +227,84 @@ class TestMapObjects:
         assert _map_rows(entry) == [([1, 1, 1], 2), ([7, 0, 1], 2)]
 
 
+@pytest.fixture
+def constructed(monkeypatch):
+    """The maps AffineMap's constructor makes, which clears Fraction entries into rows."""
+    made = []
+    original = AffineMap.__init__
+    monkeypatch.setattr(AffineMap, "__init__", lambda f, *args: made.append(f) or original(f, *args))
+    return made
+
+
+def _holds_no_fraction(f):
+    """True when f has made neither its matrix nor its translation as Fractions."""
+    return "matrix" not in vars(f) and "translation" not in vars(f)
+
+
+def _sampled_system(command, path, output, monkeypatch):
+    """The system cli.main hands chaos_game when it runs `command` on `path`."""
+    received = []
+    original = cli.chaos_game
+    monkeypatch.setattr(cli, "chaos_game",
+                        lambda ifs, *args: received.append(ifs) or original(ifs, *args))
+    assert cli.main([command, str(path), "--points", "200", "--output", str(output)]) == 0
+    [system] = received
+    return system
+
+
 class TestPlainSystems:
-    def test_a_read_system_holds_its_rows_and_builds_its_maps_when_asked(self, monkeypatch):
+    def test_a_read_system_holds_its_rows_and_makes_fractions_when_asked(self, constructed):
         maps = [AffineMap([[Fraction(1, 2), 0], [Fraction(1, 4), Fraction(1, 3)]], [0, -1]),
                 AffineMap([[Fraction(1, 3), Fraction(-1, 5)], [0, Fraction(1, 2)]], [Fraction(1, 2), 3])]
         built = IteratedFunctionSystem(maps)
         data = ifs_to_jsonable(built)
-        made = []
-        original = AffineMap.__post_init__
-        monkeypatch.setattr(AffineMap, "__post_init__", lambda f: made.append(f) or original(f))
+        constructed.clear()
         read = ifs_from_jsonable(data)
-        assert made == []
+        assert constructed == []
         assert read._rows == built._rows
         assert read == built and hash(read) == hash(built)
         assert read.certificates == built.certificates
         assert read.maps == tuple(maps)
-        assert len(made) == 2
-        assert read.maps is read.maps
+        assert all(map(_holds_no_fraction, read.maps))
+        assert (read.maps[1].matrix, read.maps[1].translation) == (maps[1].matrix, maps[1].translation)
+        assert not _holds_no_fraction(read.maps[1]) and _holds_no_fraction(read.maps[0])
+        assert read.maps[1].matrix is read.maps[1].matrix
+        assert constructed == []
         with pytest.raises(AttributeError):
             read.maps = ()
 
     @pytest.mark.parametrize("command", ["chaos", "render"])
     def test_sampling_a_plain_file_makes_no_map_and_clears_no_map(self, command, tmp_path,
-                                                                 monkeypatch, capsys):
+                                                                 constructed, monkeypatch):
+        # made and cleared: by AffineMap's constructor, which makes a map from Fractions
         system = tmp_path / "plain.json"
         system.write_text('{"dim": 2, "maps": ['
                           '{"matrix": [["2/4", "0"], ["1/4", " 1 / 3 "]], "translation": ["0", "-1"]},'
                           '{"matrix": [["1/3", "-1/5"], [0, "1/2"]], "translation": ["+1/2", 3]}]}')
         expected = tmp_path / "expected"
         assert cli.main([command, str(system), "--points", "200", "--output", str(expected)]) == 0
-        made, cleared = [], []
-        original = AffineMap.__post_init__
-        monkeypatch.setattr(AffineMap, "__post_init__", lambda f: made.append(f) or original(f))
-        monkeypatch.setattr(affine, "_cleared_rows", lambda f: cleared.append(f))
+        constructed.clear()
         actual = tmp_path / "actual"
-        assert cli.main([command, str(system), "--points", "200", "--output", str(actual)]) == 0
-        assert (made, cleared) == ([], [])
+        sampled = _sampled_system(command, system, actual, monkeypatch)
+        assert constructed == []
+        assert isinstance(sampled, IteratedFunctionSystem) and len(sampled) == 2
+        assert all(map(_holds_no_fraction, sampled.maps))
+        assert actual.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("command", ["chaos", "render"])
+    def test_sampling_a_moment_file_makes_no_map_and_no_fraction(self, command, tmp_path,
+                                                                constructed, monkeypatch, capsys):
+        system = tmp_path / "moment.json"
+        assert cli.main(["build-moment", "--dim", "3", "--c", "0", "--d", "1",
+                         "--output", str(system)]) == 0
+        expected = tmp_path / "expected"
+        assert cli.main([command, str(system), "--points", "200", "--output", str(expected)]) == 0
+        constructed.clear()
+        actual = tmp_path / "actual"
+        sampled = _sampled_system(command, system, actual, monkeypatch)
+        assert constructed == []
+        assert isinstance(sampled, IteratedFunctionSystem) and len(sampled) == 222
+        assert all(map(_holds_no_fraction, sampled.maps))
         assert actual.read_bytes() == expected.read_bytes()
 
 

@@ -11,8 +11,9 @@ import pytest
 
 from selfaffine import affine, moment
 from selfaffine.affine import (
-    AffineMap, IteratedFunctionSystem, _cleared_rows, _float_array, _float_map, _line, _row_map,
-    fixed_point, ifs_from_jsonable, is_contractive, map_to_jsonable, max_row_sum
+    AffineMap, IteratedFunctionSystem, _float_array, _float_map, _line, _row_map,
+    certify_admissible, fixed_point, ifs_from_jsonable, is_contractive, map_to_jsonable,
+    max_row_sum
 )
 from selfaffine.attractor import chaos_game
 from selfaffine.exactlinalg import determinant
@@ -28,6 +29,11 @@ from selfaffine.moment import (
 )
 from selfaffine.moment import InvarianceCounterexample, InvarianceReport
 from selfaffine.rationals import _clear_denominators, format_rational
+
+
+def _reference_rows(f):
+    """f's rows cleared from its Fraction entries, translation entry first: what f._rows holds."""
+    return [_clear_denominators((t, *row)) for t, row in zip(f.translation, f.matrix)]
 
 
 def _plain_map(n, line):
@@ -596,7 +602,7 @@ class TestRecipeReader:
             entry["matrix"][0][1] = 0
         read = read_recipe(data)
         # only an entry above the diagonal leaves the map to determinant, on its cleared rows
-        assert determinant_calls == ([[row[1:] for row, _ in _cleared_rows(read.ifs.maps[5])]]
+        assert determinant_calls == ([[row[1:] for row, _ in _reference_rows(read.ifs.maps[5])]]
                                      if kind == "above-diagonal" else [])
         assert (read.ifs.maps[5] != recipe.ifs.maps[5]) == changes_value
         report = verify_moment_invariance(read, [Fraction(k, 4) for k in range(5)])
@@ -788,16 +794,15 @@ class TestEarlyStop:
 
 @pytest.fixture
 def certified_calls(monkeypatch):
-    """The cleared rows certified, by the IFS readers and by build_moment_ifs."""
+    """The cleared rows of each map certified, by the IFS readers and by build_moment_ifs."""
     calls = []
-    original = affine._certify_rows
+    original = affine.certify_admissible
 
-    def counted(rows, where):
-        calls.append(rows)
-        return original(rows, where)
+    def counted(f, where="map"):
+        calls.append(f._rows)
+        return original(f, where)
 
-    monkeypatch.setattr(affine, "_certify_rows", counted)
-    monkeypatch.setattr(moment, "_certify_rows", counted)
+    monkeypatch.setattr(affine, "certify_admissible", counted)
     return calls
 
 
@@ -840,10 +845,10 @@ class TestBuiltCertificate:
                         routes.add((certificate.route, certificate.contractive))
                         rows = list(moment._moment_rows(n, line))
                         if certificate:
-                            assert affine._certify_rows(rows, "map 3") == certificate
+                            assert certify_admissible(_row_map(rows), "map 3") == certificate
                         else:
                             with pytest.raises(ValueError, match="^map 3 is not strictly contractive$"):
-                                affine._certify_rows(rows, "map 3")
+                                certify_admissible(_row_map(rows), "map 3")
         assert routes == {("row-sum-bound", True), ("spectral-norm", True), ("spectral-norm", False)}
 
     def test_built_and_read_maps_are_certified_on_their_rows(self, certified_calls,
@@ -855,11 +860,11 @@ class TestBuiltCertificate:
             ratio = lambda_bound(spec)
             built.append(build_moment_ifs(spec, ratio, choose_anchors(spec, ratio)))
         # each map is certified once, on the rows it is kept as, and none asks determinant
-        assert certified_calls == [rows for recipe in built for rows in recipe._rows]
+        assert certified_calls == [rows for recipe in built for rows in recipe.ifs._rows]
         documents = [recipe_to_jsonable(recipe) for recipe in _seeded_recipes()]
         certified_calls.clear()
         read = [read_recipe(data) for data in documents]
-        assert certified_calls == [rows for recipe in read for rows in recipe._rows]
+        assert certified_calls == [rows for recipe in read for rows in recipe.ifs._rows]
         assert determinant_calls == []
         assert {recipe.spec.dim for recipe in read} == {2, 3, 4, 5}
         for recipe in built + read:
@@ -929,10 +934,10 @@ class TestBuiltCertificate:
         certified_calls.clear()
         read = read_recipe(data)
         # a lower-triangular map, built or tampered below the diagonal, is kept from determinant
-        assert determinant_calls == ([[row[1:] for row, _ in _cleared_rows(read.ifs.maps[5])]]
+        assert determinant_calls == ([[row[1:] for row, _ in _reference_rows(read.ifs.maps[5])]]
                                      if kind == "above-diagonal" else [])
-        assert certified_calls == read._rows
-        assert certified_calls[5] == _cleared_rows(read.ifs.maps[5])
+        assert certified_calls == read.ifs._rows
+        assert certified_calls[5] == _reference_rows(read.ifs.maps[5])
         assert read.ifs.certificates == tuple(map(is_contractive, read.ifs.maps))
 
 
@@ -956,10 +961,10 @@ def _row_recipes():
         yield recipe, [_plain_map(spec.dim, _line(ratio, t - ratio * spec.c)) for t in recipe.anchors]
 
 
-def _float_rows(system):
+def _float_rows(recipe):
     """chaos_game's float matrices, translations and start, the fixed point of map 0, from the rows."""
-    floats = [_float_map(rows) for rows in system._rows]
-    start = _float_array(fixed_point(_row_map(system._rows[0])))
+    floats = [_float_map(rows) for rows in recipe.ifs._rows]
+    start = _float_array(fixed_point(recipe.ifs.maps[0]))
     return [m for m, _ in floats], [t for _, t in floats], start
 
 
@@ -994,7 +999,7 @@ class TestIntegerRows:
                 for ratio in (Fraction(1, 10), Fraction(2, 9)):
                     for anchor in (c + Fraction(k, 6) for k in range(4)):
                         line = _line(ratio, anchor - ratio * c)
-                        assert list(moment._moment_rows(n, line)) == _cleared_rows(_plain_map(n, line))
+                        assert list(moment._moment_rows(n, line)) == _reference_rows(_plain_map(n, line))
 
     def test_recipes_are_equal_when_their_maps_are(self, determinant_calls, monkeypatch):
         spec, ratio = unit_spec(2), Fraction(1, 25)
@@ -1025,21 +1030,22 @@ class TestIntegerRows:
         assert tampered != recipe
         assert len({recipe, tampered}) == 2
 
-    def test_ifs_is_built_once_and_only_on_access(self, monkeypatch):
-        calls = []
-        original = moment._row_system
-        monkeypatch.setattr(moment, "_row_system",
-                            lambda *args: calls.append(args) or original(*args))
+    def test_building_reading_and_sampling_make_no_fraction_of_a_map(self, monkeypatch):
+        made = []
+        original = AffineMap.__init__
+        monkeypatch.setattr(AffineMap, "__init__",
+                            lambda f, *args: made.append(f) or original(f, *args))
         spec, ratio = unit_spec(2), Fraction(1, 25)
         recipe = build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))
         read = read_recipe(recipe_to_jsonable(recipe))
         assert verify_moment_invariance(read, [Fraction(1, 2)]).ok
-        chaos_game(read, 10, 0, 0)
-        assert calls == []
-        assert recipe.ifs is recipe.ifs
-        assert len(calls) == 1
+        chaos_game(read.ifs, 10, 0, 0)
+        # every map is made from its rows, and none has made its Fraction matrix or translation
+        assert made == []
+        assert not any({"matrix", "translation"} & vars(f).keys()
+                       for f in recipe.ifs.maps + read.ifs.maps)
         assert read.ifs.maps == recipe.ifs.maps
-        assert len(calls) == 2
+        assert read.ifs.certificates == recipe.ifs.certificates
 
     def test_texts_of_single_entries(self):
         rng = random.Random(3)
@@ -1049,7 +1055,7 @@ class TestIntegerRows:
 
     def test_seeded_chaos_equals_the_fraction_path(self):
         for seed, (recipe, maps) in enumerate(_row_recipes()):
-            cloud = chaos_game(recipe, 700, 100, seed)
+            cloud = chaos_game(recipe.ifs, 700, 100, seed)
             reference = chaos_game(IteratedFunctionSystem(tuple(maps)), 700, 100, seed)
             assert cloud.dim == reference.dim == recipe.spec.dim
             assert _bits(cloud.points) == _bits(reference.points)
@@ -1069,7 +1075,8 @@ class TestIntegerRows:
         read = read_recipe(copy.deepcopy(data))
         parsed = ifs_from_jsonable(data)
         assert read.ifs.maps[index] != recipe.ifs.maps[index]
-        assert _bits(chaos_game(read, 500, 50, 9).points) == _bits(chaos_game(parsed, 500, 50, 9).points)
+        assert _bits(chaos_game(read.ifs, 500, 50, 9).points) == _bits(
+            chaos_game(parsed, 500, 50, 9).points)
         # the start point of a stored map 0 is its own fixed point
         assert _bits(_float_rows(read)[2]) == _bits(_float_array(fixed_point(parsed.maps[0])))
 
@@ -1088,4 +1095,4 @@ class TestIntegerRows:
         data["maps"][3]["translation"][0] = "1" + "0" * 400
         read = read_recipe(data)
         with pytest.raises(ValueError, match="an entry lies beyond the float range"):
-            chaos_game(read, 10, 1, 0)
+            chaos_game(read.ifs, 10, 1, 0)

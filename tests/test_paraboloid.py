@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from selfaffine import affine, paraboloid
-from selfaffine.affine import AffineMap, _cleared_rows, is_contractive
+from selfaffine.affine import AffineMap, is_contractive
 from selfaffine.cloud import PointCloud
 from selfaffine.exactlinalg import determinant, solve
 from selfaffine.paraboloid import (
@@ -31,7 +31,7 @@ def halves_spec(n=3):
 
 def _rows(maps):
     """Each map's cleared rows, as _conjugates takes them."""
-    return [_cleared_rows(f) for f in maps]
+    return [f._rows for f in maps]
 
 
 def _reference_conjugates(spec, maps):
