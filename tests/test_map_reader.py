@@ -253,7 +253,7 @@ def _sampled_system(command, path, output, monkeypatch):
 
 
 class TestPlainSystems:
-    def test_a_read_system_holds_its_rows_and_makes_fractions_when_asked(self, constructed):
+    def test_a_read_system_makes_its_fractions_on_request(self, constructed):
         maps = [AffineMap([[Fraction(1, 2), 0], [Fraction(1, 4), Fraction(1, 3)]], [0, -1]),
                 AffineMap([[Fraction(1, 3), Fraction(-1, 5)], [0, Fraction(1, 2)]], [Fraction(1, 2), 3])]
         built = IteratedFunctionSystem(maps)
