@@ -1,7 +1,10 @@
 """Exact affine maps, their algebra, contraction certificates, and the lift check f∘η = η∘φ.
 
-An affine map is f(x) = Mx + a with rational M and a.  Composition,
-inversion and fixed points are all exact.  Floating point enters only
+An affine map is f(x) = Mx + a with rational M and a, held as its cleared
+integer rows.  Composition, inversion, application and fixed points are all
+exact and work on those rows: compose combines f's rows with g's over one lcm,
+and invert makes one fraction-free elimination, so neither makes a Fraction
+matrix.  Floating point enters only
 through the spectral norm, which numpy's SVD computes when the exact
 row-sum bound cannot certify contraction, and through _float_array and
 _float_map, the exact-to-float conversions of the numeric samplers.
@@ -22,15 +25,14 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .exactlinalg import (
-    Matrix, Vector, as_matrix, as_vector, determinant, mat_inverse, mat_mul, mat_vec, solve,
+    Matrix, Vector, _eliminate, as_matrix, as_vector, determinant, solve,
 )
 from .rationals import _clear_denominators, _clear_ratios, _ratio
 
 __all__ = [
     "NORM_TOLERANCE", "AffineMap", "ContractionCertificate", "IteratedFunctionSystem", "compose",
-    "invert", "fixed_point", "operator_norm", "max_row_sum", "is_contractive", "certify_admissible",
-    "ifs_to_jsonable", "ifs_from_jsonable", "map_from_jsonable", "map_to_jsonable",
-    "matrix_from_jsonable",
+    "invert", "fixed_point", "operator_norm", "is_contractive", "certify_admissible",
+    "ifs_from_jsonable", "map_from_jsonable", "matrix_from_jsonable",
 ]
 
 NORM_TOLERANCE = 1e-12
@@ -83,8 +85,10 @@ class AffineMap:
         x = as_vector(point)
         if len(x) != self.dim:
             raise ValueError("point dimension does not match the map")
-        image = mat_vec(self.matrix, x)
-        return tuple(m + t for m, t in zip(image, self.translation))
+        # f(P/q) row by row: (row[0]·q + Σ row[j]·P_j) / (scale·q)
+        numerators, common = _clear_denominators(x)
+        return tuple(Fraction(row[0] * common + sum(map(operator.mul, row[1:], numerators)),
+                              scale * common) for row, scale in self._rows)
 
     def __call__(self, point: Sequence) -> Vector:
         return self.apply(point)
@@ -97,21 +101,44 @@ def _row_map(rows) -> AffineMap:
     return f
 
 
+def _least(numerators, scale: int) -> tuple[list[int], int]:
+    """The row numerators/scale over its least, positive denominator, by one gcd."""
+    common = math.gcd(scale, *numerators)
+    if scale < 0:
+        common = -common
+    return [x // common for x in numerators], scale // common
+
+
 def compose(f: AffineMap, g: AffineMap) -> AffineMap:
-    """The map x ↦ f(g(x))."""
+    """The map x ↦ f(g(x)), on cleared rows: f's rows times g's over one lcm, one gcd a row."""
     if f.dim != g.dim:
         raise ValueError("cannot compose maps of different dimensions")
-    matrix = mat_mul(f.matrix, g.matrix)
-    translation = tuple(
-        m + t for m, t in zip(mat_vec(f.matrix, g.translation), f.translation)
-    )
-    return AffineMap(matrix, translation)
+    common = math.lcm(*[scale for _, scale in g._rows])
+    inner = [[x * (common // scale) for x in row] for row, scale in g._rows]
+    rows = []
+    for row, scale in f._rows:
+        # row i of f∘g over scale·common: f's translation, then f's matrix row times g's rows
+        combined = [row[0] * common] + [0] * f.dim
+        for weight, other in zip(row[1:], inner):
+            if weight:
+                combined = [x + weight * y for x, y in zip(combined, other)]
+        rows.append(_least(combined, scale * common))
+    return _row_map(rows)
 
 
 def invert(f: AffineMap) -> AffineMap:
-    inverse = mat_inverse(f.matrix)
-    translation = tuple(-x for x in mat_vec(inverse, f.translation))
-    return AffineMap(inverse, translation)
+    """The map f⁻¹, by one elimination of [A | D | o] made of f's integer rows.
+
+    D holds f's row denominators, so f(x) = D⁻¹(A·x + o).  The eliminated rows are the
+    last pivot times [I | A⁻¹D | A⁻¹o], and f⁻¹(y) = A⁻¹D·y − A⁻¹o.
+    """
+    n = f.dim
+    augmented = [[*row[1:], *(scale * (i == j) for j in range(n)), row[0]]
+                 for i, (row, scale) in enumerate(f._rows)]
+    pivots, _, ints, _, last = _eliminate(augmented, n)
+    if len(pivots) != n:
+        raise ValueError("singular matrix")
+    return _row_map([_least([-row[-1], *row[n:-1]], last) for row in ints])
 
 
 def fixed_point(f: AffineMap) -> Vector:
@@ -132,11 +159,6 @@ def _largest_row_sum(rows) -> tuple[int, int]:
         if total * scale > top * denominator:
             top, scale = total, denominator
     return top, scale
-
-
-def max_row_sum(matrix: Matrix) -> Fraction:
-    """Largest row sum of absolute entries, an exact rational, summed on cleared ints."""
-    return Fraction(*_largest_row_sum(_clear_denominators((0, *row)) for row in matrix))
 
 
 def _float_array(entries):
@@ -333,11 +355,6 @@ def _lift_failures(lifts, form, degrees, points, common: int, proven: int):
     return found
 
 
-def ifs_to_jsonable(ifs: IteratedFunctionSystem) -> dict:
-    """Plain-dict form of an IFS, with every entry a rational string."""
-    return {"dim": ifs.dim, "maps": [_rows_to_jsonable(rows) for rows in ifs._rows]}
-
-
 def _ratios(values, where: str) -> list[tuple[int, int]]:
     """_ratio of each entry of `values`; a malformed entry j raises ValueError naming where[j]."""
     ratios = []
@@ -391,10 +408,6 @@ def map_from_jsonable(entry, dim: Optional[int] = None, where: str = "map") -> A
     return _row_map(_map_rows(entry, dim, where))
 
 
-def map_to_jsonable(f: AffineMap) -> dict:
-    return _rows_to_jsonable(f._rows)
-
-
 def _ifs_header(data) -> tuple[int, list]:
     """The "dim" and the "maps" entries of an IFS document, checked before any entry is read."""
     if not isinstance(data, dict):
@@ -409,7 +422,7 @@ def _ifs_header(data) -> tuple[int, list]:
 
 
 def ifs_from_jsonable(data) -> IteratedFunctionSystem:
-    """Parse and validate the dict form produced by ifs_to_jsonable.
+    """Parse and validate {"dim": n, "maps": [{"matrix", "translation"}, ...]}.
 
     Every map is read into its cleared rows before any is certified, once, on those rows.
     """

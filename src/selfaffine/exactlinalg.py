@@ -2,6 +2,8 @@
 
 Matrices are tuples of row tuples, vectors are flat tuples.  Everything
 here targets the small dimensions of this package (n rarely above 8).
+There is no matrix product: affine maps compose and invert on their
+cleared integer rows in `affine`, whose `invert` calls `_eliminate` itself.
 One elimination loop, `_eliminate`, serves every routine.  It clears
 each row's denominators to Python ints and runs fraction-free
 Gauss–Jordan elimination (Bareiss, Math. Comp. 22, 1968): at each pivot
@@ -29,8 +31,6 @@ __all__ = [
     "as_vector",
     "as_matrix",
     "identity",
-    "mat_vec",
-    "mat_mul",
     "mat_inverse",
     "determinant",
     "solve",
@@ -53,22 +53,6 @@ def as_matrix(rows: Iterable[Iterable]) -> Matrix:
 def identity(n: int) -> Matrix:
     one, zero = Fraction(1), Fraction(0)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
-def mat_vec(matrix: Matrix, vector: Sequence[Fraction]) -> Vector:
-    if matrix and len(matrix[0]) != len(vector):
-        raise ValueError("dimension mismatch in mat_vec")
-    return tuple(sum(row[j] * vector[j] for j in range(len(vector))) for row in matrix)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch in mat_mul")
-    cols = len(b[0]) if b else 0
-    return tuple(
-        tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in range(cols))
-        for arow in a
-    )
 
 
 def _eliminate(rows: Sequence[Sequence[Fraction]], cols: int):

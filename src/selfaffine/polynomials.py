@@ -69,10 +69,6 @@ class MultiPoly:
     def zero(cls, dim: int) -> "MultiPoly":
         return cls(dim, {})
 
-    @classmethod
-    def constant(cls, dim: int, value) -> "MultiPoly":
-        return cls(dim, {(0,) * dim: Fraction(value)})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .affine import AffineMap, _float_array, _float_map, certify_admissible, invert, operator_norm
+from .affine import AffineMap, _float_array, _float_map, certify_admissible, invert
 from .attractor import _EXACT_DIAMETER_LIMIT, diameter
 from .cloud import PointCloud
 from .exactlinalg import express_in_span, greedy_independent
@@ -176,13 +176,14 @@ def diameter_decay_report(
     not raised.  The report carries the basis indices of
     `coefficient_span_dimension`, whose rank-cap check runs here.
     """
+    import numpy as np
     if not tolerance > 0:
         raise ValueError("tolerance must be positive")
     base_scale = _poly_scale(seq.base)
     if surface_residual(seq.base, zero_samples) > tolerance * base_scale:
         raise ValueError(f"zero samples must lie on S(P) within {tolerance}")
     matrix, translation = _float_map(seq.map._rows)
-    norm = operator_norm(seq.map.matrix)
+    norm = float(np.linalg.norm(matrix, 2))
     # the earliest independent set of P₀..P_m, cut to P₀..P_j, is that of P₀..P_j
     basis = coefficient_span_dimension(seq)[1]
     rank_so_far = 0

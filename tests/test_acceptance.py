@@ -29,7 +29,7 @@ from selfaffine.classifier import (
     solve_recenter,
 )
 from selfaffine.cloud import PointCloud
-from selfaffine.exactlinalg import determinant, identity, mat_inverse, mat_mul
+from selfaffine.exactlinalg import determinant, identity, mat_inverse
 from selfaffine.moment import (
     MomentCurveSpec,
     build_moment_ifs,
@@ -339,6 +339,12 @@ def test_criterion_8_series_kernel():
           f"through order 8")
 
 
+def _mat_mul(a, b):
+    """The exact matrix product a·b of two row tuples."""
+    return tuple(tuple(sum(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b[0])))
+                 for row in a)
+
+
 def _conjugated_instance(rng, germ, m_diag):
     n = germ.dim
     while True:
@@ -358,7 +364,7 @@ def _conjugated_instance(rng, germ, m_diag):
         row[0] += b[i]
         rows.append(row)
     curve = TruncatedSeries.from_rows(rows, germ.order)
-    m_conj = mat_mul(mat_mul(a, m_diag), mat_inverse(a))
+    m_conj = _mat_mul(_mat_mul(a, m_diag), mat_inverse(a))
     return curve, m_conj, a
 
 

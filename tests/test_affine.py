@@ -24,15 +24,12 @@ from selfaffine.affine import (
     compose,
     fixed_point,
     ifs_from_jsonable,
-    ifs_to_jsonable,
     invert,
     is_contractive,
     map_from_jsonable,
-    map_to_jsonable,
-    max_row_sum,
     operator_norm,
 )
-from selfaffine.exactlinalg import determinant
+from selfaffine.exactlinalg import determinant, mat_inverse
 from selfaffine.moment import _built_rows, _moment_rows
 from selfaffine.paraboloid import _build_map
 from selfaffine.rationals import _clear_denominators, format_rational
@@ -50,6 +47,11 @@ def _random_map(rng, n, scale=Fraction(1, 3)):
     )
     translation = tuple(Fraction(rng.randint(-3, 3), 2) for _ in range(n))
     return AffineMap(matrix, translation)
+
+
+def _ifs_document(ifs):
+    """The {"dim", "maps"} document of a system, each map written from its cleared rows."""
+    return {"dim": ifs.dim, "maps": [_rows_to_jsonable(rows) for rows in ifs._rows]}
 
 
 def _random_point(rng, n):
@@ -109,34 +111,100 @@ class TestComposeInvertFixedPoint:
             fixed_point(AffineMap([[1, 0], [0, 1]], [0, 0]))
 
 
+def _mat_mul(a, b):
+    return tuple(tuple(sum(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b[0])))
+                 for row in a)
+
+
+def _mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def _fraction_compose(f, g):
+    """compose as it was before it worked on cleared rows: Fraction matrix products."""
+    if f.dim != g.dim:
+        raise ValueError("cannot compose maps of different dimensions")
+    matrix = _mat_mul(f.matrix, g.matrix)
+    translation = tuple(m + t for m, t in zip(_mat_vec(f.matrix, g.translation), f.translation))
+    return AffineMap(matrix, translation)
+
+
+def _fraction_invert(f):
+    """invert as it was before it worked on cleared rows: mat_inverse of the Fraction matrix."""
+    inverse = mat_inverse(f.matrix)
+    translation = tuple(-x for x in _mat_vec(inverse, f.translation))
+    return AffineMap(inverse, translation)
+
+
+def _algebra_entry(rng):
+    """0 a quarter of the time, else a rational of 1- to 6-digit numerator and denominator."""
+    if rng.randrange(4) == 0:
+        return Fraction(0)
+    return Fraction(rng.randint(-10 ** rng.randint(1, 6), 10 ** rng.randint(1, 6)),
+                    rng.randint(1, 10 ** rng.randint(1, 6)))
+
+
+def _algebra_map(rng, n, triangular):
+    return AffineMap([[_algebra_entry(rng) if not triangular or j <= i else 0 for j in range(n)]
+                      for i in range(n)], [_algebra_entry(rng) for _ in range(n)])
+
+
+def _assert_same_map(mine, reference):
+    assert mine._rows == reference._rows
+    assert hash(mine) == hash(reference)
+    assert repr(mine) == repr(reference)
+
+
+class TestRowAlgebra:
+    """compose and invert on cleared rows against their Fraction references."""
+
+    def test_equal_to_the_fraction_references_on_random_pairs(self):
+        rng = random.Random(32)
+        seen = set()
+        for index in range(2000):
+            n, triangular = index % 8 + 1, index % 2 == 1
+            f, g = _algebra_map(rng, n, triangular), _algebra_map(rng, n, triangular)
+            _assert_same_map(compose(f, g), _fraction_compose(f, g))
+            _assert_same_map(compose(g, f), _fraction_compose(g, f))
+            try:
+                expected = _fraction_invert(f)
+            except ValueError:
+                with pytest.raises(ValueError, match="^singular matrix$"):
+                    invert(f)
+                seen.add((triangular, "singular"))
+                continue
+            _assert_same_map(invert(f), expected)
+            seen.add((triangular, "swap" if f.matrix[0][0] == 0 else "invertible"))
+        assert seen == {(t, kind) for t in (False, True) for kind in ("singular", "invertible")} | {
+            (False, "swap")}
+
+    def test_a_row_swap_at_the_first_pivot(self):
+        f = AffineMap([[0, Fraction(1, 3)], [Fraction(1, 4), 0]], [Fraction(1, 5), 0])
+        _assert_same_map(invert(f), _fraction_invert(f))
+        assert invert(f) == AffineMap([[0, 4], [3, 0]], [0, Fraction(-3, 5)])
+        _assert_same_map(compose(invert(f), f), AffineMap([[1, 0], [0, 1]], [0, 0]))
+
+    @pytest.mark.parametrize("matrix", [
+        [[0, 0], [0, 0]],
+        [[Fraction(1, 2), 0], [Fraction(1, 3), 0]],
+        [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 4), Fraction(1, 4)]],
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    ])
+    def test_a_singular_map_raises_on_both(self, matrix):
+        f = AffineMap(matrix, [Fraction(1, 7)] * len(matrix))
+        for inverse in (invert, _fraction_invert):
+            with pytest.raises(ValueError, match="^singular matrix$"):
+                inverse(f)
+
+    def test_mismatched_dimensions_raise_on_both(self):
+        f, g = AffineMap([[Fraction(1, 2)]], [1]), AffineMap([[1, 0], [0, 1]], [0, 0])
+        for composed in (compose, _fraction_compose):
+            for pair in ((f, g), (g, f)):
+                with pytest.raises(ValueError, match="^cannot compose maps of different dimensions$"):
+                    composed(*pair)
+
+
 class TestNorms:
-    def test_max_row_sum_hand(self):
-        m = ((Fraction(1, 2), Fraction(-1, 3)), (Fraction(0), Fraction(1, 4)))
-        assert max_row_sum(m) == Fraction(5, 6)
-
-    def test_max_row_sum_matches_fraction_sum(self):
-        # the plain reference: each row's absolute entries added as Fractions
-        def reference(matrix):
-            return max(sum(abs(x) for x in row) for row in matrix)
-
-        rng = random.Random(23)
-        for n in (1, 2, 3, 5, 8):
-            for _ in range(10):
-                dense = tuple(
-                    tuple(Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**12))
-                          for _ in range(n))
-                    for _ in range(n)
-                )
-                # rank at most 1: every row a multiple of the first, some rows zero
-                first = dense[0]
-                singular = tuple(
-                    tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 7)) * x for x in first)
-                    for _ in range(n)
-                )
-                for matrix in (dense, singular):
-                    assert max_row_sum(matrix) == reference(matrix)
-                    assert type(max_row_sum(matrix)) is Fraction
-
     def test_operator_norm_matches_numpy(self):
         rng = random.Random(9)
         for n in (1, 2, 3, 4):
@@ -179,7 +247,7 @@ class TestContractionCertificates:
         # row sums 6/5 and 1/10: 2*(6/5)^2 > 1, but the spectral norm < 1
         f = AffineMap([[Fraction(9, 10), Fraction(3, 10)], [Fraction(0), Fraction(1, 10)]],
                       [Fraction(0), Fraction(0)])
-        assert 2 * max_row_sum(f.matrix) ** 2 >= 1
+        assert 2 * max(sum(map(abs, row)) for row in f.matrix) ** 2 >= 1
         cert = is_contractive(f)
         assert cert.contractive
         assert cert.route == "spectral-norm"
@@ -329,7 +397,7 @@ class TestJsonInterchange:
     def test_map_round_trip(self):
         f = AffineMap([[Fraction(1, 2), Fraction(-1, 3)], [Fraction(0), Fraction(1, 5)]],
                       [Fraction(7, 2), Fraction(0)])
-        data = map_to_jsonable(f)
+        data = _rows_to_jsonable(f._rows)
         assert map_from_jsonable(data) == f
 
     def test_ifs_round_trip(self):
@@ -338,14 +406,14 @@ class TestJsonInterchange:
         g = AffineMap([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 2)]],
                       [Fraction(1, 2), Fraction(1, 2)])
         ifs = IteratedFunctionSystem((f, g))
-        data = ifs_to_jsonable(ifs)
+        data = _ifs_document(ifs)
         assert data["dim"] == 2
         rebuilt = ifs_from_jsonable(data)
         assert rebuilt == ifs
 
     def test_extra_keys_ignored(self):
         f = AffineMap([[Fraction(1, 2)]], [Fraction(1)])
-        data = ifs_to_jsonable(IteratedFunctionSystem((f,)))
+        data = _ifs_document(IteratedFunctionSystem((f,)))
         data["meta"] = {"anything": True}
         assert ifs_from_jsonable(data)[0] == f
 
@@ -361,7 +429,7 @@ class TestJsonInterchange:
     def test_malformed_rejected(self, mutate):
         f = AffineMap([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 2)]],
                       [Fraction(0), Fraction(0)])
-        data = ifs_to_jsonable(IteratedFunctionSystem((f,)))
+        data = _ifs_document(IteratedFunctionSystem((f,)))
         mutate(data)
         with pytest.raises(ValueError):
             ifs_from_jsonable(data)
@@ -445,7 +513,7 @@ class TestRowConversions:
         assert ifs._rows == [_reference_rows(f) for f in maps]
         # each map's rows, cleared once when it was made, and held by the map
         assert all(rows is f._rows for rows, f in zip(ifs._rows, maps))
-        assert json.dumps(ifs_to_jsonable(ifs)) == json.dumps(
+        assert json.dumps(_ifs_document(ifs)) == json.dumps(
             {"dim": 3, "maps": [_reference_map_to_jsonable(f) for f in maps]})
 
 

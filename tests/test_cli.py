@@ -338,8 +338,9 @@ class TestBuiltWriter:
     @pytest.mark.parametrize("target", ["file", "stdout"])
     def test_paraboloid_equals_the_whole_document_dump(self, dim, count, target, tmp_path, capsys):
         base = [(Fraction(1, count), Fraction(k, count)) for k in range(count)]
-        data = affine.ifs_to_jsonable(paraboloid.build_paraboloid_ifs(
-            paraboloid.ParaboloidSpec(dim, Fraction(0), Fraction(1), tuple(base))))
+        ifs = paraboloid.build_paraboloid_ifs(
+            paraboloid.ParaboloidSpec(dim, Fraction(0), Fraction(1), tuple(base)))
+        data = {"dim": dim, "maps": [affine._rows_to_jsonable(rows) for rows in ifs._rows]}
         data["meta"] = {"surface": "paraboloid", "a": "0", "b": "1",
                         "base": [[str(c), str(d)] for c, d in base]}
         text = self.written(capsys, tmp_path, target, "paraboloid", "--dim", str(dim), "--c", "0",

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from selfaffine import cli
 from selfaffine.affine import (
-    AffineMap, IteratedFunctionSystem, _map_rows, _texts, ifs_from_jsonable, ifs_to_jsonable,
+    AffineMap, IteratedFunctionSystem, _map_rows, _rows_to_jsonable, _texts, ifs_from_jsonable,
     map_from_jsonable, matrix_from_jsonable,
 )
 from selfaffine.rationals import _clear_denominators, _ratio, format_rational, parse_rational
@@ -257,7 +257,7 @@ class TestPlainSystems:
         maps = [AffineMap([[Fraction(1, 2), 0], [Fraction(1, 4), Fraction(1, 3)]], [0, -1]),
                 AffineMap([[Fraction(1, 3), Fraction(-1, 5)], [0, Fraction(1, 2)]], [Fraction(1, 2), 3])]
         built = IteratedFunctionSystem(maps)
-        data = ifs_to_jsonable(built)
+        data = {"dim": 2, "maps": [_rows_to_jsonable(rows) for rows in built._rows]}
         constructed.clear()
         read = ifs_from_jsonable(data)
         assert constructed == []

@@ -12,8 +12,7 @@ import pytest
 from selfaffine import affine, moment
 from selfaffine.affine import (
     AffineMap, IteratedFunctionSystem, _float_array, _float_map, _line, _row_map,
-    certify_admissible, fixed_point, ifs_from_jsonable, is_contractive, map_to_jsonable,
-    max_row_sum
+    _rows_to_jsonable, certify_admissible, fixed_point, ifs_from_jsonable, is_contractive,
 )
 from selfaffine.attractor import chaos_game
 from selfaffine.exactlinalg import determinant
@@ -55,7 +54,7 @@ def _recipe_of(spec, ratio, anchors, maps):
     """The recipe read_recipe reads from a document of these maps under the construction's meta."""
     return read_recipe({
         "dim": spec.dim,
-        "maps": [map_to_jsonable(f) for f in maps],
+        "maps": [_rows_to_jsonable(f._rows) for f in maps],
         "meta": {"n": spec.dim, "c": format_rational(spec.c), "d": format_rational(spec.d),
                  "lambda": format_rational(ratio), "anchors": [format_rational(t) for t in anchors]},
     })
@@ -622,7 +621,7 @@ class TestRecipeReader:
         spec, zero = MomentCurveSpec(2, Fraction(0), Fraction(1)), Fraction(0)
         anchors = [Fraction(0), Fraction(1)]
         maps = [_plain_map(2, _line(zero, t - zero * spec.c)) for t in anchors]
-        data = {"dim": 2, "maps": [affine.map_to_jsonable(f) for f in maps],
+        data = {"dim": 2, "maps": [_rows_to_jsonable(f._rows) for f in maps],
                 "meta": {"n": 2, "c": "0", "d": "1", "lambda": "0", "anchors": ["0", "1"]}}
         with pytest.raises(ValueError, match=r"contraction ratio must lie in \(0, 1\)"):
             read_recipe(data)
@@ -825,7 +824,7 @@ def _built_document(n, c, d, ratio, anchors):
     lines = [_line(ratio, t - ratio * c) for t in anchors]
     return {
         "dim": n,
-        "maps": [affine.map_to_jsonable(_plain_map(n, line)) for line in lines],
+        "maps": [_rows_to_jsonable(_plain_map(n, line)._rows) for line in lines],
         "meta": {"n": n, "c": str(c), "d": str(d), "lambda": str(ratio),
                  "anchors": [str(t) for t in anchors]},
     }
@@ -874,7 +873,7 @@ class TestBuiltCertificate:
         # n = 2, λ = 1/2, anchors 0 and 1/2: map 1 has row sums 1/2 and 3/4, so n·s² = 9/8
         recipe = _tiling_recipe(2, 0, 1, Fraction(1, 2))
         assert recipe.anchors == (0, Fraction(1, 2))
-        assert 2 * max_row_sum(recipe.ifs.maps[1].matrix) ** 2 == Fraction(9, 8)
+        assert 2 * max(sum(map(abs, row)) for row in recipe.ifs.maps[1].matrix) ** 2 == Fraction(9, 8)
         norm_calls.clear()
         determinant_calls.clear()
         read = read_recipe(recipe_to_jsonable(recipe))
@@ -989,7 +988,7 @@ class TestIntegerRows:
 
     def test_written_strings_are_format_rational(self):
         for recipe, maps in _row_recipes():
-            assert recipe_to_jsonable(recipe)["maps"] == [map_to_jsonable(f) for f in maps]
+            assert recipe_to_jsonable(recipe)["maps"] == [_rows_to_jsonable(f._rows) for f in maps]
             assert recipe.ifs.maps == tuple(maps)
 
     def test_built_rows_are_the_cleared_rows(self):

@@ -44,12 +44,13 @@ def _reference_conjugates(spec, maps):
     coords = [MultiPoly(base_dim, {tuple(int(k == j) for k in range(base_dim)): 1})
               for j in range(base_dim)]
     eta = coords + [sum((x * x for x in coords), zero)]
+    origin = (0,) * base_dim
     for (c, d), f in zip(spec.base_maps, maps):
         lhs = [
-            sum((a * e for a, e in zip(row, eta) if a != 0), MultiPoly.constant(base_dim, t))
+            sum((a * e for a, e in zip(row, eta) if a != 0), MultiPoly(base_dim, {origin: t}))
             for row, t in zip(f.matrix, f.translation)
         ]
-        moved = [c * x + MultiPoly.constant(base_dim, d) for x in coords]
+        moved = [c * x + MultiPoly(base_dim, {origin: d}) for x in coords]
         if lhs != moved + [sum((y * y for y in moved), zero)]:
             return False
     return True

@@ -81,7 +81,7 @@ class TestPullbackSequence:
 
     def test_rejects_constant_polynomial(self):
         with pytest.raises(ValueError):
-            pullback_sequence(MultiPoly.constant(2, Fraction(1)), half_map(), 2)
+            pullback_sequence(MultiPoly(2, {(0, 0): Fraction(1)}), half_map(), 2)
 
     def test_circle_pullbacks_frozen(self):
         # P_j(x) = |2^j x|^2 - 1 = 4^j (x1^2 + x2^2) - 1
