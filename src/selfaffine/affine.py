@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .exactlinalg import (
-    Matrix, Vector, _eliminate, as_matrix, as_vector, determinant, solve,
+    Matrix, Vector, _eliminate, as_matrix, as_vector, determinant,
 )
 from .rationals import _clear_denominators, _clear_ratios, _ratio
 
@@ -135,7 +135,7 @@ def invert(f: AffineMap) -> AffineMap:
     n = f.dim
     augmented = [[*row[1:], *(scale * (i == j) for j in range(n)), row[0]]
                  for i, (row, scale) in enumerate(f._rows)]
-    pivots, _, ints, _, last = _eliminate(augmented, n)
+    pivots, _, ints, last = _eliminate(augmented, n)
     if len(pivots) != n:
         raise ValueError("singular matrix")
     return _row_map([_least([-row[-1], *row[n:-1]], last) for row in ints])
@@ -143,12 +143,12 @@ def invert(f: AffineMap) -> AffineMap:
 
 def fixed_point(f: AffineMap) -> Vector:
     """The unique x with f(x) = x, solved exactly from the integer rows of s·(I − M)x = s·a."""
-    system = [[scale * (i == j) - x for j, x in enumerate(row[1:])]
+    system = [[*(scale * (i == j) - x for j, x in enumerate(row[1:])), row[0]]
               for i, (row, scale) in enumerate(f._rows)]
-    try:
-        return solve(system, [row[0] for row, _ in f._rows])
-    except ValueError:
-        raise ValueError("map has 1 as an eigenvalue; fixed point is not unique") from None
+    pivots, _, ints, last = _eliminate(system, f.dim)
+    if len(pivots) != f.dim:
+        raise ValueError("map has 1 as an eigenvalue; fixed point is not unique")
+    return tuple(Fraction(row[-1], last) for row in ints)
 
 
 def _largest_row_sum(rows) -> tuple[int, int]:
@@ -228,9 +228,12 @@ def is_contractive(f: AffineMap) -> ContractionCertificate:
     bound, square = f.dim * top * top, scale * scale
     if bound < square:
         return ContractionCertificate(True, "row-sum-bound", math.sqrt(bound / square))
-    # made here, not cached on f, so a certified map stays in its rows
-    norm = operator_norm(tuple(tuple(Fraction(x, scale) for x in row[1:])
-                               for row, scale in f._rows))
+    import numpy as np
+    try:  # x/scale rounds as float(Fraction(x, scale)) does, and no Fraction is made
+        matrix = np.array([[x / scale for x in row[1:]] for row, scale in f._rows])
+        norm = float(np.linalg.norm(matrix, 2))
+    except OverflowError:  # an entry beyond the float range: the norm is at least inf
+        norm = math.inf
     return ContractionCertificate(norm < 1.0 - NORM_TOLERANCE, "spectral-norm", norm)
 
 

@@ -55,10 +55,10 @@ def chaos_game(ifs: IteratedFunctionSystem, iterations: int, burn_in: int, seed:
     # a view of the drawn indices iterates as Python ints, with no list of them held
     choices = memoryview(rng.integers(0, len(matrices), size=iterations))
     steps = np.empty((iterations, len(x)))
-    # each step is written straight into its row; the cloud is the rows after burn_in
+    # each step goes straight into its row, by np.dot: the dgemv of np.matmul, less dispatch
     for row, index in zip(steps, choices):
-        np.matmul(matrices[index], x, out=row)
-        row += translations[index]
+        np.dot(matrices[index], x, out=row)
+        np.add(row, translations[index], out=row)
         x = row
     # the cloud takes its rows without PointCloud's copy: no one else holds steps to write them
     steps.flags.writeable = False

@@ -4,14 +4,15 @@ Matrices are tuples of row tuples, vectors are flat tuples.  Everything
 here targets the small dimensions of this package (n rarely above 8).
 There is no matrix product: affine maps compose and invert on their
 cleared integer rows in `affine`, whose `invert` calls `_eliminate` itself.
-One elimination loop, `_eliminate`, serves every routine.  It clears
-each row's denominators to Python ints and runs fraction-free
-Gauss–Jordan elimination (Bareiss, Math. Comp. 22, 1968): at each pivot
-p, every other row becomes (p·row − factor·pivot row) / previous pivot.
-That division is exact, because after k pivots every entry is a k×k or
-(k+1)×(k+1) minor of the cleared matrix (Sylvester's identity).  So no
-rational is normalised inside the loop; the pivot rows end as the last
-pivot times the reduced row echelon form, and the callers divide once.
+One elimination loop, `_eliminate`, serves every routine: fraction-free
+Gauss–Jordan elimination (Bareiss, Math. Comp. 22, 1968) on integer rows,
+which the public routines clear once at entry.  At each pivot p, every other
+row becomes (p·row − factor·pivot row) / previous pivot, exactly, because
+after k pivots every entry is a k×k or (k+1)×(k+1) minor of the cleared
+matrix (Sylvester's identity).  No rational is normalised inside the loop;
+the pivot rows end as the last pivot times the reduced row echelon form, and
+the callers divide once.  determinant and greedy_independent read only the
+pivots, the sign and the last pivot, so for them it reduces only below each pivot.
 """
 
 from __future__ import annotations
@@ -55,17 +56,16 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def _eliminate(rows: Sequence[Sequence[Fraction]], cols: int):
-    """Fraction-free Gauss–Jordan elimination on the first `cols` columns.
+def _eliminate(ints: Sequence[Sequence[int]], cols: int, above: bool = True):
+    """Fraction-free elimination of integer rows on the first `cols` columns.
 
-    Returns (pivots, sign, ints, scales, last): the earliest pivot columns,
-    in order; the sign of the row permutation; the integer rows, whose
-    pivot rows are `last` times the reduced row echelon form; the scale
-    each input row was cleared over, in input order; and the last pivot,
-    the minor of the cleared rows on the pivot rows and columns (1 if none).
+    Returns (pivots, sign, ints, last): the earliest pivot columns, in order;
+    the sign of the row permutation; the rows, whose pivot rows are `last` times
+    the reduced row echelon form when `above`; and the last pivot, the minor of
+    the rows on the pivot rows and columns (1 if none).  above=False reduces only
+    the rows below each pivot (forward Bareiss), with the same pivots, sign and last.
     """
-    cleared = [_clear_denominators(row) for row in rows]
-    ints = [numerators for numerators, _ in cleared]
+    ints = list(ints)
     pivots: list[int] = []
     sign = last = 1
     for col in range(cols):
@@ -80,21 +80,26 @@ def _eliminate(rows: Sequence[Sequence[Fraction]], cols: int):
             sign = -sign
         top = ints[row]
         pivot = top[col]
-        for r, current in enumerate(ints):
+        for r in range(0 if above else row + 1, len(ints)):
             if r != row:
-                factor = current[col]
+                current, factor = ints[r], ints[r][col]
                 ints[r] = [(pivot * x - factor * y) // last for x, y in zip(current, top)]
         pivots.append(col)
         last = pivot
-    return pivots, sign, ints, [scale for _, scale in cleared], last
+    return pivots, sign, ints, last
+
+
+def _cleared(rows) -> list[list[int]]:
+    """Each row's numerators over its own least common denominator."""
+    return [_clear_denominators(row)[0] for row in rows]
 
 
 def mat_inverse(matrix: Matrix) -> Matrix:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    pivots, _, ints, _, last = _eliminate(aug, n)
+    aug = _cleared([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix))
+    pivots, _, ints, last = _eliminate(aug, n)
     if len(pivots) != n:
         raise ValueError("singular matrix")
     return tuple(tuple(Fraction(x, last) for x in row[n:]) for row in ints)
@@ -104,10 +109,11 @@ def determinant(matrix: Matrix) -> Fraction:
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    pivots, sign, _, scales, last = _eliminate(matrix, n)
+    cleared = [_clear_denominators(row) for row in matrix]
+    pivots, sign, _, last = _eliminate([ints for ints, _ in cleared], n, above=False)
     if len(pivots) != n:
         return Fraction(0)
-    return Fraction(sign * last, math.prod(scales))
+    return Fraction(sign * last, math.prod(scale for _, scale in cleared))
 
 
 def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector:
@@ -115,8 +121,7 @@ def solve(matrix: Matrix, rhs: Sequence[Fraction]) -> Vector:
     n = len(matrix)
     if any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValueError("solve expects a square system")
-    aug = [list(matrix[i]) + [Fraction(rhs[i])] for i in range(n)]
-    pivots, _, ints, _, last = _eliminate(aug, n)
+    pivots, _, ints, last = _eliminate(_cleared([*matrix[i], rhs[i]] for i in range(n)), n)
     if len(pivots) != n:
         raise ValueError("singular matrix")
     return tuple(Fraction(row[n], last) for row in ints)
@@ -135,8 +140,8 @@ def express_in_span(
     if any(len(v) != m for v in vectors):
         raise ValueError("span vectors and target must share length")
     k = len(vectors)
-    aug = [[Fraction(vectors[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(m)]
-    pivots, _, ints, _, last = _eliminate(aug, k)
+    aug = _cleared([*(vectors[j][i] for j in range(k)), target[i]] for i in range(m))
+    pivots, _, ints, last = _eliminate(aug, k)
     if any(row[k] for row in ints[len(pivots):]):
         return None
     coeffs = [Fraction(0)] * k
@@ -154,6 +159,6 @@ def greedy_independent(vectors: Sequence[Sequence[Fraction]]) -> tuple[int, tupl
     """
     if not vectors:
         return 0, ()
-    columns = [[Fraction(v[i]) for v in vectors] for i in range(len(vectors[0]))]
-    kept = _eliminate(columns, len(vectors))[0]
+    columns = _cleared([v[i] for v in vectors] for i in range(len(vectors[0])))
+    kept = _eliminate(columns, len(vectors), above=False)[0]
     return len(kept), tuple(kept)

@@ -62,6 +62,8 @@ def format_rational(value: Fraction) -> str:
 
 def _clear_denominators(values) -> tuple[list[int], int]:
     """Integers p and the least common denominator s with values[i] == p[i] / s."""
+    if all(type(x) is int for x in values):  # integer rows, as maps hold them, are already clear
+        return list(values), 1
     ratios = [x.as_integer_ratio() for x in values]
     scale = lcm(*[q for _, q in ratios])
     return [p * (scale // q) for p, q in ratios], scale

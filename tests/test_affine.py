@@ -260,6 +260,42 @@ class TestContractionCertificates:
         assert not cert.contractive
         assert not bool(cert)
 
+    def test_spectral_route_equals_the_fraction_path(self):
+        # the spectral norm as it was taken: a Fraction of every entry, then operator_norm
+        def fraction_path(f):
+            return operator_norm(tuple(tuple(Fraction(x, scale) for x in row[1:])
+                                       for row, scale in f._rows))
+
+        rng = random.Random(32)
+        maps = []
+        for _ in range(300):
+            n = rng.randint(1, 8)
+            digits = 10 ** rng.choice((1, 10))
+            maps.append(AffineMap(
+                [[Fraction(rng.randint(-digits, digits), rng.randint(1, digits) * n)
+                  for _ in range(n)] for _ in range(n)],
+                [Fraction(rng.randint(-9, 9), 7) for _ in range(n)]))
+        far = Fraction(10**400)
+        maps.append(AffineMap([[Fraction(1, 2), far], [Fraction(0), Fraction(1, 2)]],
+                              [Fraction(0), Fraction(0)]))
+        # a translation beyond the float range does not enter the norm
+        maps.append(AffineMap([[Fraction(9, 10), Fraction(3, 10)], [Fraction(0), Fraction(1, 10)]],
+                              [far, Fraction(0)]))
+        routes = set()
+        for f in maps:
+            cert = is_contractive(f)
+            routes.add((cert.route, cert.contractive))
+            if cert.route == "spectral-norm":
+                expected = fraction_path(f)
+                assert cert.norm_bound.hex() == expected.hex()
+                assert cert.contractive == (expected < 1.0 - NORM_TOLERANCE)
+        assert routes == {("row-sum-bound", True), ("spectral-norm", True),
+                          ("spectral-norm", False)}
+        assert is_contractive(maps[-2]).norm_bound == math.inf
+        assert is_contractive(maps[-1]).contractive
+        with pytest.raises(ValueError, match="map 0 is not strictly contractive"):
+            certify_admissible(maps[-2], "map 0")
+
 
 def _reference_admissibility(f):
     """The plain rule: determinant, then Fraction row sums, then numpy's SVD.

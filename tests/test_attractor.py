@@ -1,7 +1,10 @@
 """Attractor sampling: the chaos game and the cloud diameter."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import selfaffine
 from selfaffine.affine import (
     AffineMap, IteratedFunctionSystem, _float_array, _float_map, fixed_point
 )
@@ -68,6 +72,46 @@ def moment_recipe(n=2, c=0, d=1):
 
 def moment_ifs(n=2):
     return moment_recipe(n).ifs
+
+
+# Seeded chaos_game against the np.matmul loop it replaced, in one process: one line a system.
+KERNEL_CHILD = """
+import random
+from fractions import Fraction
+import numpy as np
+from selfaffine.affine import AffineMap, IteratedFunctionSystem, _float_array, _float_map
+from selfaffine.affine import fixed_point
+from selfaffine.attractor import chaos_game
+from selfaffine.moment import MomentCurveSpec, build_moment_ifs, choose_anchors, lambda_bound
+
+def matmul_loop(ifs, iterations, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    matrices, translations = zip(*map(_float_map, ifs._rows))
+    x = _float_array(fixed_point(ifs.maps[0]))
+    steps = np.empty((iterations, len(x)))
+    for row, index in zip(steps, rng.integers(0, len(matrices), size=iterations)):
+        np.matmul(matrices[index], x, out=row)
+        row += translations[index]
+        x = row
+    return steps
+
+systems = []
+for n in (2, 3, 4, 5):
+    spec = MomentCurveSpec(n, Fraction(0), Fraction(1))
+    ratio = lambda_bound(spec) / 2
+    systems.append(build_moment_ifs(spec, ratio, choose_anchors(spec, ratio)).ifs)
+for dim in range(1, 9):
+    rng = random.Random(f"dense:{dim}:1")
+    entry = lambda: Fraction(rng.choice([-1, 1]) * rng.randint(1, 3), 4 * dim * dim)
+    systems.append(IteratedFunctionSystem(tuple(
+        AffineMap([[entry() for _ in range(dim)] for _ in range(dim)],
+                  [Fraction(rng.randint(-9, 9), 7) for _ in range(dim)]) for _ in range(3))))
+for index, system in enumerate(systems * 2):
+    seed = 50 + index
+    cloud = chaos_game(system, 2_000, 100, seed)
+    expected = matmul_loop(system, 2_000, seed)[100:]
+    print("equal" if cloud.points.tobytes() == expected.tobytes() else "differ")
+"""
 
 
 class TestChaosGame:
@@ -167,6 +211,16 @@ class TestChaosGame:
             _check_steps(10_000_000, 0, 14)
         with pytest.raises(ValueError, match="exceed the guard 10000000"):
             _check_steps(10_000_001, 0, 1)
+
+    @pytest.mark.parametrize("kernel", ["Prescott", "Haswell"])
+    def test_equals_matmul_loop_under_each_blas_kernel(self, kernel):
+        # OPENBLAS_CORETYPE picks the BLAS kernel when the library loads, so each runs in a child
+        source = str(os.path.dirname(os.path.dirname(selfaffine.__file__)))
+        env = dict(os.environ, PYTHONPATH=source, OPENBLAS_CORETYPE=kernel)
+        result = subprocess.run([sys.executable, "-c", KERNEL_CHILD], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["equal"] * 24
 
     def test_moment_graph_residual(self):
         cloud = chaos_game(moment_ifs(2), 5000, 100, 3)

@@ -17,6 +17,7 @@ from selfaffine.exactlinalg import (
     solve,
 )
 from selfaffine.moment import MomentCurveSpec, build_moment_ifs, choose_anchors, lambda_bound
+from selfaffine.rationals import _clear_denominators
 
 
 def _random_matrix(rng, n, bound=5):
@@ -347,7 +348,10 @@ class TestAgainstReference:
             m = _matrix(rng, rows, cols, digits=rng.choice((1, 12)), zeros=rng.choice((0.3, 0.8)))
             cut = rng.randint(0, cols)
             reference = [list(row) for row in m]
-            assert _eliminate(m, cut)[0] == _reference_eliminate(reference, cut)
+            pivots = _reference_eliminate(reference, cut)
+            cleared = [_clear_denominators(row)[0] for row in m]
+            assert _eliminate(cleared, cut)[0] == pivots
+            assert _eliminate(cleared, cut, above=False)[0] == pivots
 
     def test_express_in_span_and_greedy(self):
         rng = random.Random(9)
@@ -394,3 +398,81 @@ class TestAgainstReference:
         for _ in range(10):
             m = _matrix(rng, n, n, digits=12, zeros=0.1)
             assert determinant(m) == _reference_determinant(m) == _leibniz_determinant(m)
+
+
+def _laplace_determinant(m):
+    """Independent oracle: cofactor expansion along the first row."""
+    if not m:
+        return Fraction(1)
+    total = Fraction(0)
+    for col, entry in enumerate(m[0]):
+        if entry:
+            minor = [row[:col] + row[col + 1:] for row in m[1:]]
+            total += (-1) ** col * entry * _laplace_determinant(minor)
+    return total
+
+
+def _gauss_jordan_pivots(rows, cols):
+    """The pivot columns of the fraction-free loop as it ran before, reducing every other row."""
+    ints = [_clear_denominators(row)[0] for row in rows]
+    pivots, last = [], 1
+    for col in range(cols):
+        row = len(pivots)
+        if row == len(ints):
+            break
+        pivot_row = next((r for r in range(row, len(ints)) if ints[r][col]), None)
+        if pivot_row is None:
+            continue
+        ints[row], ints[pivot_row] = ints[pivot_row], ints[row]
+        top = ints[row]
+        pivot = top[col]
+        for r, current in enumerate(ints):
+            if r != row:
+                factor = current[col]
+                ints[r] = [(pivot * x - factor * y) // last for x, y in zip(current, top)]
+        pivots.append(col)
+        last = pivot
+    return pivots
+
+
+def _forward_case(seed):
+    """A seeded square matrix of side 1–8: dense, singular, swap-forcing or lower-triangular."""
+    rng = random.Random(f"forward:{seed}")
+    n = rng.randint(1, 8)
+    m = [list(row) for row in _matrix(rng, n, n, digits=rng.choice((1, 1, 10)),
+                                      zeros=rng.choice((0.0, 0.3)))]
+    kind = seed % 4
+    if kind == 1:
+        m = [list(row) for row in _degenerate(rng, tuple(map(tuple, m)))]
+    elif kind == 2:
+        # zero leading pivots: the first k columns vanish on their top rows, so rows swap
+        k = rng.randint(1, n)
+        for i in range(k):
+            for j in range(i + 1):
+                m[i][j] = Fraction(0)
+        rng.shuffle(m)
+    elif kind == 3:
+        for i in range(n):
+            m[i][i + 1:] = [Fraction(0)] * (n - i - 1)
+    return tuple(map(tuple, m))
+
+
+class TestForwardElimination:
+    """determinant and greedy_independent reduce only below each pivot, with the same results."""
+
+    def test_determinant_and_greedy_on_seeded_matrices(self):
+        kinds = {"singular": 0, "swapped": 0, "lower": 0}
+        for seed in range(2_000):
+            m = _forward_case(seed)
+            n = len(m)
+            expected = _laplace_determinant(m) if n <= 6 else _reference_determinant(m)
+            assert determinant(m) == expected, seed
+            kinds["singular"] += expected == 0
+            kinds["swapped"] += m[0][0] == 0
+            kinds["lower"] += all(not any(row[i + 1:]) for i, row in enumerate(m))
+            # greedy_independent eliminates the matrix whose columns are its vectors
+            pivots = _gauss_jordan_pivots(list(zip(*m)), n)
+            assert greedy_independent(m) == (len(pivots), tuple(pivots)), seed
+            assert _eliminate([_clear_denominators(row)[0] for row in m], n,
+                              above=False)[0] == _gauss_jordan_pivots(m, n), seed
+        assert min(kinds.values()) >= 400, kinds
