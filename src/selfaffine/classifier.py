@@ -81,9 +81,13 @@ def tangent_eigenvalue(matrix: Sequence[Sequence], tangent: Sequence) -> Optiona
         raise ValueError("tangent vector must be nonzero")
     if len(m) != len(v) or len(m[0]) != len(v):
         raise ValueError("matrix and tangent dimensions differ")
-    # on integers: v = q/t and row i of M = p_i/s_i, so (M·v)_i = (p_i·q)/(s_i·t)
+    return _eigenvalue([_clear_denominators(row) for row in m], v)
+
+
+def _eigenvalue(rows: Sequence[tuple[Sequence[int], int]], v: Sequence) -> Optional[Fraction]:
+    """tangent_eigenvalue on M's rows cleared once: row i = p_i/s_i, v = q/t, (M·v)_i = (p_i·q)/(s_i·t)."""
     q, _ = _clear_denominators(v)
-    image = [(sum(a * b for a, b in zip(p, q)), s) for p, s in map(_clear_denominators, m)]
+    image = [(sum(a * b for a, b in zip(p, q)), s) for p, s in rows]
     pivot = next(i for i, x in enumerate(q) if x)
     top, scale = image[pivot]
     # λ = top/(scale·q_pivot), and (M·v)_i = λ·v_i for every i
@@ -284,12 +288,18 @@ class RecenterResult:
 def _check_recenter(profile, t1, rows, index, missing) -> None:
     """Raise ArithmeticError unless the rows, or the witness, certify the verdict.
 
-    Each row must re-expand over the span to (t − t1)^p, here b^{−p}·(b·t − a)^p
-    for t1 = a/b by repeated integer multiplication; a witness degree must be
-    zero in every span vector and nonzero in the failing row's target.
+    A witness degree 0 < m ≤ p absent from the profile is 0 in every span vector t^q − t1^q;
+    its coefficient C(p, m)·b^m·(−a)^{p−m} in (b·t − a)^p, t1 = a/b, must be nonzero.  Each
+    row must re-expand over the span to b^{−p}·(b·t − a)^p by repeated integer multiplication.
     """
-    top = profile[-1]
     a, b = t1.numerator, t1.denominator
+    if index is not None:  # an infeasible verdict carries a witness and no rows
+        p = profile[index - 1]
+        if (not 0 < missing <= p or missing in profile
+                or not math.comb(p, missing) * b**missing * (-a) ** (p - missing)):
+            raise ArithmeticError(f"t^{missing} does not witness infeasibility at index {index}")
+        return
+    top = profile[-1]
     # the span vectors t^q − t1^q as a table: the constants over b^top, then the unit entries
     span = [([-(a**q) * b ** (top - q) for q in profile], b**top)]
     span += [([int(m == q) for q in profile], 1) for m in range(1, top + 1)]
@@ -299,10 +309,6 @@ def _check_recenter(profile, t1, rows, index, missing) -> None:
     for p, row in zip(profile, rows):
         if _combine(row, span) != [Fraction(x, b**p) for x in scaled[p]] + [0] * (top - p):
             raise ArithmeticError(f"row {p} does not re-expand to (t - t1)^{p}")
-    if index is not None:
-        p = profile[index - 1]
-        if not 0 < missing <= p or any(span[missing][0]) or not scaled[p][missing]:
-            raise ArithmeticError(f"t^{missing} does not witness infeasibility at index {index}")
 
 
 def solve_recenter(exponents: Sequence[int], t1: Fraction) -> RecenterResult:
@@ -311,9 +317,9 @@ def solve_recenter(exponents: Sequence[int], t1: Fraction) -> RecenterResult:
     The profile must start at 1 and increase strictly.  Feasibility of
     every row is equivalent to the profile being (1, 2, …, n).  Span
     vector j, t^{p_j} − t1^{p_j}, is a unit vector apart from its constant
-    slot, so row p can only be C(p, p_j)·(−t1)^{p−p_j}, and the first p
-    whose range 1..p misses a degree fails with the smallest one as
-    witness; `_check_recenter` certifies either answer before it is returned.
+    slot, so row p can only be C(p, p_j)·(−t1)^{p−p_j}, and the first index
+    k with p_k ≠ k fails, t^k being the smallest degree missed; `_check_recenter`
+    certifies either answer before it is returned.
     """
     profile = tuple(int(p) for p in exponents)
     if not profile or profile[0] != 1:
@@ -323,12 +329,10 @@ def solve_recenter(exponents: Sequence[int], t1: Fraction) -> RecenterResult:
     t1 = Fraction(t1)
     if t1 == 0:
         raise ValueError("t1 must be nonzero")
-    degrees = set(profile)
-    for index, p in enumerate(profile, start=1):
-        missing = next((m for m in range(1, p + 1) if m not in degrees), None)
-        if missing is not None:
-            _check_recenter(profile, t1, (), index, missing)
-            return RecenterResult(False, profile, None, index, missing)
+    index = next((k for k, p in enumerate(profile, start=1) if p != k), None)
+    if index is not None:
+        _check_recenter(profile, t1, (), index, index)
+        return RecenterResult(False, profile, None, index, index)
     rows = [tuple(math.comb(p, q) * (-t1) ** (p - q) for q in profile) for p in profile]
     _check_recenter(profile, t1, rows, None, None)
     return RecenterResult(True, profile, tuple(rows))
@@ -368,10 +372,11 @@ def classify_curve(
     for name, matrix in (("M", m), ("J", j)):
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise ValueError(f"{name} must be {n}×{n} for a {n}-dimensional germ")
-    tangent = tuple(row[0] for row in j)
+    tangent, *columns = zip(*j)
     if not any(tangent):
         raise ValueError("the first column of J must be nonzero")
-    lam = tangent_eigenvalue(m, tangent)
+    rows = [_clear_denominators(row) for row in m]  # M cleared once for every column of J
+    lam = _eigenvalue(rows, tangent)
     if lam is None:
         raise ValueError("the first column of J must be an eigenvector of M")
     if not 0 < abs(lam) < 1:
@@ -388,7 +393,7 @@ def classify_curve(
     stages.append(f"[graph-form] exponent profile p = {profile}")
     # D = J⁻¹·M·J, M in the normalized coordinates, is diagonal exactly when every
     # column of J is an eigenvector of M, and then its diagonal holds their eigenvalues
-    eigenvalues = [tangent_eigenvalue(m, column) for column in zip(*j)]
+    eigenvalues = [lam] + [_eigenvalue(rows, column) for column in columns]
     off_diagonal = tuple(
         f"column {c + 1} of J is not an eigenvector of M, so D = J⁻¹·M·J is not diagonal"
         for c, eigenvalue in enumerate(eigenvalues)

@@ -23,7 +23,7 @@ __all__ = ["TruncatedSeries", "series_compose", "series_reverse"]
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficient rows (one per coordinate) of a series truncated at order."""
+    """Coefficient rows (one per coordinate, each a plain Fraction) of a series truncated at order."""
 
     order: int
     coords: tuple[tuple[Fraction, ...], ...]
@@ -31,7 +31,7 @@ class TruncatedSeries:
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("truncation order must be at least 1")
-        coords = tuple(tuple(Fraction(c) for c in row) for row in self.coords)
+        coords = tuple(tuple(c if type(c) is Fraction else Fraction(c) for c in row) for row in self.coords)
         if not coords:
             raise ValueError("a series needs at least one coordinate")
         if any(len(row) != self.order + 1 for row in coords):
@@ -54,14 +54,9 @@ class TruncatedSeries:
             raise ValueError("need at least one coordinate row")
         if order is None:
             order = max(len(row) for row in rows) - 1
-        padded = []
-        for row in rows:
-            entries = [Fraction(c) for c in row]
-            if len(entries) > order + 1:
-                raise ValueError("more coefficients than the order admits")
-            entries.extend([Fraction(0)] * (order + 1 - len(entries)))
-            padded.append(tuple(entries))
-        return cls(order, tuple(padded))
+        if any(len(row) > order + 1 for row in rows):
+            raise ValueError("more coefficients than the order admits")
+        return cls(order, tuple(tuple(row) + (0,) * (order + 1 - len(row)) for row in rows))
 
     @classmethod
     def identity(cls, order: int) -> "TruncatedSeries":

@@ -27,7 +27,8 @@ from selfaffine.classifier import (
     tangent_eigenvalue,
 )
 from selfaffine.exactlinalg import express_in_span, identity, mat_inverse
-from selfaffine.series import TruncatedSeries, series_reverse
+from selfaffine.rationals import _clear_denominators
+from selfaffine.series import TruncatedSeries, _combine, series_reverse
 
 ORDER = 16
 
@@ -124,6 +125,30 @@ def reference_solve_recenter(profile, t1):
     return RecenterResult(True, profile, tuple(rows))
 
 
+def reference_check_recenter(profile, t1, rows, witnesses):
+    """The table-building certificate: span vectors and every (b·t − a)^k up to the top exponent.
+
+    It checks the rows as the library once did and returns the (index, degree) witnesses of
+    `witnesses` that it refuses, building its tables once for all of them.
+    """
+    top = profile[-1]
+    a, b = t1.numerator, t1.denominator
+    span = [([-(a**q) * b ** (top - q) for q in profile], b**top)]
+    span += [([int(m == q) for q in profile], 1) for m in range(1, top + 1)]
+    scaled = [[1]]
+    for _ in range(top):
+        scaled.append([b * x - a * y for x, y in zip([0] + scaled[-1], scaled[-1] + [0])])
+    for p, row in zip(profile, rows):
+        if _combine(row, span) != [Fraction(x, b**p) for x in scaled[p]] + [0] * (top - p):
+            raise ArithmeticError(f"row {p} does not re-expand to (t - t1)^{p}")
+    refused = set()
+    for index, missing in witnesses:
+        p = profile[index - 1]
+        if not 0 < missing <= p or any(span[missing][0]) or not scaled[p][missing]:
+            refused.add((index, missing))
+    return refused
+
+
 def reference_tangent_eigenvalue(m, v):
     """Plain eigenvector test in Fractions: M·v row by row, λ from the first nonzero entry."""
     image = [sum(x * y for x, y in zip(row, v)) for row in m]
@@ -201,6 +226,30 @@ class TestTangentEigenvalue:
                             checked += 1
                             eigen += expected is not None
         assert eigen >= 2 * 6 * 12 and checked - eigen >= 6 * 12
+
+
+    def test_shared_clearing_equals_plain_reference(self):
+        # M's rows cleared once and read for several vectors, as classify_curve reads them for
+        # every column of J: eigenvectors, their multiples, nudged vectors and noise
+        rng = random.Random(43)
+        checked = eigen = 0
+        for n in range(2, 9):
+            for _ in range(10):
+                a = _random_invertible(rng, n)
+                d = diag(*(Fraction(rng.randint(-9, 9), rng.randint(1, 99)) for _ in range(n)))
+                m = _mat_mul(_mat_mul(a, d), mat_inverse(a))
+                rows = [_clear_denominators(row) for row in m]
+                for column in zip(*a):
+                    nudged = list(column)
+                    nudged[rng.randrange(n)] += Fraction(1, rng.randint(1, 10**6))
+                    noise = [Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(n)]
+                    for v in (column, [Fraction(-7, 2) * x for x in column], nudged, noise):
+                        if any(v):
+                            expected = reference_tangent_eigenvalue(m, v)
+                            assert classifier._eigenvalue(rows, v) == expected
+                            checked += 1
+                            eigen += expected is not None
+        assert checked >= 500 and eigen >= 2 * 7 * 10 * 2 and checked - eigen >= 7 * 10 * 2
 
 
 class TestGraphForm:
@@ -450,6 +499,33 @@ class TestSolveRecenter:
                                    result.witness_degree)
         with pytest.raises(ArithmeticError, match="does not witness"):
             classifier._check_recenter(profile, Fraction(3), (), index, degree)
+
+    def test_witness_certificate_equals_the_table_reference(self):
+        # every profile 1 < p_2 < … ≤ 12 and every (index, degree) with −1 ≤ degree ≤ p_index + 1:
+        # the certificate refuses exactly the witnesses the tables refuse
+        checked = accepted = 0
+        for t1 in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2),
+                   Fraction(-7, 3)):
+            for size in range(12):
+                for tail in itertools.combinations(range(2, 13), size):
+                    profile = (1,) + tail
+                    witnesses = [(index, degree) for index, p in enumerate(profile, start=1)
+                                 for degree in range(-1, p + 2)]
+                    refused = set()
+                    for index, degree in witnesses:
+                        try:
+                            classifier._check_recenter(profile, t1, (), index, degree)
+                        except ArithmeticError as exc:
+                            assert str(exc) == (f"t^{degree} does not witness infeasibility "
+                                                f"at index {index}")
+                            refused.add((index, degree))
+                    assert refused == reference_check_recenter(profile, t1, (), witnesses)
+                    result = solve_recenter(profile, t1)
+                    assert result.feasible or (result.witness_index,
+                                               result.witness_degree) not in refused
+                    checked += len(witnesses)
+                    accepted += len(witnesses) - len(refused)
+        assert accepted > 0 and checked - accepted > accepted
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

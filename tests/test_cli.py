@@ -850,6 +850,18 @@ class TestClassify:
         assert payload["exponents"] == [1, 2]
         assert "λ_k = 1/8 differs from λ₁^2 = 1/4" in payload["stages"][-1]
 
+    def test_zero_column_of_j_is_refused_by_the_inverse(self, tmp_path, capsys):
+        # the first column is a nonzero eigenvector; the zero second column makes J singular
+        germ = self._germ_file(tmp_path, [["0", "1"], ["0", "0", "1"]])
+        map_file = tmp_path / "m.json"
+        map_file.write_text(json.dumps({"matrix": [["1/2", "0"], ["0", "1/4"]],
+                                        "J": [["1", "0"], ["0", "0"]]}))
+        for form in ("text", "json"):
+            code, out, err = run(capsys, "classify", str(germ), str(map_file), "--t1", "1",
+                                 "--format", form)
+            assert (code, out) == (2, "")
+            assert json.loads(err) == {"error": "singular matrix"}
+
     def test_insufficient_order_is_input_error(self, tmp_path, capsys):
         rows = [["0", "1"], ["0"] * 15 + ["1"]]
         germ = self._germ_file(tmp_path, rows)

@@ -175,6 +175,30 @@ class TestConstruction:
             Fraction(0), Fraction(1), Fraction(0), Fraction(0)
         )
 
+    def test_coefficients_are_plain_fractions_whatever_was_given(self):
+        class Ratio(Fraction):
+            pass
+
+        ints = [[0, 1], [-3, 2, 5]]
+        built = []
+        for kind in (int, Fraction, Ratio):
+            rows = [[kind(c) for c in row] for row in ints]
+            padded = tuple(tuple(row) + (kind(0),) * (3 - len(row)) for row in rows)
+            for series in (TruncatedSeries.from_rows(rows, 2), TruncatedSeries(2, padded)):
+                assert all(type(c) is Fraction for row in series.coords for c in row), kind
+                built.append(series)
+        assert all(series == built[0] and hash(series) == hash(built[0]) for series in built)
+        assert repr(built[0]) == (
+            "TruncatedSeries(order=2, coords=((Fraction(0, 1), Fraction(1, 1), Fraction(0, 1)), "
+            "(Fraction(-3, 1), Fraction(2, 1), Fraction(5, 1))))")
+        assert repr(built[0]) == repr(built[2]) == repr(built[4])
+        assert built[0].coords == ((0, 1, 0), (-3, 2, 5))
+
+    def test_a_given_fraction_is_kept_not_copied(self):
+        half = Fraction(1, 2)
+        assert TruncatedSeries.from_rows([[0, half]], 2).coords[0][1] is half
+        assert TruncatedSeries(1, ((0, half),)).coords[0][1] is half
+
 
 class TestMultiply:
     """The Cauchy product of the reference kernel that the integer kernel is checked against."""
