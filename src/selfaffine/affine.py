@@ -141,8 +141,22 @@ def invert(f: AffineMap) -> AffineMap:
     return _row_map([_least([-row[-1], *row[n:-1]], last) for row in ints])
 
 
+def _lower_triangular(rows) -> bool:
+    """Whether cleared rows, translation entry first, have no nonzero entry above the diagonal."""
+    return not any(any(row[i + 2:]) for i, (row, _) in enumerate(rows))
+
+
 def fixed_point(f: AffineMap) -> Vector:
-    """The unique x with f(x) = x, solved exactly from the integer rows of s·(I − M)x = s·a."""
+    """The unique x with f(x) = x, exactly: a lower-triangular map by forward substitution on its
+    rows, x_k = (a_k + Σ_{j<k} m_kj·x_j)/(1 − m_kk), any other from the rows of s·(I − M)x = s·a."""
+    if _lower_triangular(f._rows):
+        x = []
+        for k, (row, scale) in enumerate(f._rows):
+            if row[k + 1] == scale:
+                raise ValueError("map has 1 as an eigenvalue; fixed point is not unique")
+            x.append(Fraction(row[0] + sum(w * v for w, v in zip(row[1:k + 1], x) if w),
+                              scale - row[k + 1]))
+        return tuple(x)
     system = [[*(scale * (i == j) - x for j, x in enumerate(row[1:])), row[0]]
               for i, (row, scale) in enumerate(f._rows)]
     pivots, _, ints, last = _eliminate(system, f.dim)
@@ -244,10 +258,10 @@ def certify_admissible(f: AffineMap, where: str = "map") -> ContractionCertifica
     determinant.  Raises ValueError, naming `where`, for a singular or a non-contractive map.
     """
     rows = f._rows
-    if any(any(row[i + 2:]) for i, (row, _) in enumerate(rows)):
-        invertible = determinant([row[1:] for row, _ in rows]) != 0
-    else:
+    if _lower_triangular(rows):
         invertible = all(row[i + 1] for i, (row, _) in enumerate(rows))
+    else:
+        invertible = determinant([row[1:] for row, _ in rows]) != 0
     if not invertible:
         raise ValueError(f"{where} is not invertible")
     certificate = is_contractive(f)

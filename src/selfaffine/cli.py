@@ -10,6 +10,7 @@ of chaos/render.  Exit codes: 0 all checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -407,6 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()  # no command makes a reference cycle, so the collector would rescan for nothing
     try:
         _check_format(args.format, args.formats, args.subcommand)
         return args.handler(args)
@@ -415,6 +418,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc)}) + "\n")
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

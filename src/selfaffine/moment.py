@@ -12,18 +12,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import accumulate, groupby, repeat
 from operator import mul
 from typing import Sequence
 
 from .affine import (
-    IteratedFunctionSystem, _ifs_header, _lift_failures, _line, _map_rows, _ratios, _row_map,
+    IteratedFunctionSystem, _ifs_header, _lift_failures, _map_rows, _ratios, _row_map,
     _rows_to_jsonable, _texts,
 )
 from .exactlinalg import as_vector
-from .rationals import (
-    _check_tiling, _clear_denominators, format_rational, parse_rational, sqrt_upper_bound
-)
+from .rationals import _clear_denominators, format_rational, parse_rational, sqrt_upper_bound
 
 __all__ = [
     "MomentCurveSpec", "MomentIfsRecipe", "InvarianceCounterexample", "InvarianceReport",
@@ -113,21 +112,28 @@ class MomentIfsRecipe:
 
 
 def _lines(spec: MomentCurveSpec, ratio: Fraction, anchors) -> list[tuple[int, int, int]]:
-    """Each map's parameter line λ(t − c) + t_i as integers (α, β, γ): (αt + β)/γ."""
-    shift = ratio * spec.c
-    return [_line(ratio, anchor - shift) for anchor in anchors]
+    """Each map's parameter line λ(t − c) + t_i as integers (α, β, γ): (αt + β)/γ, γ the least."""
+    (a, b), (u, v) = ratio.as_integer_ratio(), (ratio * spec.c).as_integer_ratio()
+    lines = [(a * q * v, (p * v - u * q) * b, b * q * v)  # for t_i = p/q, over their gcd
+             for p, q in (t.as_integer_ratio() for t in anchors)]
+    return [(x // g, y // g, z // g) for x, y, z in lines for g in [math.gcd(x, y, z)]]
 
 
 def _check_recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, dim, count) -> None:
     """Raise ValueError unless λ and the anchors tile [c, d], one anchor per map of dimension n.
 
-    It runs before any map is built or read, so it also caps the map count at _MAP_GUARD.
+    Decided on the anchors' integers p/q: every image has the width w = λ(d − c), so they tile
+    [c, d] when the least anchor is c, the greatest d − w and consecutive ones lie at most w
+    apart.  It runs before any map is built or read, so it also caps the map count at _MAP_GUARD.
     """
     if not 0 < ratio < 1:
         raise ValueError("contraction ratio must lie in (0, 1)")
     c, d = spec.c, spec.d
-    distinct = [t for t, _ in groupby(sorted(anchors))]  # equal anchors have equal images
-    if distinct and not (c <= distinct[0] and distinct[-1] <= d):  # sorted: its ends decide
+    by_value = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])  # p/q < r/s when ps < rq
+    pairs = sorted((t.as_integer_ratio() for t in anchors), key=by_value)
+    distinct = [pair for pair, _ in groupby(pairs)]  # equal anchors have equal images
+    first, last = (Fraction(*distinct[0]), Fraction(*distinct[-1])) if distinct else (c, d)
+    if not (c <= first and last <= d):  # sorted: its ends decide
         raise ValueError("every anchor must lie in [c, d]")
     if len(anchors) != count:
         raise ValueError("one anchor per map is required")
@@ -136,7 +142,11 @@ def _check_recipe(spec: MomentCurveSpec, ratio: Fraction, anchors, dim, count) -
     if not anchors:
         raise ValueError("an iterated function system needs at least one map")
     width = ratio * (d - c)
-    _check_tiling([(t, t + width) for t in distinct], c, d, "interval images", "[c, d]")
+    if first != c or last != d - width:
+        raise ValueError("interval images must reach both endpoints of [c, d]")
+    w, z = width.as_integer_ratio()  # r/s − p/q > w/z is (rq − ps)·z > w·qs
+    if any((r * q - p * s) * z > w * q * s for (p, q), (r, s) in zip(distinct, distinct[1:])):
+        raise ValueError("interval images leave a gap inside [c, d]")
     if count > _MAP_GUARD:
         raise ValueError(f"the map count {count} is above the guard {_MAP_GUARD}")
 

@@ -29,7 +29,7 @@ from selfaffine.affine import (
     map_from_jsonable,
     operator_norm,
 )
-from selfaffine.exactlinalg import determinant, mat_inverse
+from selfaffine.exactlinalg import determinant, mat_inverse, solve
 from selfaffine.moment import _built_rows, _moment_rows
 from selfaffine.paraboloid import _build_map
 from selfaffine.rationals import _clear_denominators, format_rational
@@ -110,6 +110,59 @@ class TestComposeInvertFixedPoint:
         with pytest.raises(ValueError, match="eigenvalue"):
             fixed_point(AffineMap([[1, 0], [0, 1]], [0, 0]))
 
+
+def _triangular_maps(rng):
+    """2,000 seeded lower-triangular maps: ten of each dimension 1..40, the rest of dimension
+    1..10; entries p/q with |p| < 100 and q < 10, a third of them 0, and now and then a
+    diagonal entry 1, where no fixed point is unique."""
+    def entry():
+        if rng.randrange(3) == 0:
+            return Fraction(0)
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+
+    for count in range(2000):
+        n = count % 40 + 1 if count < 400 else count % 10 + 1
+        matrix = [[entry() if j <= i else Fraction(0) for j in range(n)] for i in range(n)]
+        if count % 25 == 0:
+            one = rng.randrange(n)
+            matrix[one][one] = Fraction(1)
+        yield AffineMap(matrix, [entry() for _ in range(n)])
+
+
+class TestTriangularFixedPoint:
+    """fixed_point solves a lower-triangular map by forward substitution, equal to elimination."""
+
+    def test_substitution_equals_the_elimination(self, monkeypatch):
+        eliminations = []
+        original = affine._eliminate
+
+        def counted(*args, **kwargs):
+            eliminations.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(affine, "_eliminate", counted)
+        singular = 0
+        for f in _triangular_maps(random.Random(17)):
+            identity_minus_m = [[(i == j) - x for j, x in enumerate(row)]
+                                for i, row in enumerate(f.matrix)]
+            try:
+                expected = solve(identity_minus_m, f.translation)
+            except ValueError:
+                singular += 1
+                with pytest.raises(ValueError, match="^map has 1 as an eigenvalue"):
+                    fixed_point(f)
+                continue
+            assert fixed_point(f) == expected
+        assert singular >= 80
+        assert eliminations == []  # no triangular map reaches the elimination
+
+    def test_a_map_with_an_upper_entry_is_eliminated(self):
+        f = AffineMap([[Fraction(1, 2), Fraction(1, 5)], [Fraction(1, 4), Fraction(1, 3)]],
+                      [Fraction(1), Fraction(2)])
+        p = fixed_point(f)
+        assert f(p) == p
+        with pytest.raises(ValueError, match="^map has 1 as an eigenvalue"):
+            fixed_point(AffineMap([[1, 1], [0, 1]], [0, 0]))
 
 def _mat_mul(a, b):
     return tuple(tuple(sum(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b[0])))

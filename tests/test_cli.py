@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -1309,3 +1310,65 @@ class TestReusedParser:
         assert first == later == fresh_run(tmp_path, *argv)
         assert first[0] == (0 if "--help" in argv else 2)
         assert first[1 if "--help" in argv else 2].startswith("usage: selfaffine")
+
+
+@pytest.fixture(scope="module")
+def moment_files(tmp_path_factory):
+    """Moment files built at n = 3 (222 maps) and n = 4 (1,025 maps)."""
+    folder = tmp_path_factory.mktemp("collector")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for n in (3, 4):
+            assert main(["build-moment", "--dim", str(n), "--c", "0", "--d", "1",
+                         "--output", str(folder / f"moment{n}.json")]) == 0
+    return folder
+
+
+class TestPausedCollector:
+    """main pauses the cyclic collector while a command runs and leaves its state as it was."""
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("case, status", [("valid", 0), ("absent", 1), ("missing", 2)])
+    def test_state_is_restored_after_every_exit(self, case, status, caller_enabled, moment_file,
+                                                circle_file, half_map_file, monkeypatch, capsys):
+        argv = {"valid": ["verify", str(moment_file), "--points", "5"],
+                "absent": ["scaling", str(circle_file), str(half_map_file)],
+                "missing": ["verify", str(moment_file) + ".missing"]}[case]
+        seen = []
+        original = cli._load_json
+
+        def recorded(path):
+            seen.append(gc.isenabled())
+            return original(path)
+
+        monkeypatch.setattr(cli, "_load_json", recorded)
+        try:
+            if not caller_enabled:
+                gc.disable()
+            assert run(capsys, *argv)[0] == status
+            assert gc.isenabled() is caller_enabled
+        finally:
+            gc.enable()
+        assert seen == [False]  # paused while the command ran
+
+    @pytest.mark.parametrize("command", ["build-moment", "verify", "chaos", "render", "paraboloid"])
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, command, moment_files, tmp_path,
+                                                         capsys):
+        def argv(size):
+            path = str(moment_files / f"moment{size}.json")
+            return {
+                "build-moment": ["build-moment", "--dim", str(size), "--c", "0", "--d", "1",
+                                 "--output", str(tmp_path / "built.json")],
+                "verify": ["verify", path, "--points", "20"],
+                "chaos": ["chaos", path, "--points", "500", "--output", str(tmp_path / "c.csv")],
+                "render": ["render", path, "--points", "500", "--output", str(tmp_path / "r.svg")],
+                "paraboloid": ["paraboloid", "--dim", str(2 * size - 3), "--c", "0", "--d", "1/64",
+                               "--base", "1/2:0,1/2:1/128", "--output", str(tmp_path / "p.json")],
+            }[command]
+
+        def garbage(size):
+            gc.collect()
+            assert run(capsys, *argv(size))[0] == 0
+            return gc.collect()
+
+        garbage(3)  # first imports and caches
+        assert garbage(3) == garbage(4)  # paraboloid: dimension 3, then 6

@@ -1,16 +1,19 @@
 """Moment-curve IFS construction and the exact invariance identity."""
 
+import collections
 import copy
+import itertools
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from selfaffine import affine, moment
+from selfaffine import affine, cli, moment
 from selfaffine.affine import (
     AffineMap, IteratedFunctionSystem, _float_array, _float_map, _line, _row_map,
     _rows_to_jsonable, certify_admissible, fixed_point, ifs_from_jsonable, is_contractive,
@@ -28,7 +31,9 @@ from selfaffine.moment import (
     verify_moment_invariance,
 )
 from selfaffine.moment import InvarianceCounterexample, InvarianceReport
-from selfaffine.rationals import _clear_denominators, format_rational
+from selfaffine.rationals import (
+    _check_tiling, _clear_denominators, format_rational, parse_rational,
+)
 
 
 def _reference_rows(f):
@@ -384,6 +389,135 @@ class TestInvariance:
         recipe = build_moment_ifs(spec, ratio, choose_anchors(spec, ratio))
         with pytest.raises(ValueError):
             verify_moment_invariance(recipe, [Fraction(2)])
+
+
+def _fraction_lines(spec, ratio, anchors):
+    """_lines as it was on Fractions: one _line of λ and t_i − λc per anchor."""
+    shift = ratio * spec.c
+    return [_line(ratio, anchor - shift) for anchor in anchors]
+
+
+def _fraction_check_recipe(spec, ratio, anchors, dim, count):
+    """_check_recipe as it was on Fractions: sorted and deduplicated anchors, then _check_tiling."""
+    if not 0 < ratio < 1:
+        raise ValueError("contraction ratio must lie in (0, 1)")
+    c, d = spec.c, spec.d
+    distinct = [t for t, _ in itertools.groupby(sorted(anchors))]
+    if distinct and not (c <= distinct[0] and distinct[-1] <= d):
+        raise ValueError("every anchor must lie in [c, d]")
+    if len(anchors) != count:
+        raise ValueError("one anchor per map is required")
+    if dim != spec.dim:
+        raise ValueError("system dimension must match the curve dimension")
+    if not anchors:
+        raise ValueError("an iterated function system needs at least one map")
+    width = ratio * (d - c)
+    _check_tiling([(t, t + width) for t in distinct], c, d, "interval images", "[c, d]")
+    if count > moment._MAP_GUARD:
+        raise ValueError(f"the map count {count} is above the guard {moment._MAP_GUARD}")
+
+
+def _error(check, *args):
+    """The message check(*args) raises, or None when it passes."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _recipe_cases(rng):
+    """Seeded (spec, λ, anchors, dim, count): uniform grids on intervals with c ≥ 0 and c < 0,
+    shuffled, with duplicates, with a gap, with an end that misses by a small rational, with an
+    anchor outside [c, d] or with random anchors; now and then λ, dim or count is wrong too."""
+    specs = [MomentCurveSpec(2, Fraction(0), Fraction(1)),
+             MomentCurveSpec(3, Fraction(-1, 4), Fraction(1, 4)),
+             MomentCurveSpec(2, Fraction(-3, 2), Fraction(-1, 3)),
+             MomentCurveSpec(4, Fraction(-3, 8), Fraction(1, 8))]
+    for spec in specs:
+        for _ in range(75):
+            ratio = lambda_bound(spec) / rng.choice([1, 2, 3])
+            anchors = choose_anchors(spec, ratio)
+            kind = rng.randrange(7)
+            tiny = Fraction(1, rng.randint(10**6, 10**9))
+            if kind == 1:  # duplicates
+                anchors += rng.choices(anchors, k=rng.randint(1, 5))
+            elif kind == 2:  # a gap
+                del anchors[rng.randrange(1, len(anchors) - 1)]
+            elif kind == 3:  # an end that misses
+                anchors[rng.choice([0, -1])] += rng.choice([tiny, -tiny])
+            elif kind == 4:  # an anchor outside [c, d]
+                anchors.append(rng.choice([spec.c - tiny, spec.d + tiny]))
+            elif kind == 5:  # random anchors
+                anchors = [spec.c + (spec.d - spec.c) * Fraction(rng.randint(0, 10**6), 10**6)
+                           for _ in range(rng.randint(0, 40))]
+            elif kind == 6:  # one anchor moved by a small rational
+                anchors[rng.randrange(len(anchors))] += rng.choice([tiny, -tiny])
+            if rng.randrange(2):
+                rng.shuffle(anchors)
+            dim = spec.dim + (rng.randrange(10) == 0)
+            count = len(anchors) + rng.choice([0] * 8 + [-1, 1])
+            if rng.randrange(20) == 0:
+                ratio = rng.choice([Fraction(0), Fraction(1), Fraction(-1, 3)])
+            yield spec, ratio, anchors, dim, count
+
+
+class TestIntegerRecipeCheck:
+    """_check_recipe and _lines on the anchors' integers, against their Fraction references."""
+
+    def test_errors_and_lines_equal_the_fraction_reference(self):
+        messages = collections.Counter()
+        for spec, ratio, anchors, dim, count in _recipe_cases(random.Random(34)):
+            expected = _error(_fraction_check_recipe, spec, ratio, anchors, dim, count)
+            assert _error(moment._check_recipe, spec, ratio, anchors, dim, count) == expected
+            messages[expected] += 1
+            if 0 < ratio < 1:
+                assert moment._lines(spec, ratio, anchors) == _fraction_lines(spec, ratio, anchors)
+        assert set(messages) == {
+            None, "contraction ratio must lie in (0, 1)", "every anchor must lie in [c, d]",
+            "one anchor per map is required", "system dimension must match the curve dimension",
+            "an iterated function system needs at least one map",
+            "interval images must reach both endpoints of [c, d]",
+            "interval images leave a gap inside [c, d]",
+        }
+
+    @pytest.mark.parametrize("c, d, ratio, text", [
+        ("0", "1", "1/4", "3/4, 0, 1/4, 1/2"),
+        ("0", "1", "1/4", "0, 1/4, 1/4, 3/4"),
+        ("0", "1", "1/4", "0, 1/4, 1/2, 3/4, 1/8, 1/8"),
+        ("-1/2", "1/2", "1/4", "1/4, -1/2, 0, -1/4"),
+        ("-1/2", "1/2", "1/4", "-1/2, -1/4, 0, 1/4000001"),
+        ("-3", "-1", "1/3", "-3, -7/3, -5/3, -5/3"),
+        ("-3", "-1", "1/3", "-3, -7/3, -5/3, -1"),
+        ("-3", "-1", "1/3", "-3, -7/3, -10/3"),
+    ])
+    def test_given_anchor_lists(self, c, d, ratio, text):
+        spec = MomentCurveSpec(2, parse_rational(c), parse_rational(d))
+        ratio, anchors = parse_rational(ratio), cli._parse_anchor_list(text)
+        for count in (len(anchors), len(anchors) + 1):
+            expected = _error(_fraction_check_recipe, spec, ratio, anchors, 2, count)
+            assert _error(moment._check_recipe, spec, ratio, anchors, 2, count) == expected
+        assert moment._lines(spec, ratio, anchors) == _fraction_lines(spec, ratio, anchors)
+
+    def test_fifty_thousand_unrelated_denominators_are_decided_in_time(self):
+        # the ends 0 and 1 − w, and random anchors between them over 10-digit denominators:
+        # no common denominator is small, and no gap as wide as w = 1/1000 is left
+        rng = random.Random(50)
+        spec, ratio = unit_spec(2), Fraction(1, 1000)
+        anchors = [Fraction(0), Fraction(999, 1000)]
+        while len(anchors) < moment._MAP_GUARD:
+            q = rng.randint(10**9, 10**10 - 1)
+            anchors.append(Fraction(rng.randint(0, q * 999 // 1000), q))
+        rng.shuffle(anchors)
+        start = time.perf_counter()
+        moment._check_recipe(spec, ratio, anchors, 2, len(anchors))
+        lines = moment._lines(spec, ratio, anchors)
+        assert time.perf_counter() - start < 2
+        assert _fraction_check_recipe(spec, ratio, anchors, 2, len(anchors)) is None
+        assert lines == _fraction_lines(spec, ratio, anchors)
+        anchors.remove(Fraction(999, 1000))  # the far end is now missed
+        assert (_error(moment._check_recipe, spec, ratio, anchors, 2, len(anchors))
+                == "interval images must reach both endpoints of [c, d]")
 
 
 class TestRecipeJson:
